@@ -1243,7 +1243,7 @@ impl NodeCore {
                     }),
                 );
             }
-            FluidEv::Arrive { .. } | FluidEv::Complete { .. } => {
+            FluidEv::Arrive { .. } | FluidEv::Wake => {
                 panic!("fluid-core event routed to a node core")
             }
         }
@@ -1331,6 +1331,91 @@ impl Process for NodeCore {
                     Err(_) => panic!("net core received an unknown message type"),
                 },
             },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Cluster;
+    use crate::params::TransportKind;
+
+    /// Sends one message on each of its connections at start.
+    struct OneShot {
+        net: Network,
+        conns: Vec<ConnId>,
+    }
+    impl Process for OneShot {
+        fn name(&self) -> String {
+            "one-shot".to_string()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for &conn in &self.conns {
+                self.net.send(ctx, conn, 1024, Message::new(()));
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
+    }
+
+    /// Consumes every delivery.
+    struct Drain {
+        net: Network,
+    }
+    impl Process for Drain {
+        fn name(&self) -> String {
+            "drain".to_string()
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let d = msg.downcast::<Delivery>().expect("deliveries only");
+            self.net.consumed(ctx, d.conn, d.msg_id);
+        }
+    }
+
+    /// `tx_stats`/`rx_stats` answer `Some` for exactly the connection
+    /// halves a node core owns (with that half's traffic) and `None` for
+    /// every other connection.
+    #[test]
+    fn node_stats_cover_exactly_the_owned_halves() {
+        const NODES: usize = 64;
+        const CONNS: usize = 300;
+        for model in [NetModel::Packet, NetModel::Flow] {
+            crate::netmodel::with_netmodel(model, || {
+                let mut sim = Sim::new(5);
+                let cluster = Cluster::build(&mut sim, NODES);
+                let net = cluster.network();
+                let sender = sim.add_process(Box::new(OneShot {
+                    net: net.clone(),
+                    conns: (0..CONNS).map(ConnId).collect(),
+                }));
+                let drain = sim.add_process(Box::new(Drain { net: net.clone() }));
+                // A skewed pattern: low nodes source many connections,
+                // some nodes source or sink none.
+                let ends: Vec<(usize, usize)> = (0..CONNS)
+                    .map(|i| ((i * i) % 48, (i * 7 + 3) % 61 + 3))
+                    .map(|(src, dst)| (src, if dst == src { (dst + 1) % NODES } else { dst }))
+                    .collect();
+                for &(src, dst) in &ends {
+                    net.connect(
+                        cluster.endpoint(NodeId(src), sender),
+                        cluster.endpoint(NodeId(dst), drain),
+                        TransportKind::SocketVia,
+                    );
+                }
+                sim.run();
+                for node in 0..NODES {
+                    let core: &NodeCore = sim.process(net.core_of(NodeId(node))).unwrap();
+                    for (ci, &(src, dst)) in ends.iter().enumerate() {
+                        let tx = core.tx_stats(ConnId(ci));
+                        let rx = core.rx_stats(ConnId(ci));
+                        assert_eq!(tx.is_some(), src == node, "{model:?} node {node} conn {ci}");
+                        assert_eq!(rx.is_some(), dst == node, "{model:?} node {node} conn {ci}");
+                        assert!(tx.map_or(true, |s| s.msgs_sent == 1));
+                        assert!(rx.map_or(true, |s| s.msgs_delivered == 1));
+                    }
+                    assert!(core.tx_stats(ConnId(CONNS)).is_none(), "unknown conn");
+                }
+            });
         }
     }
 }

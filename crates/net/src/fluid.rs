@@ -6,8 +6,10 @@
 //! departures. Active flows share link capacity max-min fairly; on every
 //! arrival or departure the allocator recomputes bottleneck fair shares
 //! for the affected connected component only and reschedules the changed
-//! flows' completion events — O(flows) work per state change regardless
-//! of message size.
+//! flows' completions — O(flows) work per state change regardless of
+//! message size. Completions live in an ordered due set behind a single
+//! wake-up timer, so a flow costs O(1) kernel events however often its
+//! rate changes.
 //!
 //! ## Calibration
 //!
@@ -47,7 +49,7 @@ use crate::engine::{ConnId, Registry, Route, StreamErrorKind};
 use crate::fault::{ConnFaults, MsgFate};
 use crate::params::PathCosts;
 use hpsock_sim::{Ctx, Dur, Message, Process, ProcessId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// cLAN wire drain rate in payload bytes per nanosecond (the 795 Mbps
@@ -66,68 +68,111 @@ pub const NODE_WIRE_BYTES_PER_NS: f64 = 1.0 / 10.06;
 ///
 /// Every weight must be positive and every flow must cross at least one
 /// link; the result then saturates at least one link on every flow's
-/// path (Pareto optimality) and never exceeds any capacity.
+/// path (Pareto optimality) and never exceeds any capacity. This is a
+/// thin wrapper over the kernel the fluid core runs on every state
+/// change ([`Filler`]).
 pub fn max_min_rates(caps: &[f64], flows: &[Vec<(usize, f64)>]) -> Vec<f64> {
+    let mut fill = Filler::default();
+    fill.clear();
     for (f, path) in flows.iter().enumerate() {
         assert!(!path.is_empty(), "flow {f} crosses no links");
         for &(l, w) in path {
             assert!(l < caps.len(), "flow {f} crosses unknown link {l}");
             assert!(w > 0.0, "flow {f} has non-positive weight {w} on link {l}");
         }
+        fill.pairs.extend_from_slice(path);
+        fill.offsets.push(fill.pairs.len());
     }
-    let mut rate = vec![0.0; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut cap_left = caps.to_vec();
-    loop {
-        // Fair share each link could still grant its unfrozen flows.
-        let mut wsum = vec![0.0; caps.len()];
-        for (f, path) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
-            }
-            for &(l, w) in path {
-                wsum[l] += w;
-            }
-        }
-        let fair: Vec<f64> = (0..caps.len())
-            .map(|l| {
-                if wsum[l] > 0.0 {
-                    cap_left[l].max(0.0) / wsum[l]
-                } else {
-                    f64::INFINITY
+    fill.caps.extend_from_slice(caps);
+    fill.run();
+    fill.rate
+}
+
+/// The water-filling kernel and its reusable buffers. The problem is
+/// handed over in CSR form — flow `f` crosses `pairs[offsets[f]..
+/// offsets[f + 1]]`, `(link, weight)` pairs over links `0..caps.len()` —
+/// so the fluid core can refill it on every reallocation without
+/// allocating.
+#[derive(Default)]
+struct Filler {
+    caps: Vec<f64>,
+    offsets: Vec<usize>,
+    pairs: Vec<(usize, f64)>,
+    /// Output: the max-min rate per flow.
+    rate: Vec<f64>,
+    /// Flows not yet frozen, in flow order.
+    open: Vec<usize>,
+    cap_left: Vec<f64>,
+    wsum: Vec<f64>,
+    fair: Vec<f64>,
+}
+
+impl Filler {
+    /// Empty the problem, keeping the allocations.
+    fn clear(&mut self) {
+        self.caps.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.pairs.clear();
+    }
+
+    /// Solve the loaded problem into `rate`. Sums accumulate in flow
+    /// order and path order, so the rates are a pure function of the
+    /// problem as handed over.
+    fn run(&mut self) {
+        let flows = self.offsets.len() - 1;
+        self.rate.clear();
+        self.rate.resize(flows, 0.0);
+        self.open.clear();
+        self.open.extend(0..flows);
+        self.cap_left.clear();
+        self.cap_left.extend_from_slice(&self.caps);
+        while !self.open.is_empty() {
+            // Fair share each link could still grant its unfrozen flows.
+            self.wsum.clear();
+            self.wsum.resize(self.caps.len(), 0.0);
+            for &f in &self.open {
+                for &(l, w) in &self.pairs[self.offsets[f]..self.offsets[f + 1]] {
+                    self.wsum[l] += w;
                 }
-            })
-            .collect();
-        let bottleneck = fair.iter().copied().fold(f64::INFINITY, f64::min);
-        if !bottleneck.is_finite() {
-            break; // no unfrozen flows left
-        }
-        // Freeze every flow crossing a bottleneck link at the fair share.
-        let mut froze_any = false;
-        for (f, path) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
             }
-            if path
-                .iter()
-                .any(|&(l, _)| fair[l] <= bottleneck * (1.0 + 1e-12))
-            {
+            self.fair.clear();
+            self.fair
+                .extend(self.wsum.iter().zip(&self.cap_left).map(|(&ws, &left)| {
+                    if ws > 0.0 {
+                        left.max(0.0) / ws
+                    } else {
+                        f64::INFINITY
+                    }
+                }));
+            let bottleneck = self.fair.iter().copied().fold(f64::INFINITY, f64::min);
+            if !bottleneck.is_finite() {
+                break; // no unfrozen flows left
+            }
+            // Freeze every flow crossing a bottleneck link at the fair share.
+            let limit = bottleneck * (1.0 + 1e-12);
+            let before = self.open.len();
+            let (pairs, offsets, fair) = (&self.pairs, &self.offsets, &self.fair);
+            let (rate, cap_left) = (&mut self.rate, &mut self.cap_left);
+            self.open.retain(|&f| {
+                let path = &pairs[offsets[f]..offsets[f + 1]];
+                if !path.iter().any(|&(l, _)| fair[l] <= limit) {
+                    return true;
+                }
                 rate[f] = bottleneck;
-                frozen[f] = true;
-                froze_any = true;
                 for &(l, w) in path {
                     cap_left[l] -= bottleneck * w;
                 }
+                false
+            });
+            if self.open.len() == before {
+                break; // numerical stalemate: everyone left is unconstrained
             }
         }
-        if !froze_any {
-            break; // numerical stalemate: everyone left is unconstrained
-        }
     }
-    rate
 }
 
-/// Events of the fluid engine. `Arrive`/`Complete` are handled by the
+/// Events of the fluid engine. `Arrive`/`Wake` are handled by the
 /// [`FluidCore`]; `Deliver`/`Failed` by the destination/source node cores.
 pub(crate) enum FluidEv {
     /// A submitted message reached the fluid core (after switch+prop).
@@ -138,10 +183,8 @@ pub(crate) enum FluidEv {
         sent_at: SimTime,
         payload: Message,
     },
-    /// Epoch-tagged flow-completion self-event. The kernel has no event
-    /// cancellation, so a reallocation bumps the flow's epoch and lets
-    /// the superseded completion fall through as a stale no-op.
-    Complete { conn: ConnId, epoch: u64 },
+    /// The fluid core's wake-up timer: complete every flow due by now.
+    Wake,
     /// A completed flow's payload arriving at the receive-side node core.
     Deliver {
         conn: ConnId,
@@ -197,6 +240,10 @@ struct QueuedMsg {
     extra: Dur,
 }
 
+/// Most links a flow crosses: its three stage links plus, between
+/// racks, the source uplink and the destination downlink.
+const MAX_HOPS: usize = 5;
+
 /// The currently draining flow of one connection.
 struct ActiveFlow {
     msg: u64,
@@ -211,10 +258,19 @@ struct ActiveFlow {
     rate: f64,
     /// Virtual time `remaining` was last brought current.
     updated: SimTime,
-    /// Tag of the completion event currently in flight for this flow.
-    epoch: u64,
-    /// `(global link id, weight)` pairs — the allocator's view.
-    path: Vec<(usize, f64)>,
+    /// `(finish, order)` of this flow's entry in [`FluidCore::due`]; `None`
+    /// until the first allocation.
+    due: Option<(SimTime, u64)>,
+    /// `(global link id, weight)` pairs — the allocator's view; the first
+    /// `hops` entries are used.
+    path: [(usize, f64); MAX_HOPS],
+    hops: usize,
+}
+
+impl ActiveFlow {
+    fn path(&self) -> &[(usize, f64)] {
+        &self.path[..self.hops]
+    }
 }
 
 /// Per-connection fluid state.
@@ -235,9 +291,58 @@ struct FluidConn {
     detect: Dur,
     queue: VecDeque<QueuedMsg>,
     active: Option<ActiveFlow>,
-    /// Monotone per-connection epoch counter; never reset, so stale
-    /// completions of earlier flows can never collide with a later flow.
-    epochs: u64,
+}
+
+impl FluidConn {
+    /// Global ids of every link this connection's flows cross.
+    fn links(&self) -> impl Iterator<Item = usize> + '_ {
+        let fabric = self.fabric.into_iter().flat_map(|(up, down)| [up, down]);
+        self.stage_links.iter().copied().chain(fabric)
+    }
+}
+
+/// Reallocation scratch, reused across calls so a state change allocates
+/// nothing. Connections and links are marked with a generation stamp
+/// instead of being collected into hash sets.
+#[derive(Default)]
+struct Scratch {
+    /// Stamp of the current reallocation: a connection or link belongs to
+    /// the component being built iff its mark equals it.
+    stamp: u32,
+    conn_mark: Vec<u32>,
+    link_mark: Vec<u32>,
+    /// Component-local index of each marked link.
+    link_local: Vec<usize>,
+    /// Marked links whose users are still to be visited.
+    pending: Vec<usize>,
+    /// The component's connections.
+    comp: Vec<usize>,
+    fill: Filler,
+}
+
+impl Scratch {
+    /// Start a new component: every mark becomes stale at once.
+    fn begin(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.conn_mark.fill(0);
+            self.link_mark.fill(0);
+            self.stamp = 1;
+        }
+        self.pending.clear();
+        self.comp.clear();
+        self.fill.clear();
+    }
+
+    /// Add link `l` (capacity `cap`) to the component unless already in.
+    fn mark_link(&mut self, l: usize, cap: f64) {
+        if self.link_mark[l] != self.stamp {
+            self.link_mark[l] = self.stamp;
+            self.link_local[l] = self.fill.caps.len();
+            self.fill.caps.push(cap);
+            self.pending.push(l);
+        }
+    }
 }
 
 /// The single process owning all flow state (see module docs). Spawned by
@@ -250,14 +355,21 @@ pub(crate) struct FluidCore {
     /// Link capacities: stage links at 1.0 (weights are ns/byte), fabric
     /// links in bytes/ns.
     caps: Vec<f64>,
-    /// Connections with an active flow, kept sorted for deterministic
-    /// iteration.
-    active: Vec<usize>,
-    /// Active connections per link (same sorted-vec discipline), indexed
-    /// by global link id — the sharing graph the component search walks,
-    /// maintained incrementally so a state change never scans flows that
-    /// share nothing with it.
+    /// Active connections per link (sorted), indexed by global link id —
+    /// the sharing graph the component search walks, maintained
+    /// incrementally so a state change never scans flows that share
+    /// nothing with it.
     link_users: Vec<Vec<usize>>,
+    /// Scheduled completions `(finish, order, conn)`, one per flow with a
+    /// rate. `order` breaks ties at one finish time by scheduling order.
+    due: BTreeSet<(SimTime, u64, usize)>,
+    /// Bumped on every (re)schedule.
+    order: u64,
+    /// Times of the [`FluidEv::Wake`] events in flight, ascending. A wake
+    /// is only armed ahead of the earliest one, so pushing at the front
+    /// keeps the order.
+    wakes: VecDeque<SimTime>,
+    scratch: Scratch,
 }
 
 impl FluidCore {
@@ -267,8 +379,11 @@ impl FluidCore {
             route,
             conns: Vec::new(),
             caps: Vec::new(),
-            active: Vec::new(),
             link_users: Vec::new(),
+            due: BTreeSet::new(),
+            order: 0,
+            wakes: VecDeque::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -286,22 +401,22 @@ impl FluidCore {
     /// The allocator's path for a flow of `bytes` on `conn`: stage links
     /// weighted by their per-byte occupancy for this message size, plus
     /// the rack fabric weighted by wire bytes per payload byte.
-    fn flow_path(&self, conn: usize, bytes: u64) -> Vec<(usize, f64)> {
+    fn flow_path(&self, conn: usize, bytes: u64) -> ([(usize, f64); MAX_HOPS], usize) {
         let c = &self.conns[conn];
         let s = bytes.max(1) as f64;
         let occ = c.costs.stage_occupancies(bytes);
-        let mut path = vec![
-            (c.stage_links[0], occ[0] / s),
-            (c.stage_links[1], occ[1] / s),
-            (c.stage_links[2], occ[2] / s),
-        ];
-        if let Some((up, down)) = c.fabric {
-            let frames = c.costs.frames_for(bytes) as u64;
-            let wire = (bytes + frames * c.costs.frame_overhead as u64) as f64 / s;
-            path.push((up, wire));
-            path.push((down, wire));
+        let mut path = [(0, 0.0); MAX_HOPS];
+        for (k, &l) in c.stage_links.iter().enumerate() {
+            path[k] = (l, occ[k] / s);
         }
-        path
+        let Some((up, down)) = c.fabric else {
+            return (path, 3);
+        };
+        let frames = c.costs.frames_for(bytes) as u64;
+        let wire = (bytes + frames * c.costs.frame_overhead as u64) as f64 / s;
+        path[3] = (up, wire);
+        path[4] = (down, wire);
+        (path, MAX_HOPS)
     }
 
     /// Delivery residual for a completed flow, clamped to the connection's
@@ -340,16 +455,14 @@ impl FluidCore {
                 self.fail(ctx, conn, msg, bytes, StreamErrorKind::PeerDead);
                 continue;
             }
-            let path = self.flow_path(conn, q.bytes);
-            for &(l, _) in &path {
+            let (path, hops) = self.flow_path(conn, q.bytes);
+            for &(l, _) in &path[..hops] {
                 let lu = &mut self.link_users[l];
                 if let Err(i) = lu.binary_search(&conn) {
                     lu.insert(i, conn);
                 }
             }
-            let c = &mut self.conns[conn];
-            c.epochs += 1;
-            c.active = Some(ActiveFlow {
+            self.conns[conn].active = Some(ActiveFlow {
                 msg: q.msg,
                 bytes: q.bytes,
                 sent_at: q.sent_at,
@@ -357,13 +470,11 @@ impl FluidCore {
                 extra: q.extra,
                 remaining: q.bytes.max(1) as f64,
                 rate: 0.0,
-                epoch: c.epochs,
                 updated: ctx.now(),
+                due: None,
                 path,
+                hops,
             });
-            if let Err(i) = self.active.binary_search(&conn) {
-                self.active.insert(i, conn);
-            }
             return true;
         }
     }
@@ -372,70 +483,73 @@ impl FluidCore {
     /// flow–link sharing graph around `seed_conn`, and reschedule the
     /// completion of every flow whose rate changed. Flows outside the
     /// component share no link (transitively) with the changed connection,
-    /// so their rates — and their already-scheduled completions — stand.
-    fn reallocate(&mut self, ctx: &mut Ctx<'_>, seed_conn: usize) {
-        if self.active.is_empty() {
-            return;
+    /// so their rates — and their scheduled completions — stand.
+    fn reallocate(&mut self, now: SimTime, seed_conn: usize) {
+        let FluidCore {
+            conns,
+            caps,
+            link_users,
+            scratch: sc,
+            due,
+            order,
+            ..
+        } = self;
+        sc.begin();
+        for l in conns[seed_conn].links() {
+            sc.mark_link(l, caps[l]);
         }
-        let mut pending: Vec<usize> = self.conns[seed_conn].stage_links.to_vec();
-        if let Some((up, down)) = self.conns[seed_conn].fabric {
-            pending.push(up);
-            pending.push(down);
-        }
-        let mut seen_links: HashSet<usize> = pending.iter().copied().collect();
-        let mut in_comp: HashSet<usize> = HashSet::new();
-        while let Some(l) = pending.pop() {
-            for &ci in &self.link_users[l] {
-                if in_comp.insert(ci) {
-                    for &(l2, _) in &self.conns[ci].active.as_ref().expect("in sync").path {
-                        if seen_links.insert(l2) {
-                            pending.push(l2);
-                        }
+        while let Some(l) = sc.pending.pop() {
+            for &ci in &link_users[l] {
+                if sc.conn_mark[ci] != sc.stamp {
+                    sc.conn_mark[ci] = sc.stamp;
+                    sc.comp.push(ci);
+                    for &(l2, _) in conns[ci].active.as_ref().expect("in sync").path() {
+                        sc.mark_link(l2, caps[l2]);
                     }
                 }
             }
         }
-        if in_comp.is_empty() {
+        if sc.comp.is_empty() {
             return;
         }
-        // Sort component and links: float accumulation order must be a
-        // pure function of the component, not of hash iteration order.
-        let mut comp: Vec<usize> = in_comp.into_iter().collect();
-        comp.sort_unstable();
-        let mut links: Vec<usize> = seen_links.into_iter().collect();
-        links.sort_unstable();
-        let lidx: HashMap<usize, usize> = links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let caps: Vec<f64> = links.iter().map(|&l| self.caps[l]).collect();
-        let flows: Vec<Vec<(usize, f64)>> = comp
-            .iter()
-            .map(|&ci| {
-                self.conns[ci].active.as_ref().expect("in sync").path[..]
-                    .iter()
-                    .map(|&(l, w)| (lidx[&l], w))
-                    .collect()
-            })
-            .collect();
-        let rates = max_min_rates(&caps, &flows);
-        let now = ctx.now();
-        for (k, &ci) in comp.iter().enumerate() {
-            let c = &mut self.conns[ci];
-            let f = c.active.as_mut().expect("in sync");
+        // Float accumulation order must be a pure function of the
+        // component, not of the order the search found it in.
+        sc.comp.sort_unstable();
+        for &ci in &sc.comp {
+            let f = conns[ci].active.as_ref().expect("in sync");
+            let local = f.path().iter().map(|&(l, w)| (sc.link_local[l], w));
+            sc.fill.pairs.extend(local);
+            sc.fill.offsets.push(sc.fill.pairs.len());
+        }
+        sc.fill.run();
+        for (&ci, &rate) in sc.comp.iter().zip(&sc.fill.rate) {
+            let f = conns[ci].active.as_mut().expect("in sync");
             Self::advance_flow(f, now);
-            if rates[k] != f.rate {
+            if rate != f.rate {
                 // An unchanged rate keeps its scheduled completion: the
                 // residual shrank by exactly rate·dt since scheduling.
-                f.rate = rates[k];
-                c.epochs += 1;
-                f.epoch = c.epochs;
-                let delay = Dur::nanos((f.remaining / f.rate).ceil() as u64);
-                ctx.send_self_in(
-                    delay,
-                    Message::new(FluidEv::Complete {
-                        conn: ConnId(ci),
-                        epoch: f.epoch,
-                    }),
-                );
+                f.rate = rate;
+                if let Some((finish, o)) = f.due.take() {
+                    due.remove(&(finish, o, ci));
+                }
+                *order += 1;
+                let finish = now + Dur::nanos((f.remaining / f.rate).ceil() as u64);
+                f.due = Some((finish, *order));
+                due.insert((finish, *order, ci));
             }
+        }
+    }
+
+    /// Make sure a [`FluidEv::Wake`] fires at the earliest scheduled
+    /// completion. Wakes armed for completions that have since moved
+    /// later fire as no-ops and re-arm here.
+    fn arm(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(&(next, _, _)) = self.due.first() else {
+            return;
+        };
+        if self.wakes.front().map_or(true, |&w| w > next) {
+            self.wakes.push_front(next);
+            ctx.send_self_in(next.since(ctx.now()), Message::new(FluidEv::Wake));
         }
     }
 
@@ -474,27 +588,31 @@ impl FluidCore {
                     extra,
                 });
                 if c.active.is_none() && self.start_next(ctx, conn) {
-                    self.reallocate(ctx, conn);
+                    self.reallocate(ctx.now(), conn);
                 }
             }
         }
     }
 
-    fn on_complete(&mut self, ctx: &mut Ctx<'_>, conn: usize, epoch: u64) {
-        {
-            let Some(f) = &self.conns[conn].active else {
-                return; // stale: the flow already completed
-            };
-            if f.epoch != epoch {
-                return; // stale: superseded by a reallocation
+    /// Complete every flow due by now, in `(finish, order)` order —
+    /// including flows a completion in this loop reschedules to now.
+    fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        debug_assert_eq!(self.wakes.front(), Some(&now), "wake out of order");
+        self.wakes.pop_front();
+        while let Some(&(finish, _, conn)) = self.due.first() {
+            if finish > now {
+                break;
             }
+            self.due.pop_first();
+            self.complete(ctx, conn);
         }
-        if let Ok(i) = self.active.binary_search(&conn) {
-            self.active.remove(i);
-        }
+    }
+
+    fn complete(&mut self, ctx: &mut Ctx<'_>, conn: usize) {
         let c = &mut self.conns[conn];
-        let mut f = c.active.take().expect("checked above");
-        for &(l, _) in &f.path {
+        let mut f = c.active.take().expect("due flows are active");
+        for &(l, _) in f.path() {
             let lu = &mut self.link_users[l];
             if let Ok(i) = lu.binary_search(&conn) {
                 lu.remove(i);
@@ -524,7 +642,7 @@ impl FluidCore {
         }
         self.start_next(ctx, conn);
         // One recompute covers both the departure and any promotion.
-        self.reallocate(ctx, conn);
+        self.reallocate(ctx.now(), conn);
     }
 }
 
@@ -584,10 +702,13 @@ impl Process for FluidCore {
                     costs: Arc::clone(&spec.costs),
                     queue: VecDeque::new(),
                     active: None,
-                    epochs: 0,
                 }
             })
             .collect();
+        let sc = &mut self.scratch;
+        sc.conn_mark = vec![0; self.conns.len()];
+        sc.link_mark = vec![0; self.caps.len()];
+        sc.link_local = vec![0; self.caps.len()];
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -599,10 +720,11 @@ impl Process for FluidCore {
                 sent_at,
                 payload,
             }) => self.on_arrive(ctx, conn.0, msg, bytes, sent_at, payload),
-            Ok(FluidEv::Complete { conn, epoch }) => self.on_complete(ctx, conn.0, epoch),
+            Ok(FluidEv::Wake) => self.on_wake(ctx),
             Ok(_) => panic!("node-core fluid event at the fluid core"),
             Err(_) => panic!("fluid core received an unknown message type"),
         }
+        self.arm(ctx);
     }
 }
 

@@ -614,6 +614,10 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
                     *panic_slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(payload);
                     shared.barrier.poison();
                 }
+                // Free this thread's payload pool and parked buffers now,
+                // inside the run, rather than during thread exit, where
+                // the frees would overlap the caller's next job.
+                crate::arena::trim();
             });
         }
     });
