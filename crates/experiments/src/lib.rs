@@ -34,7 +34,8 @@ pub mod sharding;
 pub mod sweep;
 pub mod table;
 
-use std::path::Path;
+use hpsock_sim::knob::{self, Knob};
+use std::path::{Path, PathBuf};
 use table::Table;
 
 /// Print each table and write it as CSV under `dir` (slug from the title).
@@ -67,63 +68,43 @@ pub fn emit(tables: &[Table], dir: impl AsRef<Path>) {
     }
 }
 
-/// Parse an `HPSOCK_QUICK` value: strictly `1` (on) or `0` (off),
-/// anything else is an error naming the variable — the old behaviour
-/// silently treated garbage like `HPSOCK_QUICK=yes` as "off", which
-/// masked misconfiguration (the `HPSOCK_THREADS`/`HPSOCK_TAILS`
-/// convention).
-pub fn parse_quick_flag(raw: &str) -> Result<bool, String> {
-    match raw.trim() {
-        "1" => Ok(true),
-        "0" => Ok(false),
-        _ => Err(format!(
-            "HPSOCK_QUICK must be 0 or 1, got {raw:?} (1 shrinks the sweeps for smoke runs)"
-        )),
-    }
-}
+/// `HPSOCK_QUICK`: reduced sweep scale for smoke runs (default off).
+pub static QUICK: Knob<bool> = Knob::new(
+    "HPSOCK_QUICK",
+    |raw| knob::parse_flag("HPSOCK_QUICK", "1 shrinks the sweeps for smoke runs", raw),
+    || false,
+);
 
-/// True when `--quick` was passed or `HPSOCK_QUICK=1` is set (reduced
-/// sweep scale for smoke runs; see README "Environment variables").
-/// Invalid `HPSOCK_QUICK` values abort with a message naming the
-/// variable.
+/// `HPSOCK_RESULTS`: where figure CSVs land (default `results/`).
+pub static RESULTS: Knob<PathBuf> =
+    Knob::new("HPSOCK_RESULTS", |raw| Ok(raw.into()), || "results".into());
+
+/// `HPSOCK_TRACE`: the probe-bus export directory (default none: no
+/// export).
+pub static TRACE: Knob<Option<PathBuf>> =
+    Knob::new("HPSOCK_TRACE", |raw| Ok(Some(raw.into())), || None);
+
+/// True when `--quick` was passed or [`QUICK`] is on (reduced sweep
+/// scale for smoke runs; see README "Environment variables").
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || match std::env::var("HPSOCK_QUICK") {
-            Ok(v) => parse_quick_flag(&v).unwrap_or_else(|e| panic!("{e}")),
-            Err(_) => false,
-        }
+    std::env::args().any(|a| a == "--quick") || QUICK.get()
 }
 
-/// Results directory: `$HPSOCK_RESULTS` or `results/`.
-pub fn results_dir() -> std::path::PathBuf {
-    std::env::var_os("HPSOCK_RESULTS")
-        .map(Into::into)
-        .unwrap_or_else(|| "results".into())
+/// Results directory: [`RESULTS`].
+pub fn results_dir() -> PathBuf {
+    RESULTS.get()
 }
 
-/// Trace directory: `Some($HPSOCK_TRACE)` when set, enabling probe-bus
+/// Trace directory: `Some(dir)` when [`TRACE`] is set, enabling probe-bus
 /// instrumentation — Chrome trace JSON, collapsed-stack `.folded`
 /// flamegraphs and `*_breakdown.csv` time attribution written under the
 /// given directory. A missing directory is created (recursively); an
 /// unusable path aborts up-front with a message naming the variable and
 /// the path, instead of surfacing a raw io::Error mid-export.
-pub fn trace_dir() -> Option<std::path::PathBuf> {
-    let dir: std::path::PathBuf = std::env::var_os("HPSOCK_TRACE")?.into();
-    if let Err(e) = ensure_trace_dir(&dir) {
-        panic!("{e}");
-    }
+pub fn trace_dir() -> Option<PathBuf> {
+    let dir = TRACE.get()?;
+    knob::ensure_dir(TRACE.name, "trace", &dir).unwrap_or_else(|e| panic!("{e}"));
     Some(dir)
-}
-
-/// Create `dir` (and any missing parents) for trace output; errors are
-/// rendered in terms of the `HPSOCK_TRACE` setting that chose the path.
-pub fn ensure_trace_dir(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        format!(
-            "HPSOCK_TRACE={}: cannot create the trace directory: {e}",
-            dir.display()
-        )
-    })
 }
 
 /// Announce and run one figure's probe-bus export when `HPSOCK_TRACE` is
@@ -143,14 +124,20 @@ mod tests {
 
     #[test]
     fn parse_quick_flag_is_strict() {
-        assert_eq!(parse_quick_flag("1"), Ok(true));
-        assert_eq!(parse_quick_flag("0"), Ok(false));
-        assert_eq!(parse_quick_flag(" 1 "), Ok(true), "whitespace tolerated");
+        assert_eq!(QUICK.resolve("1"), Ok(true));
+        assert_eq!(QUICK.resolve("0"), Ok(false));
+        assert_eq!(QUICK.resolve(" 1 "), Ok(true), "whitespace tolerated");
         for bad in ["yes", "true", "2", "", "on", "01"] {
-            let err = parse_quick_flag(bad).expect_err(bad);
+            let err = QUICK.resolve(bad).expect_err(bad);
             assert!(err.contains("HPSOCK_QUICK"), "names the variable: {err}");
             assert!(err.contains(&format!("{bad:?}")), "echoes the value: {err}");
         }
+    }
+
+    #[test]
+    fn results_and_trace_take_any_string_as_a_path() {
+        assert_eq!(RESULTS.resolve(" r "), Ok(PathBuf::from(" r ")));
+        assert_eq!(TRACE.resolve("t"), Ok(Some(PathBuf::from("t"))));
     }
 
     #[test]
@@ -158,9 +145,9 @@ mod tests {
         let base = std::env::temp_dir().join(format!("hpsock_trace_test_{}", std::process::id()));
         let nested = base.join("deep/nested/trace_dir");
         assert!(!nested.exists());
-        ensure_trace_dir(&nested).expect("creates the full path");
+        knob::ensure_dir(TRACE.name, "trace", &nested).expect("creates the full path");
         assert!(nested.is_dir());
-        ensure_trace_dir(&nested).expect("idempotent on an existing dir");
+        knob::ensure_dir(TRACE.name, "trace", &nested).expect("idempotent on an existing dir");
         std::fs::remove_dir_all(&base).expect("cleanup");
     }
 
@@ -169,7 +156,8 @@ mod tests {
         let base = std::env::temp_dir().join(format!("hpsock_trace_file_{}", std::process::id()));
         std::fs::write(&base, b"not a directory").expect("fixture file");
         let bad = base.join("child");
-        let err = ensure_trace_dir(&bad).expect_err("a file can't be a parent dir");
+        let err =
+            knob::ensure_dir(TRACE.name, "trace", &bad).expect_err("a file can't be a parent dir");
         assert!(err.contains("HPSOCK_TRACE"), "names the variable: {err}");
         assert!(
             err.contains(&bad.display().to_string()),

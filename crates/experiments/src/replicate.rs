@@ -10,6 +10,7 @@
 //! scheduling — so a batch's aggregate is reproducible under any
 //! `HPSOCK_THREADS` (pinned by `tests/replication.rs`).
 
+use hpsock_sim::knob::{self, Knob};
 use hpsock_sim::stats::Histogram;
 use hpsock_sim::Tally;
 
@@ -34,76 +35,36 @@ pub fn seed_batch(base: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Parse an `HPSOCK_SEEDS` value: a positive integer, anything else is an
-/// error (mirrors `HPSOCK_THREADS` — misconfiguration must not silently
-/// fall back to a default).
-pub fn parse_seed_count(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => Err(
-            "HPSOCK_SEEDS must be >= 1, got 0 (unset it for the single-seed default)".to_string(),
-        ),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "HPSOCK_SEEDS must be a positive integer, got {raw:?}"
-        )),
-    }
-}
+/// `HPSOCK_SEEDS`: replicates per sweep point (default 1).
+pub static SEEDS: Knob<usize> = Knob::new(
+    "HPSOCK_SEEDS",
+    |raw| knob::parse_count("HPSOCK_SEEDS", "unset it for the single-seed default", raw),
+    || 1,
+);
 
-/// Replicates per sweep point: `HPSOCK_SEEDS` if set (rejecting invalid
-/// values loudly), otherwise 1.
+/// `HPSOCK_TAILS`: whether the figure tables add `p50`/`p99`/`p999` tail
+/// columns (default off, keeping the base tables byte-identical to the
+/// historical output).
+pub static TAILS: Knob<bool> = Knob::new(
+    "HPSOCK_TAILS",
+    |raw| knob::parse_flag("HPSOCK_TAILS", "1 adds p50/p99/p999 columns", raw),
+    || false,
+);
+
+/// Replicates per sweep point: [`SEEDS`].
 pub fn seed_count() -> usize {
-    match std::env::var("HPSOCK_SEEDS") {
-        Ok(v) => parse_seed_count(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => 1,
-    }
+    SEEDS.get()
 }
 
-/// Parse an `HPSOCK_TAILS` value: strictly `0` (off) or `1` (on),
-/// anything else is an error naming the variable — the `HPSOCK_SHARDS`
-/// convention.
-pub fn parse_tail_flag(raw: &str) -> Result<bool, String> {
-    match raw.trim() {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(format!(
-            "HPSOCK_TAILS must be 0 or 1, got {raw:?} (1 adds p50/p99/p999 columns)"
-        )),
-    }
-}
-
-thread_local! {
-    /// Per-thread override consulted by [`tails_enabled`] before the
-    /// `HPSOCK_TAILS` environment variable (see [`with_tails`]).
-    static TAILS_OVERRIDE: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
-}
-
-/// Run `f` with [`tails_enabled`] returning `on` on this thread,
-/// regardless of the `HPSOCK_TAILS` environment variable; the previous
-/// override is restored afterwards, including on unwind. Tests toggle the
-/// tail columns this way — `std::env::set_var` is undefined behaviour on
-/// glibc while other threads may call `getenv`.
+/// Run `f` with [`tails_enabled`] returning `on` on this thread (see
+/// [`Knob::with`]).
 pub fn with_tails<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TAILS_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(TAILS_OVERRIDE.with(|c| c.replace(Some(on))));
-    f()
+    TAILS.with(on, f)
 }
 
-/// Whether the figure tables should add `p50`/`p99`/`p999` tail columns:
-/// the [`with_tails`] override if scoped, else `HPSOCK_TAILS` (default
-/// off, keeping the base tables byte-identical to the historical output).
+/// Whether the figure tables add tail columns: [`TAILS`].
 pub fn tails_enabled() -> bool {
-    if let Some(on) = TAILS_OVERRIDE.with(std::cell::Cell::get) {
-        return on;
-    }
-    match std::env::var("HPSOCK_TAILS") {
-        Ok(v) => parse_tail_flag(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => false,
-    }
+    TAILS.get()
 }
 
 /// Aggregate of one value column across a point's seed batch. `None`
@@ -224,13 +185,13 @@ mod tests {
 
     #[test]
     fn parse_seed_count_accepts_positive_integers_only() {
-        assert_eq!(parse_seed_count("1"), Ok(1));
-        assert_eq!(parse_seed_count(" 12 "), Ok(12));
-        assert!(parse_seed_count("0").is_err());
-        assert!(parse_seed_count("-3").is_err());
-        assert!(parse_seed_count("three").is_err());
-        assert!(parse_seed_count("").is_err());
-        assert!(parse_seed_count("2.5").is_err());
+        assert_eq!(SEEDS.resolve("1"), Ok(1));
+        assert_eq!(SEEDS.resolve(" 12 "), Ok(12));
+        assert!(SEEDS.resolve("0").is_err());
+        assert!(SEEDS.resolve("-3").is_err());
+        assert!(SEEDS.resolve("three").is_err());
+        assert!(SEEDS.resolve("").is_err());
+        assert!(SEEDS.resolve("2.5").is_err());
     }
 
     #[test]
@@ -269,24 +230,22 @@ mod tests {
 
     #[test]
     fn parse_tail_flag_is_strict() {
-        assert_eq!(parse_tail_flag("0"), Ok(false));
-        assert_eq!(parse_tail_flag("1"), Ok(true));
-        assert_eq!(parse_tail_flag(" 1 "), Ok(true), "whitespace trimmed");
+        assert_eq!(TAILS.resolve("0"), Ok(false));
+        assert_eq!(TAILS.resolve("1"), Ok(true));
+        assert_eq!(TAILS.resolve(" 1 "), Ok(true), "whitespace trimmed");
         for bad in ["2", "true", "yes", "", "on", "-1"] {
-            let err = parse_tail_flag(bad).unwrap_err();
+            let err = TAILS.resolve(bad).unwrap_err();
             assert!(err.contains("HPSOCK_TAILS"), "names the variable: {err}");
         }
     }
 
     #[test]
     fn with_tails_overrides_and_restores() {
-        assert!(!tails_enabled(), "default is off");
-        let inner = with_tails(true, || {
-            assert!(tails_enabled());
-            with_tails(false, tails_enabled)
-        });
-        assert!(!inner, "nested override wins inside its scope");
-        assert!(!tails_enabled(), "override restored after the scope");
+        // Nesting and unwind restore are the knob's (`hpsock_sim::knob`);
+        // this checks the public pair reads and writes the same knob.
+        assert!(with_tails(true, tails_enabled));
+        assert!(!with_tails(false, || TAILS.get()));
+        assert!(TAILS.with(true, tails_enabled));
     }
 
     #[test]

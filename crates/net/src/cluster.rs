@@ -8,6 +8,7 @@
 use crate::engine::{Endpoint, NetSwitch, Network, NodeResources};
 use crate::fault::{self, FaultPlan, RecoveryCfg};
 use crate::netmodel::NetModel;
+use hpsock_sim::knob::Knob;
 use hpsock_sim::{Dur, ProcessId, ResourceId, ShardPlan, Sim, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,6 +63,10 @@ impl Topology {
     }
 }
 
+/// `HPSOCK_OVERSUB`: the core oversubscription factor of hierarchical
+/// rack topologies (default 4, a common datacenter leaf/spine ratio).
+pub static OVERSUB: Knob<f64> = Knob::new("HPSOCK_OVERSUB", parse_oversub, || 4.0);
+
 /// Strictly parse a core oversubscription factor: a finite number ≥ 1.
 /// Anything else is a hard error naming `HPSOCK_OVERSUB`.
 pub fn parse_oversub(raw: &str) -> Result<f64, String> {
@@ -73,14 +78,10 @@ pub fn parse_oversub(raw: &str) -> Result<f64, String> {
     }
 }
 
-/// The `HPSOCK_OVERSUB` core oversubscription factor (default 4, a common
-/// datacenter leaf/spine ratio). Invalid values abort with a clear
-/// message rather than silently defaulting.
+/// The core oversubscription factor: an [`OVERSUB`] scope, else
+/// `HPSOCK_OVERSUB`, else 4.
 pub fn configured_oversub() -> f64 {
-    match std::env::var("HPSOCK_OVERSUB") {
-        Ok(raw) => parse_oversub(&raw).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => 4.0,
-    }
+    OVERSUB.get()
 }
 
 /// Per-node hardware description.
@@ -520,6 +521,15 @@ mod tests {
         sim.run();
         let s: &Sink = sim.process(sink).unwrap();
         s.oneway_us[0]
+    }
+
+    #[test]
+    fn oversub_resolves_strictly() {
+        assert_eq!(OVERSUB.resolve(" 2.5 "), Ok(2.5));
+        for bad in ["0.5", "inf", "NaN", "x", ""] {
+            let err = OVERSUB.resolve(bad).unwrap_err();
+            assert!(err.contains("HPSOCK_OVERSUB"), "names the variable: {err}");
+        }
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! delays only ever *add* latency, preserving the conservative-window
 //! lookahead).
 //!
-//! Plans come from the strictly parsed `HPSOCK_FAULTS` environment
-//! variable (parse errors name the variable, like `HPSOCK_SEEDS`), or
-//! from the scoped [`with_plan`]/[`with_spec`] overrides tests and the
-//! experiment sweeps use — `std::env::set_var` mid-run is undefined
-//! behaviour on glibc while other threads call `getenv`.
+//! Plans come from the [`FAULTS`] knob: the strictly parsed
+//! `HPSOCK_FAULTS` environment variable (parse errors name the
+//! variable), or the scoped [`with_plan`]/[`with_spec`] overrides tests
+//! and benchmarks use (see `hpsock_sim::knob`).
 //!
 //! ## Spec grammar
 //!
@@ -35,6 +34,7 @@
 //!
 //! Example: `HPSOCK_FAULTS=drop=0.01,flap=5ms:500us@0->2,crash=1@40ms`.
 
+use hpsock_sim::knob::Knob;
 use hpsock_sim::{Dur, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -382,59 +382,32 @@ impl ConnFaults {
     }
 }
 
-thread_local! {
-    /// Per-thread override consulted by [`configured_plan`] before the
-    /// `HPSOCK_FAULTS` environment variable (see [`with_plan`]).
-    static FAULT_OVERRIDE: std::cell::RefCell<Option<Option<Arc<FaultPlan>>>> =
-        const { std::cell::RefCell::new(None) };
-}
+/// `HPSOCK_FAULTS`: the fault plan installed on every cluster build
+/// (default `None`: no fault layer state at all; an inactive spec is
+/// `None` too).
+pub static FAULTS: Knob<Option<Arc<FaultPlan>>> = Knob::new(
+    "HPSOCK_FAULTS",
+    |raw| FaultPlan::parse(raw).map(|p| p.is_active().then(|| Arc::new(p))),
+    || None,
+);
 
-/// The fault-plan override active on this thread, if any. Thread pools
-/// that fan simulation work out to workers (the experiment sweeps) capture
-/// this on the submitting thread and re-install it in each worker via
-/// [`with_plan`], so an override scopes like a process-wide setting.
-pub fn fault_override() -> Option<Option<Arc<FaultPlan>>> {
-    FAULT_OVERRIDE.with(|c| c.borrow().clone())
-}
-
-/// Run `f` with [`configured_plan`] returning `plan` on this thread,
-/// regardless of `HPSOCK_FAULTS`; the previous override is restored
-/// afterwards, including on unwind. `Some(plan)` installs a plan,
-/// `None` forces fault-free.
+/// Run `f` with [`configured_plan`] returning `plan` on this thread
+/// (`None` forces fault-free; see [`Knob::with`]).
 pub fn with_plan<T>(plan: Option<Arc<FaultPlan>>, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<Option<Arc<FaultPlan>>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            FAULT_OVERRIDE.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-    let _restore = Restore(FAULT_OVERRIDE.with(|c| c.replace(Some(plan))));
-    f()
+    FAULTS.with(plan, f)
 }
 
 /// [`with_plan`] from a spec string; panics on a malformed spec (the
 /// message names `HPSOCK_FAULTS`). An empty spec scopes a fault-free run.
 pub fn with_spec<T>(spec: &str, f: impl FnOnce() -> T) -> T {
-    let plan = FaultPlan::parse(spec).unwrap_or_else(|e| panic!("{e}"));
-    with_plan(plan.is_active().then(|| Arc::new(plan)), f)
+    let plan = FAULTS.resolve(spec).unwrap_or_else(|e| panic!("{e}"));
+    with_plan(plan, f)
 }
 
-/// The active fault plan: the [`with_plan`] override if scoped, else a
-/// strict parse of `HPSOCK_FAULTS` (invalid specs abort with a message
-/// naming the variable). `None` — the default — means no fault layer
-/// state is installed at all.
+/// The active fault plan: a [`with_plan`] scope, else `HPSOCK_FAULTS`,
+/// else `None`.
 pub fn configured_plan() -> Option<Arc<FaultPlan>> {
-    if let Some(p) = fault_override() {
-        return p;
-    }
-    match std::env::var("HPSOCK_FAULTS") {
-        Ok(raw) => {
-            let plan = FaultPlan::parse(&raw).unwrap_or_else(|e| panic!("{e}"));
-            plan.is_active().then(|| Arc::new(plan))
-        }
-        Err(_) => None,
-    }
+    FAULTS.get()
 }
 
 #[cfg(test)]
@@ -494,6 +467,8 @@ mod tests {
         let p = FaultPlan::parse("").unwrap();
         assert!(!p.is_active());
         assert_eq!(FaultPlan::parse("  ,  ").unwrap(), p);
+        assert_eq!(FAULTS.resolve("  ,  "), Ok(None), "no fault layer at all");
+        assert!(FAULTS.resolve("drop=0.1").unwrap().is_some());
     }
 
     #[test]
@@ -516,6 +491,7 @@ mod tests {
         ] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(err.contains("HPSOCK_FAULTS"), "{bad:?}: {err}");
+            assert_eq!(FAULTS.resolve(bad), Err(err));
         }
     }
 
@@ -594,14 +570,12 @@ mod tests {
 
     #[test]
     fn with_plan_overrides_and_restores() {
-        assert!(configured_plan().is_none(), "default is fault-free");
+        // Nesting and unwind restore are the knob's (`hpsock_sim::knob`);
+        // this checks the public functions read and write the same knob.
         let plan = Arc::new(FaultPlan::parse("drop=0.5").unwrap());
-        let inner = with_plan(Some(Arc::clone(&plan)), || {
-            assert_eq!(configured_plan().as_deref(), Some(plan.as_ref()));
-            with_plan(None, || configured_plan().is_none())
-        });
-        assert!(inner, "nested override wins inside its scope");
-        assert!(configured_plan().is_none(), "override restored");
+        let seen = with_plan(Some(Arc::clone(&plan)), || FAULTS.get());
+        assert_eq!(seen.as_deref(), Some(plan.as_ref()));
+        assert!(FAULTS.with(None, configured_plan).is_none());
         let via_spec = with_spec("drop=0.25", configured_plan);
         assert_eq!(via_spec.unwrap().filters.len(), 1);
         assert!(

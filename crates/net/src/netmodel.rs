@@ -1,13 +1,9 @@
 //! Network-model selection: per-segment packet simulation (the default)
-//! or the flow-level fluid fast path.
-//!
-//! The model is chosen per cluster build, from the `HPSOCK_NETMODEL`
-//! environment variable (`packet` | `flow`) or a scoped test override
-//! ([`with_netmodel`]), following the same strict-parse and
-//! thread-local-override conventions as `HPSOCK_SHARDS` and
-//! `HPSOCK_FAULTS`: invalid values abort with a message naming the
-//! variable, and tests never call `set_var` (undefined behaviour on glibc
-//! while other threads read the environment).
+//! or the flow-level fluid fast path, chosen per cluster build by the
+//! [`NETMODEL`] knob (`HPSOCK_NETMODEL=packet|flow`; see
+//! `hpsock_sim::knob`).
+
+use hpsock_sim::knob::Knob;
 
 /// Which network engine a [`crate::cluster::Cluster`] simulates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,6 +31,11 @@ impl NetModel {
     }
 }
 
+/// `HPSOCK_NETMODEL`: which network engine clusters are built with
+/// (default [`NetModel::Packet`]).
+pub static NETMODEL: Knob<NetModel> =
+    Knob::new("HPSOCK_NETMODEL", parse_netmodel, NetModel::default);
+
 /// Strictly parse a network-model name. Anything but `packet` or `flow`
 /// is a hard error naming the variable, never silently defaulted.
 pub fn parse_netmodel(raw: &str) -> Result<NetModel, String> {
@@ -47,48 +48,16 @@ pub fn parse_netmodel(raw: &str) -> Result<NetModel, String> {
     }
 }
 
-thread_local! {
-    /// Per-thread override consulted by [`configured_netmodel`] before the
-    /// `HPSOCK_NETMODEL` environment variable (see [`with_netmodel`]).
-    static NETMODEL_OVERRIDE: std::cell::Cell<Option<NetModel>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The network-model override active on this thread, if any. Thread pools
-/// that fan simulation work out to worker threads (the experiment sweeps)
-/// capture this on the submitting thread and re-install it in each worker
-/// via [`with_netmodel`], so an override behaves like a process-wide
-/// setting for the work it scopes.
-pub fn netmodel_override() -> Option<NetModel> {
-    NETMODEL_OVERRIDE.with(std::cell::Cell::get)
-}
-
-/// Run `f` with [`configured_netmodel`] returning `model` on this thread,
-/// regardless of the `HPSOCK_NETMODEL` environment variable; the previous
-/// override (if any) is restored afterwards, including on unwind.
+/// Run `f` with [`configured_netmodel`] returning `model` on this thread
+/// (see [`Knob::with`]).
 pub fn with_netmodel<T>(model: NetModel, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<NetModel>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            NETMODEL_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(NETMODEL_OVERRIDE.with(|c| c.replace(Some(model))));
-    f()
+    NETMODEL.with(model, f)
 }
 
-/// The network model requested via [`with_netmodel`] or, absent an
-/// override, the `HPSOCK_NETMODEL` environment variable (default
-/// [`NetModel::Packet`]). Invalid values abort with a clear message
-/// rather than silently falling back to the packet engine.
+/// The network model: a [`with_netmodel`] scope, else `HPSOCK_NETMODEL`,
+/// else [`NetModel::Packet`].
 pub fn configured_netmodel() -> NetModel {
-    if let Some(m) = netmodel_override() {
-        return m;
-    }
-    match std::env::var("HPSOCK_NETMODEL") {
-        Ok(raw) => parse_netmodel(&raw).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => NetModel::Packet,
-    }
+    NETMODEL.get()
 }
 
 #[cfg(test)]
@@ -99,6 +68,8 @@ mod tests {
     fn parse_is_strict() {
         assert_eq!(parse_netmodel("packet"), Ok(NetModel::Packet));
         assert_eq!(parse_netmodel(" flow "), Ok(NetModel::Flow));
+        assert_eq!(NETMODEL.resolve("flow"), Ok(NetModel::Flow));
+        assert!(NETMODEL.resolve("fluid").is_err());
         for bad in ["", "fluid", "Flow", "packet,flow", "1"] {
             let err = parse_netmodel(bad).unwrap_err();
             assert!(
@@ -110,13 +81,20 @@ mod tests {
 
     #[test]
     fn override_scopes_and_restores() {
-        assert_eq!(netmodel_override(), None);
-        let got = with_netmodel(NetModel::Flow, || {
-            assert_eq!(configured_netmodel(), NetModel::Flow);
-            with_netmodel(NetModel::Packet, configured_netmodel)
-        });
-        assert_eq!(got, NetModel::Packet);
-        assert_eq!(netmodel_override(), None);
+        // Nesting and unwind restore are the knob's (`hpsock_sim::knob`);
+        // this checks the public pair reads and writes the same knob.
+        assert_eq!(
+            with_netmodel(NetModel::Flow, configured_netmodel),
+            NetModel::Flow
+        );
+        assert_eq!(
+            with_netmodel(NetModel::Packet, || NETMODEL.get()),
+            NetModel::Packet
+        );
+        assert_eq!(
+            NETMODEL.with(NetModel::Flow, configured_netmodel),
+            NetModel::Flow
+        );
     }
 
     #[test]

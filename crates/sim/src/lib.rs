@@ -20,7 +20,9 @@
 //! * wall-clock self-profiling of the engine itself ([`telemetry`]) —
 //!   per-round shard/barrier accounting, Chrome-trace worker lanes and
 //!   `run_report.json` throughput summaries under `HPSOCK_TELEMETRY`,
-//!   digest-neutral by construction.
+//!   digest-neutral by construction,
+//! * run settings ([`knob`]): every `HPSOCK_*` variable as a strictly
+//!   parsed [`knob::Knob`] that tests and thread pools can scope.
 //!
 //! The kernel is deterministic: two runs with the same seed and the same
 //! process construction order produce bit-identical event traces — whether
@@ -57,6 +59,7 @@
 pub mod arena;
 pub mod event;
 pub mod kernel;
+pub mod knob;
 pub mod payload;
 pub mod probe;
 pub mod resource;

@@ -61,6 +61,7 @@
 
 use crate::event::EventQueue;
 use crate::kernel::{Core, Ctx, Message, Process, ProcessId, Sim};
+use crate::knob::{self, Knob};
 use crate::probe::{Probe, ProbeEvent};
 use crate::resource::ResourceId;
 use crate::time::SimTime;
@@ -90,67 +91,24 @@ pub struct ShardPlan {
     pub describe_link: Arc<dyn Fn(usize, usize) -> String + Send + Sync>,
 }
 
-/// Strictly parse a shard count, following the same convention as
-/// `HPSOCK_THREADS`: zero, negative and non-numeric values are hard
-/// errors naming the variable, never silently defaulted.
-pub fn parse_shard_count(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => {
-            Err("HPSOCK_SHARDS must be >= 1, got 0 (unset it for the sequential kernel)".into())
-        }
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "HPSOCK_SHARDS must be a positive integer, got {raw:?}"
-        )),
-    }
-}
+/// `HPSOCK_SHARDS`: worker threads inside each simulation (default 1,
+/// the sequential kernel).
+pub static SHARDS: Knob<usize> = Knob::new(
+    "HPSOCK_SHARDS",
+    |raw| knob::parse_count("HPSOCK_SHARDS", "unset it for the sequential kernel", raw),
+    || 1,
+);
 
-thread_local! {
-    /// Per-thread override consulted by [`configured_shards`] before the
-    /// `HPSOCK_SHARDS` environment variable (see [`with_shard_count`]).
-    static SHARD_OVERRIDE: std::cell::Cell<Option<usize>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The shard-count override active on this thread, if any. Thread pools
-/// that fan simulation work out to worker threads (e.g. the experiment
-/// sweeps) should capture this on the submitting thread and re-install it
-/// in each worker via [`with_shard_count`], so an override behaves like a
-/// process-wide setting for the work it scopes.
-pub fn shard_override() -> Option<usize> {
-    SHARD_OVERRIDE.with(std::cell::Cell::get)
-}
-
-/// Run `f` with [`configured_shards`] returning `count` on this thread,
-/// regardless of the `HPSOCK_SHARDS` environment variable; the previous
-/// override (if any) is restored afterwards, including on unwind.
-///
-/// This is how tests vary the shard count: calling `std::env::set_var`
-/// mid-run is undefined behaviour on glibc while any other thread may
-/// call `getenv`, and it leaks the setting to concurrently running tests.
+/// Run `f` with [`configured_shards`] returning `count` on this thread
+/// (see [`Knob::with`]).
 pub fn with_shard_count<T>(count: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SHARD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(SHARD_OVERRIDE.with(|c| c.replace(Some(count))));
-    f()
+    SHARDS.with(count, f)
 }
 
-/// The shard count requested via [`with_shard_count`] or, absent an
-/// override, the `HPSOCK_SHARDS` environment variable (default 1: the
-/// sequential kernel). Invalid values abort with a clear message rather
-/// than silently running sequentially.
+/// The shard count: a [`with_shard_count`] scope, else `HPSOCK_SHARDS`,
+/// else 1.
 pub fn configured_shards() -> usize {
-    if let Some(n) = shard_override() {
-        return n;
-    }
-    match std::env::var("HPSOCK_SHARDS") {
-        Ok(raw) => parse_shard_count(&raw).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => 1,
-    }
+    SHARDS.get()
 }
 
 /// Clamp a requested shard count to what a topology can use, warning on
@@ -984,42 +942,33 @@ mod tests {
 
     #[test]
     fn shard_count_parsing_is_strict() {
-        assert_eq!(parse_shard_count("1"), Ok(1));
-        assert_eq!(parse_shard_count(" 4 "), Ok(4));
+        assert_eq!(SHARDS.resolve("1"), Ok(1));
+        assert_eq!(SHARDS.resolve(" 4 "), Ok(4));
         assert_eq!(
-            parse_shard_count("0"),
+            SHARDS.resolve("0"),
             Err("HPSOCK_SHARDS must be >= 1, got 0 (unset it for the sequential kernel)".into())
         );
         assert_eq!(
-            parse_shard_count("-2"),
+            SHARDS.resolve("-2"),
             Err("HPSOCK_SHARDS must be a positive integer, got \"-2\"".into())
         );
         assert_eq!(
-            parse_shard_count("both"),
+            SHARDS.resolve("both"),
             Err("HPSOCK_SHARDS must be a positive integer, got \"both\"".into())
         );
         assert_eq!(
-            parse_shard_count(""),
+            SHARDS.resolve(""),
             Err("HPSOCK_SHARDS must be a positive integer, got \"\"".into())
         );
     }
 
     #[test]
     fn with_shard_count_overrides_and_restores() {
-        // Runs on this test's own thread: no env mutation, no cross-test
-        // interference.
-        assert_eq!(shard_override(), None);
-        let n = with_shard_count(3, || {
-            assert_eq!(shard_override(), Some(3));
-            // Nesting wins over the outer override and restores it.
-            with_shard_count(2, configured_shards)
-        });
-        assert_eq!(n, 2);
-        assert_eq!(shard_override(), None);
-        // Restored on unwind too.
-        let r = std::panic::catch_unwind(|| with_shard_count(5, || panic!("boom")));
-        assert!(r.is_err());
-        assert_eq!(shard_override(), None);
+        // Nesting and unwind restore are the knob's (`knob::tests`); this
+        // checks the public pair reads and writes the same knob.
+        assert_eq!(with_shard_count(3, configured_shards), 3);
+        assert_eq!(with_shard_count(2, || SHARDS.get()), 2);
+        assert_eq!(SHARDS.with(4, configured_shards), 4);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //!
 //! Set `HPSOCK_TELEMETRY=<dir>` (strictly parsed: an empty value is an
 //! error naming the variable, and the directory is created on demand like
-//! `HPSOCK_TRACE`'s `ensure_trace_dir`), or scope it in-process with
-//! [`with_telemetry_dir`] — the test-friendly override that mirrors
-//! [`crate::shard::with_shard_count`], because `std::env::set_var` is
-//! undefined behaviour on glibc while other threads may call `getenv`.
+//! `HPSOCK_TRACE`'s), or scope it in-process with [`with_telemetry_dir`]
+//! (the [`TELEMETRY`] knob; see [`crate::knob`]).
 //!
 //! ## Outputs (written under the configured directory)
 //!
@@ -39,89 +37,33 @@
 //! directories, so result trees stay byte-comparable across telemetry
 //! settings.
 
+use crate::knob::{self, Knob};
 use crate::probe::{ProbeEvent, StreamingTraceWriter};
 use crate::stats::Histogram;
 use crate::time::SimTime;
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// Strictly parse an `HPSOCK_TELEMETRY` value: any non-empty path is the
-/// output directory; an empty (or all-whitespace) value is a hard error
-/// naming the variable, mirroring `HPSOCK_SHARDS` / `HPSOCK_SEEDS`.
-pub fn parse_telemetry_dir(raw: &str) -> Result<PathBuf, String> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err(format!(
-            "HPSOCK_TELEMETRY must name an output directory, got {raw:?} \
-             (unset it to disable telemetry)"
-        ));
-    }
-    Ok(PathBuf::from(trimmed))
-}
+/// `HPSOCK_TELEMETRY`: the telemetry output directory (default: none,
+/// telemetry off).
+pub static TELEMETRY: Knob<Option<PathBuf>> = Knob::new(
+    "HPSOCK_TELEMETRY",
+    |raw| knob::parse_dir("HPSOCK_TELEMETRY", "unset it to disable telemetry", raw).map(Some),
+    || None,
+);
 
-thread_local! {
-    /// Per-thread override consulted by [`configured_telemetry`] before
-    /// the `HPSOCK_TELEMETRY` environment variable: `Some(None)` forces
-    /// telemetry off, `Some(Some(dir))` forces it on into `dir`.
-    static TELEMETRY_OVERRIDE: RefCell<Option<Option<PathBuf>>> = const { RefCell::new(None) };
-}
-
-/// The telemetry override active on this thread, if any. Thread pools that
-/// fan simulation work out to workers (e.g. the experiment sweeps) should
-/// capture this on the submitting thread and re-install it in each worker
-/// via [`with_telemetry_dir`], exactly like
-/// [`crate::shard::shard_override`].
-pub fn telemetry_override() -> Option<Option<PathBuf>> {
-    TELEMETRY_OVERRIDE.with(|c| c.borrow().clone())
-}
-
-/// Run `f` with [`configured_telemetry`] returning `dir` on this thread,
-/// regardless of the `HPSOCK_TELEMETRY` environment variable (`None`
-/// forces telemetry off); the previous override is restored afterwards,
-/// including on unwind. This is how tests toggle telemetry — calling
-/// `std::env::set_var` mid-run is undefined behaviour on glibc while any
-/// other thread may call `getenv`.
+/// Run `f` with [`configured_telemetry`] returning `dir` on this thread
+/// (`None` forces telemetry off; see [`Knob::with`]).
 pub fn with_telemetry_dir<T>(dir: Option<&Path>, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<Option<Option<PathBuf>>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take().expect("restored once");
-            TELEMETRY_OVERRIDE.with(|c| *c.borrow_mut() = prev);
-        }
-    }
-    let _restore = Restore(Some(
-        TELEMETRY_OVERRIDE.with(|c| c.replace(Some(dir.map(Path::to_path_buf)))),
-    ));
-    f()
+    TELEMETRY.with(dir.map(Path::to_path_buf), f)
 }
 
-/// The telemetry directory requested via [`with_telemetry_dir`] or, absent
-/// an override, the `HPSOCK_TELEMETRY` environment variable (default:
-/// disabled). Invalid values abort with a message naming the variable
-/// rather than silently disabling telemetry.
+/// The telemetry directory: a [`with_telemetry_dir`] scope, else
+/// `HPSOCK_TELEMETRY`, else none (telemetry off).
 pub fn configured_telemetry() -> Option<PathBuf> {
-    if let Some(over) = telemetry_override() {
-        return over;
-    }
-    match std::env::var("HPSOCK_TELEMETRY") {
-        Ok(raw) => Some(parse_telemetry_dir(&raw).unwrap_or_else(|e| panic!("{e}"))),
-        Err(_) => None,
-    }
-}
-
-/// Create the telemetry output directory (and parents) if missing,
-/// panicking with a message that names the variable and the path —
-/// the `ensure_trace_dir` precedent.
-pub fn ensure_telemetry_dir(dir: &Path) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        panic!(
-            "HPSOCK_TELEMETRY={}: cannot create the telemetry directory: {e}",
-            dir.display()
-        )
-    });
+    TELEMETRY.get()
 }
 
 /// One worker's wall-clock measurements for one protocol round. All
@@ -147,9 +89,6 @@ pub struct RoundSample {
     pub b1_wait_ns: u64,
     /// Dispatch-loop wall time, including the publish/flush/deposit tail.
     pub dispatch_ns: u64,
-    /// Always 0 since the merge barrier was fused into the round barrier;
-    /// kept so the pinned `shard_rounds.csv` schema is stable across PRs.
-    pub b2_wait_ns: u64,
     /// Deferred digest/probe cutoff-merge wall time (worker 0; 0 elsewhere).
     pub merge_ns: u64,
 }
@@ -160,9 +99,9 @@ impl RoundSample {
         self.drain_ns + self.dispatch_ns + self.merge_ns
     }
 
-    /// Wall time spent blocked on the two barriers this round.
+    /// Wall time spent blocked on the round barrier this round.
     pub fn barrier_wait_ns(&self) -> u64 {
-        self.b1_wait_ns + self.b2_wait_ns
+        self.b1_wait_ns
     }
 
     /// Fraction of the round's accounted wall time spent waiting.
@@ -490,7 +429,7 @@ pub(crate) fn flush_sequential(dir: &Path, wall_ns: u64, events: u64) {
         round_events: TailSummary::default(),
     };
     let mut last = LAST_REPORT.lock().unwrap_or_else(PoisonError::into_inner);
-    ensure_telemetry_dir(dir);
+    knob::ensure_dir(TELEMETRY.name, "telemetry", dir).unwrap_or_else(|e| panic!("{e}"));
     write_file(dir, "run_report.json", &report_json(&rep));
     *last = Some(rep);
 }
@@ -568,7 +507,7 @@ pub(crate) fn flush_sharded(dir: &Path, wall_ns: u64, events: u64, workers: &[Wo
     };
 
     let mut last = LAST_REPORT.lock().unwrap_or_else(PoisonError::into_inner);
-    ensure_telemetry_dir(dir);
+    knob::ensure_dir(TELEMETRY.name, "telemetry", dir).unwrap_or_else(|e| panic!("{e}"));
     write_file(dir, "shard_rounds.csv", &csv);
     write_lanes(dir, workers);
     write_file(dir, "run_report.json", &report_json(&rep));
@@ -653,36 +592,33 @@ mod tests {
 
     #[test]
     fn telemetry_dir_parsing_is_strict() {
-        assert_eq!(parse_telemetry_dir("out"), Ok(PathBuf::from("out")));
+        assert_eq!(TELEMETRY.resolve("out"), Ok(Some(PathBuf::from("out"))));
         assert_eq!(
-            parse_telemetry_dir(" tel/run1 "),
-            Ok(PathBuf::from("tel/run1"))
+            TELEMETRY.resolve(" tel/run1 "),
+            Ok(Some(PathBuf::from("tel/run1")))
         );
-        let err = parse_telemetry_dir("").unwrap_err();
+        let err = TELEMETRY.resolve("").unwrap_err();
         assert!(
             err.contains("HPSOCK_TELEMETRY"),
             "names the variable: {err}"
         );
-        assert!(parse_telemetry_dir("   ").is_err(), "whitespace rejected");
+        assert!(TELEMETRY.resolve("   ").is_err(), "whitespace rejected");
     }
 
     #[test]
     fn with_telemetry_dir_overrides_and_restores() {
-        assert_eq!(telemetry_override(), None);
+        // Nesting and unwind restore are the knob's (`knob::tests`); this
+        // checks the public pair reads and writes the same knob.
         let dir = PathBuf::from("tel-a");
-        let got = with_telemetry_dir(Some(&dir), || {
-            assert_eq!(telemetry_override(), Some(Some(dir.clone())));
-            // Nesting: an inner forced-off scope wins, then restores.
-            with_telemetry_dir(None, configured_telemetry)
-        });
-        assert_eq!(got, None, "inner scope forced telemetry off");
-        assert_eq!(telemetry_override(), None);
-        // Restored on unwind too.
-        let r = std::panic::catch_unwind(|| {
-            with_telemetry_dir(Some(Path::new("tel-b")), || panic!("boom"))
-        });
-        assert!(r.is_err());
-        assert_eq!(telemetry_override(), None);
+        assert_eq!(
+            with_telemetry_dir(Some(&dir), configured_telemetry),
+            Some(dir.clone())
+        );
+        assert_eq!(with_telemetry_dir(None, || TELEMETRY.get()), None);
+        assert_eq!(
+            TELEMETRY.with(Some(dir.clone()), configured_telemetry),
+            Some(dir)
+        );
     }
 
     #[test]
@@ -690,7 +626,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("hpsock_tel_ensure_{}", std::process::id()));
         let nested = base.join("a/b");
         let _ = std::fs::remove_dir_all(&base);
-        ensure_telemetry_dir(&nested);
+        knob::ensure_dir(TELEMETRY.name, "telemetry", &nested).expect("creates the full path");
         assert!(nested.is_dir());
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -699,9 +635,8 @@ mod tests {
     fn round_sample_accounting() {
         let s = RoundSample {
             drain_ns: 10,
-            b1_wait_ns: 30,
+            b1_wait_ns: 40,
             dispatch_ns: 50,
-            b2_wait_ns: 10,
             merge_ns: 0,
             ..RoundSample::default()
         };

@@ -9,6 +9,7 @@
 //! * `HPSOCK_SEEDS` is honored end-to-end through a figure's `run()`.
 
 use hpsock_experiments::runner::{FIG10_SEED, FIG8_SWEEP_SEED};
+use hpsock_experiments::sweep::THREADS;
 use hpsock_experiments::{fig10, fig8, replicate};
 use hpsock_vizserver::ComputeModel;
 
@@ -24,11 +25,8 @@ fn seed_batch_aggregate_is_worker_count_independent() {
         let pts = fig8::sweep_seeded(ComputeModel::None, &[1000.0], 3, &seeds);
         fig8::to_table("t", &pts).to_csv()
     };
-    std::env::set_var("HPSOCK_THREADS", "1");
-    let sequential = sweep_csv();
-    std::env::set_var("HPSOCK_THREADS", "8");
-    let pooled = sweep_csv();
-    std::env::remove_var("HPSOCK_THREADS");
+    let sequential = THREADS.with(1, sweep_csv);
+    let pooled = THREADS.with(8, sweep_csv);
     assert_eq!(
         sequential, pooled,
         "replicate aggregation must not depend on worker count"
@@ -88,9 +86,7 @@ fn single_seed_keeps_legacy_columns_and_batches_add_ci_columns() {
 
 #[test]
 fn hpsock_seeds_is_honored_end_to_end() {
-    std::env::set_var("HPSOCK_SEEDS", "3");
-    let tables = fig10::run();
-    std::env::remove_var("HPSOCK_SEEDS");
+    let tables = replicate::SEEDS.with(3, fig10::run);
     let t = &tables[0];
     assert!(
         t.headers.iter().any(|h| h == "SocketVIA_ci95_lo"),
