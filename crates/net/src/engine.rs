@@ -47,6 +47,7 @@ use crate::params::{PathCosts, TransportKind};
 use hpsock_sim::stats::{Tally, TimeWeighted};
 use hpsock_sim::{Ctx, Dur, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A node in the simulated cluster.
@@ -337,6 +338,7 @@ struct DelayedMsg {
 
 /// Send half of a connection, owned by the source node's core.
 struct TxConn {
+    conn: ConnId,
     costs: Arc<PathCosts>,
     flow: Flow,
     sendq: VecDeque<PendingMsg>,
@@ -355,8 +357,28 @@ struct TxConn {
     delayed: HashMap<u64, DelayedMsg>,
 }
 
+impl TxConn {
+    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<&FaultPlan>) -> Self {
+        TxConn {
+            conn,
+            costs: Arc::clone(&spec.costs),
+            flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
+            sendq: VecDeque::new(),
+            pending_meta: HashMap::new(),
+            stats: ConnStats::default(),
+            stall_since: None,
+            faults: faults.and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0)),
+            src_pid: spec.src.pid,
+            dead: false,
+            doomed: HashMap::new(),
+            delayed: HashMap::new(),
+        }
+    }
+}
+
 /// Receive half of a connection, owned by the destination node's core.
 struct RxConn {
+    conn: ConnId,
     dst: Endpoint,
     costs: Arc<PathCosts>,
     /// Same flow model as the send side; the receive half only drives the
@@ -372,6 +394,21 @@ struct RxConn {
     cut_at: Option<SimTime>,
 }
 
+impl RxConn {
+    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<&FaultPlan>) -> Self {
+        RxConn {
+            conn,
+            dst: spec.dst,
+            costs: Arc::clone(&spec.costs),
+            flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
+            msgs: HashMap::new(),
+            unconsumed: HashMap::new(),
+            stats: ConnStats::default(),
+            cut_at: faults.and_then(|p| p.crash_time(spec.dst.node.0)),
+        }
+    }
+}
+
 /// Connection specification recorded before the run starts.
 pub(crate) struct ConnSpec {
     pub(crate) src: Endpoint,
@@ -383,11 +420,6 @@ pub(crate) struct ConnSpec {
 pub(crate) struct Registry {
     pub(crate) conns: Vec<ConnSpec>,
     pub(crate) sealed: bool,
-    /// Next engine message id per connection. Lives in the registry (not
-    /// the send half) so [`Network::send`] can hand the id back to the
-    /// caller synchronously; each connection has a single sending process,
-    /// so the sequence stays deterministic under sharding.
-    pub(crate) next_msg_id: Vec<u64>,
     /// The fault plan the owning cluster was built under, if any.
     pub(crate) faults: Option<Arc<FaultPlan>>,
     /// Which network engine this cluster simulates with; resolved from
@@ -407,6 +439,17 @@ pub(crate) struct Route {
     pub(crate) tx_core: Vec<ProcessId>,
     /// Core owning the receive half, per connection.
     pub(crate) rx_core: Vec<ProcessId>,
+    /// Position of each connection's send half in its owner's
+    /// [`NodeCore`] `tx` table.
+    pub(crate) tx_slot: Vec<u32>,
+    /// Position of each connection's receive half in its owner's `rx`
+    /// table.
+    pub(crate) rx_slot: Vec<u32>,
+    /// Next engine message id per connection. Lives here (not in the send
+    /// half) so [`Network::send`] can hand the id back to the caller
+    /// synchronously without a lock; each connection has a single sending
+    /// process, so the sequence stays deterministic under sharding.
+    pub(crate) next_msg_id: Vec<AtomicU64>,
     /// Core process of each node.
     pub(crate) core_of_node: Vec<ProcessId>,
     /// The single [`FluidCore`] process under [`NetModel::Flow`]; `None`
@@ -451,7 +494,6 @@ impl Network {
         };
         let id = ConnId(reg.conns.len());
         reg.conns.push(ConnSpec { src, dst, costs });
-        reg.next_msg_id.push(0);
         id
     }
 
@@ -470,14 +512,10 @@ impl Network {
     /// matching [`Delivery`] — or in a [`StreamError`], should the fault
     /// layer lose it.
     pub fn send(&self, ctx: &mut Ctx<'_>, conn: ConnId, bytes: u64, payload: Message) -> u64 {
-        let msg_id = {
-            let mut reg = self.registry.lock().expect("registry lock");
-            let id = reg.next_msg_id[conn.0];
-            reg.next_msg_id[conn.0] += 1;
-            id
-        };
+        let route = self.route("send", Some(conn));
+        let msg_id = route.next_msg_id[conn.0].fetch_add(1, Ordering::Relaxed);
         ctx.send(
-            self.route("send", Some(conn)).tx_core[conn.0],
+            route.tx_core[conn.0],
             Message::new(NetCmd::Send {
                 conn,
                 msg_id,
@@ -548,19 +586,38 @@ impl Process for NetSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let mut reg = self.registry.lock().expect("registry lock");
         reg.sealed = true;
+        // Each core holds only the halves it owns, in connection-id order;
+        // the route records where each half landed.
+        let n = self.nodes.len();
+        let mut tx: Vec<Vec<TxConn>> = (0..n).map(|_| Vec::new()).collect();
+        let mut rx: Vec<Vec<RxConn>> = (0..n).map(|_| Vec::new()).collect();
+        let mut tx_slot = Vec::with_capacity(reg.conns.len());
+        let mut rx_slot = Vec::with_capacity(reg.conns.len());
+        let faults = reg.faults.as_deref();
+        for (ci, spec) in reg.conns.iter().enumerate() {
+            let conn = ConnId(ci);
+            let (src, dst) = (spec.src.node.0, spec.dst.node.0);
+            let slot = |len: usize| u32::try_from(len).expect("under 2^32 halves per node");
+            tx_slot.push(slot(tx[src].len()));
+            tx[src].push(TxConn::new(conn, spec, faults));
+            rx_slot.push(slot(rx[dst].len()));
+            rx[dst].push(RxConn::new(conn, spec, faults));
+        }
         // Spawned cores start after every process added before the run, so
         // application pids (and with them RNG streams) are unaffected by
         // how many cores exist.
-        let core_of_node: Vec<ProcessId> = (0..self.nodes.len())
-            .map(|i| {
+        let core_of_node: Vec<ProcessId> = tx
+            .into_iter()
+            .zip(rx)
+            .enumerate()
+            .map(|(i, (tx, rx))| {
                 ctx.spawn(Box::new(NodeCore {
                     node: NodeId(i),
                     res: self.nodes[i],
-                    registry: Arc::clone(&self.registry),
                     route: Arc::clone(&self.route),
                     model: reg.model,
-                    tx: Vec::new(),
-                    rx: Vec::new(),
+                    tx,
+                    rx,
                 }))
             })
             .collect();
@@ -583,6 +640,9 @@ impl Process for NetSwitch {
                 .iter()
                 .map(|s| core_of_node[s.dst.node.0])
                 .collect(),
+            tx_slot,
+            rx_slot,
+            next_msg_id: reg.conns.iter().map(|_| AtomicU64::new(0)).collect(),
             core_of_node,
             fluid_core,
         };
@@ -602,52 +662,71 @@ impl Process for NetSwitch {
 pub struct NodeCore {
     node: NodeId,
     res: NodeResources,
-    registry: Arc<Mutex<Registry>>,
     route: Arc<OnceLock<Route>>,
     /// The cluster's network model: under [`NetModel::Flow`] the core only
     /// does endpoint bookkeeping and hands transfers to the fluid core.
     model: NetModel,
-    /// Send halves, indexed by connection id (None when sourced elsewhere).
-    tx: Vec<Option<TxConn>>,
-    /// Receive halves, indexed by connection id.
-    rx: Vec<Option<RxConn>>,
+    /// Send halves of the connections sourced here, in connection-id
+    /// order; [`Route::tx_slot`] maps a connection to its entry.
+    tx: Vec<TxConn>,
+    /// Receive halves of the connections terminating here, in
+    /// connection-id order; [`Route::rx_slot`] maps a connection to its
+    /// entry.
+    rx: Vec<RxConn>,
 }
 
 impl NodeCore {
     /// Send-side statistics of a connection sourced at this node.
     pub fn tx_stats(&self, conn: ConnId) -> Option<&ConnStats> {
-        self.tx.get(conn.0)?.as_ref().map(|t| &t.stats)
+        let slot = *self.route.get()?.tx_slot.get(conn.0)?;
+        let t = self.tx.get(slot as usize)?;
+        (t.conn == conn).then_some(&t.stats)
     }
 
     /// Receive-side statistics of a connection terminating at this node.
     pub fn rx_stats(&self, conn: ConnId) -> Option<&ConnStats> {
-        self.rx.get(conn.0)?.as_ref().map(|r| &r.stats)
+        let slot = *self.route.get()?.rx_slot.get(conn.0)?;
+        let r = self.rx.get(slot as usize)?;
+        (r.conn == conn).then_some(&r.stats)
+    }
+
+    /// The routing table. Cores exist only once the switch has installed
+    /// it, so a miss is a mis-sequenced engine.
+    fn routes(&self, op: &'static str, conn: ConnId) -> &Route {
+        match self.route.get() {
+            Some(r) => r,
+            None => panic!(
+                "{}",
+                NetError::NotStarted {
+                    op,
+                    conn: Some(conn),
+                }
+            ),
+        }
     }
 
     fn rx_core(&self, conn: ConnId) -> ProcessId {
-        match self.route.get() {
-            Some(r) => r.rx_core[conn.0],
-            None => panic!(
-                "{}",
-                NetError::NotStarted {
-                    op: "rx-core lookup",
-                    conn: Some(conn),
-                }
-            ),
-        }
+        self.routes("rx-core lookup", conn).rx_core[conn.0]
     }
 
     fn tx_core(&self, conn: ConnId) -> ProcessId {
-        match self.route.get() {
-            Some(r) => r.tx_core[conn.0],
-            None => panic!(
-                "{}",
-                NetError::NotStarted {
-                    op: "tx-core lookup",
-                    conn: Some(conn),
-                }
-            ),
-        }
+        self.routes("tx-core lookup", conn).tx_core[conn.0]
+    }
+
+    /// The send half of `conn`, which this core must own.
+    fn tx_mut(&mut self, conn: ConnId) -> &mut TxConn {
+        let slot = self.routes("send-half lookup", conn).tx_slot[conn.0] as usize;
+        let c = &mut self.tx[slot];
+        debug_assert_eq!(c.conn, conn, "send half owned here");
+        c
+    }
+
+    /// The receive half of `conn`, which this core must own.
+    fn rx_mut(&mut self, conn: ConnId) -> &mut RxConn {
+        let slot = self.routes("receive-half lookup", conn).rx_slot[conn.0] as usize;
+        let c = &mut self.rx[slot];
+        debug_assert_eq!(c.conn, conn, "receive half owned here");
+        c
     }
 
     fn fluid_core(&self) -> ProcessId {
@@ -658,8 +737,9 @@ impl NodeCore {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        let host_tx = self.res.host_tx;
         loop {
-            let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            let c = self.tx_mut(conn);
             if c.dead {
                 return;
             }
@@ -686,8 +766,11 @@ impl NodeCore {
             if let Some(from) = c.stall_since.take() {
                 let until = ctx.now();
                 c.stats.credit_stall += until.saturating_since(from);
-                let rid = self.res.host_tx;
-                ctx.probe_emit(|_| ProbeEvent::Stall { rid, from, until });
+                ctx.probe_emit(|_| ProbeEvent::Stall {
+                    rid: host_tx,
+                    from,
+                    until,
+                });
             }
             c.flow.on_frame_sent(flen as u64);
             let first = head.next_frame == 0;
@@ -710,7 +793,7 @@ impl NodeCore {
                 delta: 1.0,
             });
             ctx.use_resource(
-                self.res.host_tx,
+                host_tx,
                 service,
                 Message::new(Ev::HostTxDone {
                     conn,
@@ -723,6 +806,7 @@ impl NodeCore {
     }
 
     fn on_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: NetCmd) {
+        let fluid = self.model == NetModel::Flow;
         match cmd {
             NetCmd::Send {
                 conn,
@@ -730,7 +814,7 @@ impl NodeCore {
                 bytes,
                 payload,
             } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     // The connection was cut before this send arrived:
                     // fail it immediately instead of queueing forever.
@@ -746,7 +830,7 @@ impl NodeCore {
                     );
                     return;
                 }
-                if self.model == NetModel::Flow {
+                if fluid {
                     // Fluid fast path: account the send and hand the whole
                     // message to the fluid core after the switch hop. Fault
                     // fates (including crash cuts) are decided there, at
@@ -754,10 +838,10 @@ impl NodeCore {
                     c.stats.msgs_sent += 1;
                     c.stats.bytes_sent += bytes;
                     let d_tx = c.costs.switch_latency + c.costs.prop_delay;
-                    let fluid = self.fluid_core();
+                    let fluid_core = self.fluid_core();
                     ctx.send_in(
                         d_tx,
-                        fluid,
+                        fluid_core,
                         Message::new(FluidEv::Arrive {
                             conn,
                             msg: msg_id,
@@ -790,14 +874,14 @@ impl NodeCore {
                 self.pump(ctx, conn);
             }
             NetCmd::Consumed { conn, msg_id } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let c = self.rx_mut(conn);
                 let (bytes, _frames) = c
                     .unconsumed
                     .remove(&msg_id)
                     .expect("consumed an unknown or already-consumed message");
                 // The fluid model has no per-frame flow control to repair:
                 // consumption is pure bookkeeping.
-                if self.model == NetModel::Flow {
+                if fluid {
                     return;
                 }
                 // Credits were re-posted at frame arrival; only the window
@@ -814,7 +898,7 @@ impl NodeCore {
     /// Frame arrival at the receiving host: claim the receive protocol
     /// engine for the per-frame service.
     fn on_rx_frame(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: u64, flen: u32) {
-        let c = self.rx[conn.0].as_ref().expect("receive half owned here");
+        let c = self.rx_mut(conn);
         let service = c.costs.per_frame_recv
             + Dur::nanos((flen as f64 * c.costs.per_byte_recv_ns).round() as u64);
         ctx.use_resource(
@@ -832,7 +916,7 @@ impl NodeCore {
                 frame,
                 flen,
             } => {
-                let c = self.tx[conn.0].as_ref().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 let wire_bytes = flen as u64 + c.costs.frame_overhead as u64;
                 let service = c.costs.nic_per_frame
                     + Dur::nanos((wire_bytes as f64 * c.costs.wire_ns_per_byte).round() as u64);
@@ -853,7 +937,7 @@ impl NodeCore {
                 frame,
                 flen,
             } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     // Frames of a cut connection die on the wire.
                     return;
@@ -966,7 +1050,7 @@ impl NodeCore {
                 sent_at,
                 payload,
             } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let c = self.rx_mut(conn);
                 if c.cut_at.is_some_and(|t| ctx.now() >= t) {
                     // This node fail-stopped: arriving frames fall on the
                     // floor, returning no acks and no credits.
@@ -985,14 +1069,14 @@ impl NodeCore {
                 self.on_rx_frame(ctx, conn, msg, flen);
             }
             Ev::RxArrive { conn, msg, flen } => {
-                let c = self.rx[conn.0].as_ref().expect("receive half owned here");
+                let c = self.rx_mut(conn);
                 if c.cut_at.is_some_and(|t| ctx.now() >= t) {
                     return;
                 }
                 self.on_rx_frame(ctx, conn, msg, flen);
             }
             Ev::HostRxFrameDone { conn, msg, flen } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let c = self.rx_mut(conn);
                 let st = c.msgs.get_mut(&msg).expect("frame for unknown message");
                 st.frames_arrived += 1;
                 c.stats.rx_interrupts += 1;
@@ -1024,7 +1108,7 @@ impl NodeCore {
                     );
                 }
                 if last {
-                    let c = self.rx[conn.0].as_ref().expect("receive half owned here");
+                    let c = self.rx_mut(conn);
                     let service = c.costs.per_msg_recv;
                     ctx.use_resource(
                         self.res.host_rx,
@@ -1034,7 +1118,7 @@ impl NodeCore {
                 }
             }
             Ev::MsgReady { conn, msg } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let c = self.rx_mut(conn);
                 let mut st = c.msgs.remove(&msg).expect("ready for unknown message");
                 let payload = st.payload.take().expect("payload present until delivery");
                 c.unconsumed.insert(msg, (st.bytes, st.frames));
@@ -1065,7 +1149,7 @@ impl NodeCore {
                 ctx.send(c.dst.pid, Message::new(delivery));
             }
             Ev::AckArrive { conn, frame_bytes } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     return;
                 }
@@ -1073,7 +1157,7 @@ impl NodeCore {
                 self.pump(ctx, conn);
             }
             Ev::CreditArrive { conn, n } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     return;
                 }
@@ -1081,7 +1165,7 @@ impl NodeCore {
                 self.pump(ctx, conn);
             }
             Ev::FlowReturn { conn, bytes } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     return;
                 }
@@ -1089,7 +1173,7 @@ impl NodeCore {
                 self.pump(ctx, conn);
             }
             Ev::MsgLost { conn, msg } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     // ConnCut already failed everything on this link.
                     return;
@@ -1134,7 +1218,7 @@ impl NodeCore {
                 self.pump(ctx, conn);
             }
             Ev::ConnCut { conn } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 if c.dead {
                     return;
                 }
@@ -1187,7 +1271,7 @@ impl NodeCore {
                 sent_at,
                 payload,
             } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let c = self.rx_mut(conn);
                 if c.cut_at.is_some_and(|t| ctx.now() >= t) {
                     // This node fail-stopped while the delivery was in its
                     // final hop: it falls on the floor, as arriving frames
@@ -1226,7 +1310,7 @@ impl NodeCore {
                 bytes,
                 kind,
             } => {
-                let c = self.tx[conn.0].as_ref().expect("send half owned here");
+                let c = self.tx_mut(conn);
                 let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.fault.lost".to_string(),
@@ -1256,47 +1340,6 @@ impl Process for NodeCore {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // The switch's on_start (which seals the registry) always runs
-        // before spawned cores start.
-        let reg = self.registry.lock().expect("registry lock");
-        assert!(reg.sealed, "core started before the switch");
-        self.tx = reg
-            .conns
-            .iter()
-            .map(|spec| {
-                (spec.src.node == self.node).then(|| TxConn {
-                    costs: Arc::clone(&spec.costs),
-                    flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
-                    sendq: VecDeque::new(),
-                    pending_meta: HashMap::new(),
-                    stats: ConnStats::default(),
-                    stall_since: None,
-                    faults: reg
-                        .faults
-                        .as_ref()
-                        .and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0)),
-                    src_pid: spec.src.pid,
-                    dead: false,
-                    doomed: HashMap::new(),
-                    delayed: HashMap::new(),
-                })
-            })
-            .collect();
-        self.rx = reg
-            .conns
-            .iter()
-            .map(|spec| {
-                (spec.dst.node == self.node).then(|| RxConn {
-                    dst: spec.dst,
-                    costs: Arc::clone(&spec.costs),
-                    flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
-                    msgs: HashMap::new(),
-                    unconsumed: HashMap::new(),
-                    stats: ConnStats::default(),
-                    cut_at: reg.faults.as_ref().and_then(|p| p.crash_time(self.node.0)),
-                })
-            })
-            .collect();
         // Crash-detection timers for connections an endpoint crash will
         // cut: everything queued on them fails at crash + detect. Under
         // the flow model the fluid core owns all in-flight state, so it
@@ -1304,18 +1347,11 @@ impl Process for NodeCore {
         if self.model == NetModel::Flow {
             return;
         }
-        let cuts: Vec<(usize, Dur)> = self
-            .tx
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| {
-                let f = t.as_ref()?.faults.as_ref()?;
-                let cut_at = f.cut_at?;
-                Some((i, Dur::nanos(cut_at.as_nanos()) + f.detect))
-            })
-            .collect();
-        for (i, at) in cuts {
-            ctx.send_self_in(at, Message::new(Ev::ConnCut { conn: ConnId(i) }));
+        for t in &self.tx {
+            let Some(f) = &t.faults else { continue };
+            let Some(cut_at) = f.cut_at else { continue };
+            let at = Dur::nanos(cut_at.as_nanos()) + f.detect;
+            ctx.send_self_in(at, Message::new(Ev::ConnCut { conn: t.conn }));
         }
     }
 
@@ -1374,7 +1410,9 @@ mod tests {
 
     /// `tx_stats`/`rx_stats` answer `Some` for exactly the connection
     /// halves a node core owns (with that half's traffic) and `None` for
-    /// every other connection.
+    /// every other connection, and each core's tables hold exactly its
+    /// owned halves (so the tables of all cores together hold one entry
+    /// per connection and side).
     #[test]
     fn node_stats_cover_exactly_the_owned_halves() {
         const NODES: usize = 64;
@@ -1403,8 +1441,15 @@ mod tests {
                     );
                 }
                 sim.run();
+                let (mut tx_total, mut rx_total) = (0, 0);
                 for node in 0..NODES {
                     let core: &NodeCore = sim.process(net.core_of(NodeId(node))).unwrap();
+                    let owned_tx = ends.iter().filter(|e| e.0 == node).count();
+                    let owned_rx = ends.iter().filter(|e| e.1 == node).count();
+                    assert_eq!(core.tx.len(), owned_tx, "{model:?} node {node} tx table");
+                    assert_eq!(core.rx.len(), owned_rx, "{model:?} node {node} rx table");
+                    tx_total += core.tx.len();
+                    rx_total += core.rx.len();
                     for (ci, &(src, dst)) in ends.iter().enumerate() {
                         let tx = core.tx_stats(ConnId(ci));
                         let rx = core.rx_stats(ConnId(ci));
@@ -1415,6 +1460,11 @@ mod tests {
                     }
                     assert!(core.tx_stats(ConnId(CONNS)).is_none(), "unknown conn");
                 }
+                assert_eq!(
+                    (tx_total, rx_total),
+                    (CONNS, CONNS),
+                    "{model:?} table sizes"
+                );
             });
         }
     }

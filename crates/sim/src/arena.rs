@@ -15,6 +15,11 @@
 //! previous run, which cannot affect pop order), and tables come back
 //! empty. Digest determinism across fresh/recycled sims is pinned by
 //! `recycled_sim_runs_identically` in the kernel tests.
+//!
+//! The arena also fixes the process's allocator policy once, on the first
+//! `Sim` (see `pin_heap_thresholds`): buffers built by the caller before
+//! `Sim::new` cannot be recycled here, but they can be kept off freshly
+//! faulted pages.
 
 use crate::event::EventQueue;
 use crate::kernel::Process;
@@ -36,8 +41,48 @@ std::thread_local! {
     static HITS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Pin glibc's heap thresholds, once per process.
+///
+/// By default glibc sets its trim threshold to twice the largest mmapped
+/// block freed so far (128 KiB before any), and returns the top of the
+/// main heap to the OS whenever more than that is free there. Back-to-back jobs (a sweep worker, a
+/// benchmark loop) then pay for every teardown twice: a small job frees
+/// its block lists and DataCutter queues, glibc trims the heap top, and
+/// the next job's setup, which the caller runs before `Sim::new`, faults
+/// the same pages in again. On the fig7 guarantee pipeline at 1–2 KiB
+/// blocks that refault raised per-job setup time by 12–43 % (perfbench
+/// `viz_guarantee` `setup_s`, seeds 7 and 90210, 2-vCPU x86-64 host).
+/// A fixed 64 MiB trim threshold keeps the heap top resident. Fixing any
+/// threshold also stops glibc adapting the mmap threshold, which would
+/// stay at 128 KiB and give every larger per-job buffer a fresh mapping,
+/// so it is raised to 32 MiB, the largest glibc accepts on 64-bit.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_heap_thresholds() {
+    use std::os::raw::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    // <malloc.h> parameter numbers.
+    const M_TRIM_THRESHOLD: c_int = -1;
+    const M_MMAP_THRESHOLD: c_int = -3;
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        // SAFETY: `mallopt` only changes allocator tunables; glibc takes
+        // its arena lock, so concurrent allocation on other threads is
+        // safe. It returns 1 on success.
+        let ok = unsafe {
+            mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 && mallopt(M_TRIM_THRESHOLD, 64 << 20) == 1
+        };
+        debug_assert!(ok, "glibc rejected the heap thresholds");
+    });
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_heap_thresholds() {}
+
 /// Adopt the parked buffers, if any; otherwise build fresh ones.
 pub(crate) fn take() -> Parts {
+    pin_heap_thresholds();
     let parked = ARENA.try_with(|a| a.borrow_mut().take()).ok().flatten();
     match parked {
         Some(parts) => {

@@ -1,13 +1,16 @@
-//! Exactness and cost of the flow-level (fluid) network model.
+//! Exactness of both network models, and cost of the flow-level (fluid)
+//! one.
 //!
-//! The fluid core's event plumbing may change — how completions are
-//! timed, how many kernel events a flow costs — but what the simulated
-//! applications observe may not: every delivery and every `StreamError`
-//! must land on the same connection, message id and virtual nanosecond.
-//! `outcome_logs_are_pinned` hashes that log for three small rack
-//! scenarios (fault-free, lossy + delayed, node crash) against golden
-//! values; the other tests bound the events a flow costs and check that
-//! no superseded completion stretches the run past its last outcome.
+//! The engines' event plumbing may change — how fluid completions are
+//! timed, how many kernel events a flow costs, how a node core lays out
+//! its connection tables — but what the simulated applications observe
+//! may not: every delivery and every `StreamError` must land on the same
+//! connection, message id and virtual nanosecond. `outcome_logs_are_pinned`
+//! (fluid model) and `packet_outcome_logs_are_pinned` (packet model) hash
+//! that log for three small rack scenarios (fault-free, lossy + delayed,
+//! node crash) against golden values; the other tests bound the events a
+//! flow costs and check that no superseded completion stretches the run
+//! past its last outcome.
 
 use hpsock_net::{
     fault, with_netmodel, Cluster, ConnId, Delivery, NetModel, NodeId, StreamError, TransportKind,
@@ -90,11 +93,11 @@ struct Run {
     end_ns: u64,
 }
 
-/// `nodes` nodes in racks of 16 under the flow model (oversubscription
-/// 4): the first half each host `clients` TCP senders of `msgs` messages
+/// `nodes` nodes in racks of 16 under `model` (oversubscription 4): the
+/// first half each host `clients` TCP senders of `msgs` messages
 /// to a sink on the mirror node of the second half, so cross-rack flows
 /// share uplinks and the flows of one sender share its host stages.
-fn run_racks(nodes: usize, clients: usize, msgs: u32, faults: &str) -> Run {
+fn run_racks(model: NetModel, nodes: usize, clients: usize, msgs: u32, faults: &str) -> Run {
     let body = || {
         let per_rack = nodes.min(16);
         let senders = nodes / 2;
@@ -132,7 +135,7 @@ fn run_racks(nodes: usize, clients: usize, msgs: u32, faults: &str) -> Run {
             end_ns: end.as_nanos(),
         }
     };
-    with_netmodel(NetModel::Flow, || {
+    with_netmodel(model, || {
         if faults.is_empty() {
             body()
         } else {
@@ -162,22 +165,46 @@ const PINNED: [(&str, usize, u64); 3] = [
     ("crash=1@200us,detect=100us", 20, 3484909537950472654),
 ];
 
-#[test]
-fn outcome_logs_are_pinned() {
-    let got: Vec<(&str, usize, u64)> = PINNED
-        .iter()
+/// Golden packet-model outcome logs for the same scenarios. In the crash
+/// case node 1 fail-stops; it sources connections 4–7, so a core that
+/// confused a connection id with the position of its half in the node's
+/// own tables would fail the wrong connections.
+const PINNED_PACKET: [(&str, usize, u64); 3] = [
+    ("", 0, 12349312038757248321),
+    ("drop=0.05,delay=0.2:30us", 14, 8647573195842535415),
+    ("crash=1@200us,detect=100us", 19, 3382472354790531719),
+];
+
+/// Run every pinned scenario of `pins` under `model`:
+/// `(fault spec, StreamErrors, log hash)` per scenario.
+fn pinned_outcomes(
+    model: NetModel,
+    pins: &[(&'static str, usize, u64)],
+) -> Vec<(&'static str, usize, u64)> {
+    pins.iter()
         .map(|&(faults, _, _)| {
-            let run = run_racks(32, 4, 5, faults);
+            let run = run_racks(model, 32, 4, 5, faults);
             assert_eq!(
                 run.log.len() as u64,
                 run.msgs,
-                "{faults:?}: one outcome per message"
+                "{model:?} {faults:?}: one outcome per message"
             );
             let errors = run.log.iter().filter(|o| o.3 != "delivered").count();
             (faults, errors, log_hash(&run.log))
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn outcome_logs_are_pinned() {
+    let got = pinned_outcomes(NetModel::Flow, &PINNED);
     assert_eq!(got, PINNED, "fluid outcome logs moved");
+}
+
+#[test]
+fn packet_outcome_logs_are_pinned() {
+    let got = pinned_outcomes(NetModel::Packet, &PINNED_PACKET);
+    assert_eq!(got, PINNED_PACKET, "packet outcome logs moved");
 }
 
 /// A flow costs O(1) kernel events — the send, its arrival at the fluid
@@ -188,7 +215,7 @@ fn outcome_logs_are_pinned() {
 fn flows_cost_a_bounded_number_of_events() {
     for (nodes, clients, msgs) in [(32, 4, 5), (64, 8, 3), (128, 2, 4)] {
         for (faults, _, _) in PINNED {
-            let run = run_racks(nodes, clients, msgs, faults);
+            let run = run_racks(NetModel::Flow, nodes, clients, msgs, faults);
             let what = format!("{nodes} nodes x {clients} clients x {msgs} msgs {faults:?}");
             assert!(
                 run.events <= 10 * run.msgs,
