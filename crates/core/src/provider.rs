@@ -40,11 +40,6 @@ impl Provider {
         &self.costs
     }
 
-    /// Shared handle to the cost model.
-    pub fn costs_arc(&self) -> Arc<PathCosts> {
-        Arc::clone(&self.costs)
-    }
-
     /// Create a unidirectional connection `src -> dst`.
     pub fn connect(&self, net: &Network, src: Endpoint, dst: Endpoint) -> ConnId {
         net.connect_with(src, dst, Arc::clone(&self.costs))

@@ -12,7 +12,7 @@ use crate::filter::{CopyWiring, FilterProcess, InputWiring, OutputWiring, Route,
 use crate::logic::{FilterLogic, SpeedModel};
 use crate::sched::Policy;
 use hpsock_net::{Cluster, NodeId};
-use hpsock_sim::{Ctx, Message, ProcessId, Sim, SimTime};
+use hpsock_sim::{Message, ProcessId, Sim, SimTime};
 use socketvia::Provider;
 use std::any::Any;
 use std::collections::HashMap;
@@ -253,25 +253,6 @@ impl Instance {
         for &pid in self.pids(f) {
             sim.schedule_at(
                 at,
-                pid,
-                Message::new(UowStartMsg {
-                    uow,
-                    desc: Arc::clone(&desc),
-                }),
-            );
-        }
-    }
-
-    /// Start a unit of work from inside a driver process.
-    pub fn start_uow(
-        &self,
-        ctx: &mut Ctx<'_>,
-        f: FilterHandle,
-        uow: u32,
-        desc: Arc<dyn Any + Send + Sync>,
-    ) {
-        for &pid in self.pids(f) {
-            ctx.send(
                 pid,
                 Message::new(UowStartMsg {
                     uow,

@@ -6,28 +6,17 @@ fn main() {
     let quick = x::quick_mode();
     let dir = x::results_dir();
     eprintln!("[1/9] Figure 4 + Figure 2 ...");
-    let (iters, total) = if quick { (4, 1 << 20) } else { (16, 1 << 22) };
-    x::emit(&x::fig4::run(iters, total), &dir);
-    x::export_under_trace("fig4", |tdir| x::fig4::export_traces(tdir, total));
+    x::emit(&x::fig4::run(quick), &dir);
+    x::export_under_trace("fig4", |tdir| x::fig4::export_traces(tdir, quick));
     eprintln!("[2/9] Figure 7 ...");
-    let scale = if quick {
-        x::fig7::Scale {
-            n_complete: 3,
-            n_partial: 2,
-        }
-    } else {
-        x::fig7::Scale::default()
-    };
-    x::emit(&x::fig7::run(scale), &dir);
-    x::export_under_trace("fig7", |tdir| x::fig7::export_traces(tdir, scale));
+    x::emit(&x::fig7::run(quick), &dir);
+    x::export_under_trace("fig7", |tdir| x::fig7::export_traces(tdir, quick));
     eprintln!("[3/9] Figure 8 ...");
-    let n8 = if quick { 3 } else { 5 };
-    x::emit(&x::fig8::run(n8), &dir);
-    x::export_under_trace("fig8", |tdir| x::fig8::export_traces(tdir, n8));
+    x::emit(&x::fig8::run(quick), &dir);
+    x::export_under_trace("fig8", |tdir| x::fig8::export_traces(tdir, quick));
     eprintln!("[4/9] Figure 9 ...");
-    let n9 = if quick { 5 } else { 10 };
-    x::emit(&x::fig9::run(n9), &dir);
-    x::export_under_trace("fig9", |tdir| x::fig9::export_traces(tdir, n9));
+    x::emit(&x::fig9::run(quick), &dir);
+    x::export_under_trace("fig9", |tdir| x::fig9::export_traces(tdir, quick));
     eprintln!("[5/9] Figure 10 ...");
     x::emit(&x::fig10::run(), &dir);
     x::export_under_trace("fig10", x::fig10::export_traces);
@@ -37,7 +26,7 @@ fn main() {
     eprintln!("[7/9] Future work: RDMA ...");
     x::emit(&x::future::run(), &dir);
     eprintln!("[8/9] Supplementary: Figure 1 amplification, partition trade-off ...");
-    x::emit(&x::extra::run(if quick { 3 } else { 6 }), &dir);
+    x::emit(&x::extra::run(quick), &dir);
     eprintln!("[9/9] Fault injection: availability and guarantee retention ...");
     x::emit(&x::fig_faults::run(quick), &dir);
     eprintln!("done: CSVs under {}", dir.display());

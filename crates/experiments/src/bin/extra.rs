@@ -2,11 +2,6 @@
 //! partition-count trade-off surface behind Figure 9.
 
 fn main() {
-    let n = if hpsock_experiments::quick_mode() {
-        3
-    } else {
-        6
-    };
-    let tables = hpsock_experiments::extra::run(n);
+    let tables = hpsock_experiments::extra::run(hpsock_experiments::quick_mode());
     hpsock_experiments::emit(&tables, hpsock_experiments::results_dir());
 }

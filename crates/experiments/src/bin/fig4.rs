@@ -1,11 +1,9 @@
 //! Regenerate Figure 4 (micro-benchmarks) and the Figure 2 crossover.
 
+use hpsock_experiments::fig4::{export_traces, run};
+
 fn main() {
     let quick = hpsock_experiments::quick_mode();
-    let (iters, total) = if quick { (4, 1 << 20) } else { (16, 1 << 22) };
-    let tables = hpsock_experiments::fig4::run(iters, total);
-    hpsock_experiments::emit(&tables, hpsock_experiments::results_dir());
-    hpsock_experiments::export_under_trace("fig4", |dir| {
-        hpsock_experiments::fig4::export_traces(dir, total);
-    });
+    hpsock_experiments::emit(&run(quick), hpsock_experiments::results_dir());
+    hpsock_experiments::export_under_trace("fig4", |dir| export_traces(dir, quick));
 }

@@ -1,17 +1,9 @@
 //! Regenerate Figure 7: partial-update latency under updates/sec guarantees.
 
-use hpsock_experiments::fig7::{export_traces, run, Scale};
+use hpsock_experiments::fig7::{export_traces, run};
 
 fn main() {
-    let scale = if hpsock_experiments::quick_mode() {
-        Scale {
-            n_complete: 3,
-            n_partial: 2,
-        }
-    } else {
-        Scale::default()
-    };
-    let tables = run(scale);
-    hpsock_experiments::emit(&tables, hpsock_experiments::results_dir());
-    hpsock_experiments::export_under_trace("fig7", |dir| export_traces(dir, scale));
+    let quick = hpsock_experiments::quick_mode();
+    hpsock_experiments::emit(&run(quick), hpsock_experiments::results_dir());
+    hpsock_experiments::export_under_trace("fig7", |dir| export_traces(dir, quick));
 }

@@ -1,14 +1,9 @@
 //! Regenerate Figure 8: updates/sec under partial-update latency guarantees.
 
+use hpsock_experiments::fig8::{export_traces, run};
+
 fn main() {
-    let n = if hpsock_experiments::quick_mode() {
-        3
-    } else {
-        5
-    };
-    let tables = hpsock_experiments::fig8::run(n);
-    hpsock_experiments::emit(&tables, hpsock_experiments::results_dir());
-    hpsock_experiments::export_under_trace("fig8", |dir| {
-        hpsock_experiments::fig8::export_traces(dir, n);
-    });
+    let quick = hpsock_experiments::quick_mode();
+    hpsock_experiments::emit(&run(quick), hpsock_experiments::results_dir());
+    hpsock_experiments::export_under_trace("fig8", |dir| export_traces(dir, quick));
 }

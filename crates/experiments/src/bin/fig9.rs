@@ -1,14 +1,9 @@
 //! Regenerate Figure 9: response time of mixed query streams.
 
+use hpsock_experiments::fig9::{export_traces, run};
+
 fn main() {
-    let n = if hpsock_experiments::quick_mode() {
-        5
-    } else {
-        10
-    };
-    let tables = hpsock_experiments::fig9::run(n);
-    hpsock_experiments::emit(&tables, hpsock_experiments::results_dir());
-    hpsock_experiments::export_under_trace("fig9", |dir| {
-        hpsock_experiments::fig9::export_traces(dir, n);
-    });
+    let quick = hpsock_experiments::quick_mode();
+    hpsock_experiments::emit(&run(quick), hpsock_experiments::results_dir());
+    hpsock_experiments::export_under_trace("fig9", |dir| export_traces(dir, quick));
 }

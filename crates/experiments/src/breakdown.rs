@@ -237,79 +237,84 @@ pub(crate) fn slug(label: &str) -> String {
         .join("_")
 }
 
-/// The probe-factory argument of a [`ProbedRun`]: builds the probe once
+/// The probe-factory argument of a probed run: builds the probe once
 /// the simulation topology exists (it receives the resource-name table,
 /// as in [`run_guarantee_probed`][crate::runner::run_guarantee_probed]).
 pub type ProbeFactory<'a> = dyn FnMut(&[String]) -> Option<Box<dyn Probe>> + 'a;
 
-/// One probed run for [`export_run_traces`]: handed a replicate seed and
-/// a [`ProbeFactory`], it executes the run and returns its
-/// [`RunCapture`]. Boxed so figure modules with differently-shaped
-/// drivers (guarantee pipelines, query mixes, LB clusters) all export
-/// through the same code path.
-pub type ProbedRun<'a> = Box<dyn Fn(u64, &mut ProbeFactory<'_>) -> RunCapture + 'a>;
+/// Run `run` with the probe its [`ProbeFactory`] builds: a [`Recorder`]
+/// teed with a [`StreamingTraceWriter`] that streams the Chrome trace to
+/// `<figure>_<series>.trace.json` under `dir` during the run, so export
+/// memory stays bounded by the recorder's analysis events, not the trace
+/// text. Falls back to the recorder alone, with a warning, when the file
+/// cannot be created. Returns `run`'s result and the recorder.
+pub(crate) fn trace_to_file<R>(
+    dir: &Path,
+    figure: &str,
+    label: &str,
+    run: impl FnOnce(&mut ProbeFactory<'_>) -> R,
+) -> (R, Recorder) {
+    let rec = Recorder::new();
+    let path = dir.join(format!("{figure}_{}.trace.json", slug(label)));
+    let mut writer = None;
+    let out = run(&mut |names: &[String]| -> Option<Box<dyn Probe>> {
+        Some(match StreamingTraceWriter::create(&path, names) {
+            Ok(w) => {
+                let probe = w.probe();
+                writer = Some(w);
+                Box::new(Tee(rec.probe(), probe))
+            }
+            Err(e) => {
+                eprintln!("warning: could not create {}: {e}", path.display());
+                rec.probe()
+            }
+        })
+    });
+    if let Some(w) = writer {
+        match w.finish() {
+            Ok(_) => println!(
+                "  -> {} ({} probe events, streamed)",
+                path.display(),
+                rec.len()
+            ),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
+    }
+    (out, rec)
+}
 
-/// Re-run each labelled `(label, base_seed, run)` with the probe bus
-/// recording; under `dir`, write per series a Chrome trace JSON
-/// (`<figure>_<series>.trace.json`, openable in Perfetto /
-/// `chrome://tracing`) and a collapsed-stack flamegraph
-/// (`<figure>_<series>.folded`, consumable by inferno's
+/// Re-run each labelled `(label, series)` through `run` with the probe
+/// bus recording; `run` is handed the series, a replicate seed and a
+/// [`ProbeFactory`], and returns its [`RunCapture`]. Under `dir`, write
+/// per series a Chrome trace JSON (`<figure>_<series>.trace.json`,
+/// openable in Perfetto / `chrome://tracing`) and a collapsed-stack
+/// flamegraph (`<figure>_<series>.folded`, consumable by inferno's
 /// `flamegraph.pl`-compatible tooling or speedscope), plus the combined
 /// `<figure>_breakdown.csv` time attribution.
+/// The trace JSON streams to disk through [`trace_to_file`].
 ///
-/// The trace JSON streams to disk *during* the run through a
-/// [`StreamingTraceWriter`] (teed with the [`Recorder`] the breakdown
-/// needs), so export memory stays bounded by the recorder's analysis
-/// events, not the trace text.
 /// With `HPSOCK_SEEDS=n > 1` each series re-runs once per replicate seed
-/// (derived from its base seed, see [`crate::replicate`]): the Chrome
+/// (derived from `base_seed`, see [`crate::replicate`]): the Chrome
 /// trace and flamegraph are written for the base-seed replicate only,
 /// while the breakdown row becomes the across-seed [`average`] of the
 /// per-seed attributions, with an `n_seeds` column appended.
-pub fn export_run_traces(
+pub fn export_run_traces<S>(
     dir: &Path,
     figure: &str,
     title: &str,
-    runs: Vec<(&str, u64, ProbedRun<'_>)>,
+    base_seed: u64,
+    series: &[(&str, S)],
+    run: impl Fn(&S, u64, &mut ProbeFactory<'_>) -> RunCapture,
 ) {
     let n_seeds = replicate::seed_count();
-    let mut rows = Vec::with_capacity(runs.len());
-    for (label, base_seed, run) in &runs {
-        let seeds = replicate::seed_batch(*base_seed, n_seeds);
+    let seeds = replicate::seed_batch(base_seed, n_seeds);
+    let mut rows = Vec::with_capacity(series.len());
+    for (label, s) in series {
         let mut reps = Vec::with_capacity(seeds.len());
         // Replicate 0 (the base seed) streams the Chrome trace to disk
         // and folds the span flamegraph; the extra replicates only feed
         // the averaged breakdown.
-        let rec = Recorder::new();
-        let path = dir.join(format!("{figure}_{}.trace.json", slug(label)));
-        let mut writer = None;
-        let mut mk = |names: &[String]| -> Option<Box<dyn Probe>> {
-            // Tee analysis events to the in-memory recorder and the trace
-            // JSON straight to disk; fall back to recorder-only if the
-            // file cannot be created.
-            Some(match StreamingTraceWriter::create(&path, names) {
-                Ok(w) => {
-                    let probe = w.probe();
-                    writer = Some(w);
-                    Box::new(Tee(rec.probe(), probe))
-                }
-                Err(e) => {
-                    eprintln!("warning: could not create {}: {e}", path.display());
-                    rec.probe()
-                }
-            })
-        };
-        let cap = run(seeds[0], &mut mk);
-        if let Some(w) = writer {
-            match w.finish() {
-                Ok(_) => println!(
-                    "  -> {} ({} probe events, streamed)",
-                    path.display(),
-                    rec.len()
-                ),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
-        }
+        let (cap, rec) = trace_to_file(dir, figure, label, |mk| run(s, seeds[0], mk));
         let stacks = rec.folded_spans();
         let folded = dir.join(format!("{figure}_{}.folded", slug(label)));
         match hpsock_sim::write_folded(&folded, &stacks) {
@@ -319,26 +324,16 @@ pub fn export_run_traces(
         reps.push(compute(&rec, &cap, label));
         for &seed in &seeds[1..] {
             let rec = Recorder::new();
-            let mut mk = |_: &[String]| -> Option<Box<dyn Probe>> { Some(rec.probe()) };
-            let cap = run(seed, &mut mk);
+            let cap = run(s, seed, &mut |_: &[String]| Some(rec.probe()));
             reps.push(compute(&rec, &cap, label));
         }
         rows.push(average(label, &reps));
     }
     let mut t = to_table(title, &rows);
-    if n_seeds > 1 {
-        t.headers.push("n_seeds".into());
-        for row in &mut t.rows {
-            row.push(n_seeds.to_string());
-        }
-    }
-    println!("{t}");
-    let csv = dir.join(format!("{figure}_breakdown.csv"));
-    if let Err(e) = t.write_csv(&csv) {
-        eprintln!("warning: could not write {}: {e}", csv.display());
-    } else {
-        println!("  -> {}\n", csv.display());
-    }
+    let layout = replicate::Layout::new(n_seeds, 1);
+    layout.n_seeds_header(&mut t.headers);
+    t.rows.iter_mut().for_each(|row| layout.n_seeds_cell(row));
+    crate::emit_as(&t, &dir.join(format!("{figure}_breakdown.csv")));
 }
 
 /// [`export_run_traces`] over guarantee runs (Figures 7/8): each series
@@ -347,22 +342,16 @@ pub fn export_guarantee_traces(
     dir: &Path,
     figure: &str,
     title: &str,
+    base_seed: u64,
     runs: &[(&str, GuaranteeRun)],
 ) {
-    let probed: Vec<(&str, u64, ProbedRun<'_>)> = runs
-        .iter()
-        .map(|(label, run)| {
-            let probed: ProbedRun<'_> = Box::new(move |seed: u64, mk: &mut ProbeFactory<'_>| {
-                let run_k = GuaranteeRun {
-                    seed,
-                    ..run.clone()
-                };
-                run_guarantee_probed(&run_k, |names| mk(names)).1
-            });
-            (*label, run.seed, probed)
-        })
-        .collect();
-    export_run_traces(dir, figure, title, probed);
+    export_run_traces(dir, figure, title, base_seed, runs, |run, seed, mk| {
+        let run = GuaranteeRun {
+            seed,
+            ..run.clone()
+        };
+        run_guarantee_probed(&run, mk).1
+    });
 }
 
 #[cfg(test)]

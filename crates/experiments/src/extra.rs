@@ -66,8 +66,9 @@ pub fn partition_tradeoff_table(kind: TransportKind, n: u32) -> Table {
     t
 }
 
-/// Run the supplementary tables.
-pub fn run(n: u32) -> Vec<Table> {
+/// Run the supplementary tables at quick (smoke) or full scale.
+pub fn run(quick: bool) -> Vec<Table> {
+    let n = if quick { 3 } else { 6 };
     vec![
         amplification_table(),
         partition_tradeoff_table(TransportKind::SocketVia, n),

@@ -2,8 +2,8 @@
 //! round-robin scheduling, vs the factor of heterogeneity, for TCP (16 KB
 //! blocks) and SocketVIA (2 KB blocks) at their perfect-pipelining points.
 
-use crate::breakdown::{self, ProbeFactory, ProbedRun};
-use crate::replicate::{self, Series};
+use crate::breakdown;
+use crate::replicate::{self, Layout, Series};
 use crate::runner::{RunCapture, FIG10_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::{fmt_opt, Table};
@@ -49,19 +49,16 @@ pub fn reaction_probed(
 /// with the probe bus recording; see [`breakdown::export_run_traces`]
 /// for the files written.
 pub fn export_traces(dir: &Path) {
-    let run = |kind: TransportKind| -> ProbedRun<'static> {
-        Box::new(move |seed: u64, mk: &mut ProbeFactory<'_>| {
-            reaction_probed(kind, 4.0, seed, |names| mk(names)).1
-        })
-    };
     breakdown::export_run_traces(
         dir,
         "fig10",
         "Figure 10 time breakdown at heterogeneity factor 4 (us of server-time)",
-        vec![
-            ("TCP", FIG10_SEED, run(TransportKind::KTcp)),
-            ("SocketVIA", FIG10_SEED, run(TransportKind::SocketVia)),
+        FIG10_SEED,
+        &[
+            ("TCP", TransportKind::KTcp),
+            ("SocketVIA", TransportKind::SocketVia),
         ],
+        |&kind, seed, mk| reaction_probed(kind, 4.0, seed, mk).1,
     );
 }
 
@@ -104,18 +101,11 @@ pub fn sweep_seeded(seeds: &[u64]) -> Vec<Row> {
 /// `_ci95_lo`/`_ci95_hi` columns and a trailing `n_seeds`;
 /// `HPSOCK_TAILS=1` appends `_p50`/`_p99`/`_p999` after each series.
 pub fn to_table(rows: &[Row]) -> Table {
-    let n_seeds = rows.first().map_or(1, |r| r.sv.len());
-    let replicated = n_seeds > 1;
-    let tails = replicate::tails_enabled();
+    let layout = Layout::new(rows.first().map_or(1, |r| r.sv.len()), 1);
     let mut headers = vec!["factor".to_string()];
-    for name in ["SocketVIA", "TCP"] {
-        replicate::value_headers(&mut headers, name, replicated);
-        replicate::tail_headers(&mut headers, name, tails);
-    }
+    layout.headers(&mut headers, ["SocketVIA", "TCP"]);
     headers.push("TCP/SocketVIA".into());
-    if replicated {
-        headers.push("n_seeds".into());
-    }
+    layout.n_seeds_header(&mut headers);
     let mut t = Table::from_headers(
         "Figure 10: load-balancer reaction time (us) vs factor of heterogeneity (round-robin)",
         headers,
@@ -128,14 +118,10 @@ pub fn to_table(rows: &[Row]) -> Table {
             _ => None,
         };
         let mut row = vec![format!("{:.0}", r.factor)];
-        replicate::value_cells(&mut row, &sv, 1, replicated);
-        replicate::tail_cells(&mut row, &sv, 1, tails);
-        replicate::value_cells(&mut row, &tcp, 1, replicated);
-        replicate::tail_cells(&mut row, &tcp, 1, tails);
+        layout.cells(&mut row, &sv);
+        layout.cells(&mut row, &tcp);
         row.push(fmt_opt(ratio, 1));
-        if replicated {
-            row.push(n_seeds.to_string());
-        }
+        layout.n_seeds_cell(&mut row);
         t.add_row(row);
     }
     t

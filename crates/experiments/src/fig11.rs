@@ -3,14 +3,14 @@
 //! (x-axis) at factors 2/4/8, for SocketVIA and TCP at their
 //! perfect-pipelining block sizes.
 
-use crate::breakdown::{self, ProbeFactory, ProbedRun};
-use crate::replicate::{self, Series};
+use crate::breakdown;
+use crate::replicate::{self, Layout, Series};
 use crate::runner::{RunCapture, FIG11_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::Table;
 use hpsock_net::TransportKind;
 use hpsock_sim::Probe;
-use hpsock_vizserver::{dd_execution_time, dd_execution_time_probed, LbSetup};
+use hpsock_vizserver::{dd_execution_time_probed, LbSetup};
 use std::path::Path;
 
 /// Probabilities on the x-axis (percent / 100).
@@ -27,9 +27,7 @@ pub const WORKLOAD_BYTES: u64 = 2 * 1024 * 1024;
 
 /// Execution time (µs) for one point.
 pub fn exec_us(kind: TransportKind, prob: f64, factor: f64, seed: u64) -> f64 {
-    let setup = LbSetup::paper(kind);
-    let blocks = (WORKLOAD_BYTES / setup.block_bytes) as u32;
-    dd_execution_time(&setup, prob, factor, blocks, seed).as_micros_f64()
+    exec_probed(kind, prob, factor, seed, |_| None).0
 }
 
 /// [`exec_us`] with the probe bus attached once the LB cluster exists
@@ -55,19 +53,16 @@ pub fn exec_probed(
 /// probe bus recording; see [`breakdown::export_run_traces`] for the
 /// files written.
 pub fn export_traces(dir: &Path) {
-    let run = |kind: TransportKind| -> ProbedRun<'static> {
-        Box::new(move |seed: u64, mk: &mut ProbeFactory<'_>| {
-            exec_probed(kind, 0.5, 4.0, seed, |names| mk(names)).1
-        })
-    };
     breakdown::export_run_traces(
         dir,
         "fig11",
         "Figure 11 time breakdown at p=0.5, heterogeneity factor 4 (us of server-time)",
-        vec![
-            ("TCP", FIG11_SEED, run(TransportKind::KTcp)),
-            ("SocketVIA", FIG11_SEED, run(TransportKind::SocketVia)),
+        FIG11_SEED,
+        &[
+            ("TCP", TransportKind::KTcp),
+            ("SocketVIA", TransportKind::SocketVia),
         ],
+        |&kind, seed, mk| exec_probed(kind, 0.5, 4.0, seed, mk).1,
     );
 }
 
@@ -100,16 +95,10 @@ pub fn run_seeded(seeds: &[u64]) -> Vec<Table> {
         }
     }
     let results = parallel_map_seeded(jobs, seeds, |&(kind, p, f), seed| exec_us(kind, p, f, seed));
-    let replicated = seeds.len() > 1;
-    let tails = replicate::tails_enabled();
+    let layout = Layout::new(seeds.len(), 0);
     let mut headers = vec!["prob_%".to_string()];
-    for name in COLS {
-        replicate::value_headers(&mut headers, name, replicated);
-        replicate::tail_headers(&mut headers, name, tails);
-    }
-    if replicated {
-        headers.push("n_seeds".into());
-    }
+    layout.headers(&mut headers, COLS);
+    layout.n_seeds_header(&mut headers);
     let mut t = Table::from_headers(
         "Figure 11: execution time (us) vs probability of being slow (demand-driven)",
         headers,
@@ -117,14 +106,10 @@ pub fn run_seeded(seeds: &[u64]) -> Vec<Table> {
     for (i, &p) in probs.iter().enumerate() {
         let base = i * COLS.len();
         let mut row = vec![format!("{:.0}", p * 100.0)];
-        for j in 0..COLS.len() {
-            let s = Series::collect(results[base + j].iter().map(|&v| Some(v)));
-            replicate::value_cells(&mut row, &s, 0, replicated);
-            replicate::tail_cells(&mut row, &s, 0, tails);
+        for reps in &results[base..base + COLS.len()] {
+            layout.cells(&mut row, &Series::collect(reps.iter().map(|&v| Some(v))));
         }
-        if replicated {
-            row.push(seeds.len().to_string());
-        }
+        layout.n_seeds_cell(&mut row);
         t.add_row(row);
     }
     vec![t]

@@ -12,7 +12,7 @@
 //! * **SocketVIA (with DR)** — SocketVIA with blocks re-planned against
 //!   its own curve (the indirect improvement).
 
-use crate::replicate::{self, Series};
+use crate::replicate::{self, Layout, Series};
 use crate::runner::{isolated_partial_us, run_guarantee, GuaranteeRun, FIG7_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::Table;
@@ -71,6 +71,20 @@ impl Default for Scale {
         Scale {
             n_complete: 6,
             n_partial: 4,
+        }
+    }
+}
+
+impl Scale {
+    /// The smoke-run scale when `quick`, else [`Scale::default`].
+    fn of(quick: bool) -> Scale {
+        if quick {
+            Scale {
+                n_complete: 3,
+                n_partial: 2,
+            }
+        } else {
+            Scale::default()
         }
     }
 }
@@ -152,35 +166,19 @@ pub fn sweep_seeded(
 /// `HPSOCK_TAILS=1` additionally appends `_p50`/`_p99`/`_p999` tail
 /// columns after each series (see [`replicate::tails_enabled`]).
 pub fn to_table(title: &str, points: &[Vec<Point>]) -> Table {
-    let n_seeds = points.first().map_or(1, Vec::len);
-    let replicated = n_seeds > 1;
-    let tails = replicate::tails_enabled();
+    let layout = Layout::new(points.first().map_or(1, Vec::len), 1);
     let mut headers = vec!["updates_per_sec".to_string()];
-    for name in ["TCP", "SocketVIA", "SocketVIA(DR)"] {
-        replicate::value_headers(&mut headers, name, replicated);
-        replicate::tail_headers(&mut headers, name, tails);
-    }
+    layout.headers(&mut headers, ["TCP", "SocketVIA", "SocketVIA(DR)"]);
     headers.extend(["tcp_block", "dr_block", "tcp_sustained"].map(String::from));
-    if replicated {
-        headers.push("n_seeds".into());
-    }
+    layout.n_seeds_header(&mut headers);
     let mut t = Table::from_headers(title, headers);
     for reps in points {
         let p0 = &reps[0];
         let mut row = vec![format!("{:.2}", p0.ups)];
-        let cells = |row: &mut Vec<String>, s: Series| {
-            replicate::value_cells(row, &s, 1, replicated);
-            replicate::tail_cells(row, &s, 1, tails);
-        };
-        cells(&mut row, Series::collect(reps.iter().map(|p| p.tcp_us)));
-        cells(
-            &mut row,
-            Series::collect(reps.iter().map(|p| Some(p.sv_us))),
-        );
-        cells(
-            &mut row,
-            Series::collect(reps.iter().map(|p| Some(p.sv_dr_us))),
-        );
+        let series = |f: fn(&Point) -> Option<f64>| Series::collect(reps.iter().map(f));
+        layout.cells(&mut row, &series(|p| p.tcp_us));
+        layout.cells(&mut row, &series(|p| Some(p.sv_us)));
+        layout.cells(&mut row, &series(|p| Some(p.sv_dr_us)));
         row.push(
             p0.blocks
                 .0
@@ -188,7 +186,7 @@ pub fn to_table(title: &str, points: &[Vec<Point>]) -> Table {
                 .unwrap_or_else(|| "-".into()),
         );
         row.push(p0.blocks.1.to_string());
-        row.push(if replicated {
+        row.push(if layout.replicated() {
             let known: Vec<bool> = reps.iter().filter_map(|p| p.tcp_sustained).collect();
             if known.is_empty() {
                 "-".into()
@@ -200,19 +198,17 @@ pub fn to_table(title: &str, points: &[Vec<Point>]) -> Table {
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| "-".into())
         });
-        if replicated {
-            row.push(n_seeds.to_string());
-        }
+        layout.n_seeds_cell(&mut row);
         t.add_row(row);
     }
     t
 }
 
-/// Run both panels at the given scale, with the `HPSOCK_SEEDS` replicate
-/// batch derived from [`FIG7_SEED`].
-pub fn run(scale: Scale) -> Vec<Table> {
+/// Run both panels at quick or full scale, with the `HPSOCK_SEEDS`
+/// replicate batch derived from [`FIG7_SEED`].
+pub fn run(quick: bool) -> Vec<Table> {
     run_seeded(
-        scale,
+        Scale::of(quick),
         &replicate::seed_batch(FIG7_SEED, replicate::seed_count()),
     )
 }
@@ -242,8 +238,9 @@ pub fn run_seeded(scale: Scale, seeds: &[u64]) -> Vec<Table> {
 /// no-computation point once per series with a recorder attached and write
 /// `fig7_<series>.trace.json` Chrome traces plus `fig7_breakdown.csv`
 /// under `dir`.
-pub fn export_traces(dir: &std::path::Path, scale: Scale) {
+pub fn export_traces(dir: &std::path::Path, quick: bool) {
     const UPS: f64 = 3.0;
+    let scale = Scale::of(quick);
     let tcp_block =
         block_size_for_update_rate(&PerfCurve::from_kind(TransportKind::KTcp), IMAGE_BYTES, UPS)
             .expect("TCP sustains 3 ups");
@@ -266,6 +263,7 @@ pub fn export_traces(dir: &std::path::Path, scale: Scale) {
         dir,
         "fig7",
         "Figure 7 time breakdown at 3 updates/sec, no computation (us of server-time)",
+        FIG7_SEED,
         &[
             ("TCP", mk(TransportKind::KTcp, tcp_block)),
             ("SocketVIA", mk(TransportKind::SocketVia, tcp_block)),

@@ -8,7 +8,7 @@
 //! (~47.5 µs + block transfer): at the paper's 100 µs point TCP barely
 //! fits a block and its rate collapses.
 
-use crate::replicate::{self, Series};
+use crate::replicate::{self, Layout, Series};
 use crate::runner::{run_saturation_ups, GuaranteeRun, FIG8_SEED, FIG8_SWEEP_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::Table;
@@ -93,32 +93,19 @@ pub fn sweep_seeded(
 /// the historical columns bit-for-bit. `HPSOCK_TAILS=1` appends
 /// `_p50`/`_p99`/`_p999` tail columns after each series.
 pub fn to_table(title: &str, points: &[Vec<Point>]) -> Table {
-    let n_seeds = points.first().map_or(1, Vec::len);
-    let replicated = n_seeds > 1;
-    let tails = replicate::tails_enabled();
+    let layout = Layout::new(points.first().map_or(1, Vec::len), 2);
     let mut headers = vec!["latency_us".to_string()];
-    for name in ["TCP", "SocketVIA", "SocketVIA(DR)"] {
-        replicate::value_headers(&mut headers, name, replicated);
-        replicate::tail_headers(&mut headers, name, tails);
-    }
+    layout.headers(&mut headers, ["TCP", "SocketVIA", "SocketVIA(DR)"]);
     headers.extend(["tcp_block", "dr_block"].map(String::from));
-    if replicated {
-        headers.push("n_seeds".into());
-    }
+    layout.n_seeds_header(&mut headers);
     let mut t = Table::from_headers(title, headers);
     for reps in points {
         let p0 = &reps[0];
         let mut row = vec![format!("{:.0}", p0.limit_us)];
-        let cells = |row: &mut Vec<String>, s: Series| {
-            replicate::value_cells(row, &s, 2, replicated);
-            replicate::tail_cells(row, &s, 2, tails);
-        };
-        cells(&mut row, Series::collect(reps.iter().map(|p| p.tcp_ups)));
-        cells(&mut row, Series::collect(reps.iter().map(|p| p.sv_ups)));
-        cells(
-            &mut row,
-            Series::collect(reps.iter().map(|p| Some(p.sv_dr_ups))),
-        );
+        let series = |f: fn(&Point) -> Option<f64>| Series::collect(reps.iter().map(f));
+        layout.cells(&mut row, &series(|p| p.tcp_ups));
+        layout.cells(&mut row, &series(|p| p.sv_ups));
+        layout.cells(&mut row, &series(|p| Some(p.sv_dr_ups)));
         row.push(
             p0.blocks
                 .0
@@ -126,19 +113,26 @@ pub fn to_table(title: &str, points: &[Vec<Point>]) -> Table {
                 .unwrap_or_else(|| "-".into()),
         );
         row.push(p0.blocks.1.to_string());
-        if replicated {
-            row.push(n_seeds.to_string());
-        }
+        layout.n_seeds_cell(&mut row);
         t.add_row(row);
     }
     t
 }
 
-/// Run both panels, `n` updates per point, with the `HPSOCK_SEEDS`
+/// Updates per saturation measurement at quick (smoke) or full scale.
+fn updates(quick: bool) -> u32 {
+    if quick {
+        3
+    } else {
+        5
+    }
+}
+
+/// Run both panels at quick or full scale, with the `HPSOCK_SEEDS`
 /// replicate batch derived from [`FIG8_SWEEP_SEED`].
-pub fn run(n: u32) -> Vec<Table> {
+pub fn run(quick: bool) -> Vec<Table> {
     run_seeded(
-        n,
+        updates(quick),
         &replicate::seed_batch(FIG8_SWEEP_SEED, replicate::seed_count()),
     )
 }
@@ -163,8 +157,8 @@ pub fn run_seeded(n: u32, seeds: &[u64]) -> Vec<Table> {
 /// Probe-bus export (behind `HPSOCK_TRACE`): trace a loaded 2 updates/sec
 /// run per series at the 500 µs bound's planned blocks and write
 /// `fig8_<series>.trace.json` Chrome traces plus `fig8_breakdown.csv`
-/// under `dir`. `n_complete` scales the run length (quick mode uses 3).
-pub fn export_traces(dir: &std::path::Path, n_complete: u32) {
+/// under `dir`, streaming as many complete updates as a sweep point.
+pub fn export_traces(dir: &std::path::Path, quick: bool) {
     const LIMIT_US: f64 = 500.0;
     let tcp_block = block_size_for_partial_latency(
         &PerfCurve::from_kind(TransportKind::KTcp),
@@ -183,7 +177,7 @@ pub fn export_traces(dir: &std::path::Path, n_complete: u32) {
         block_bytes,
         compute: ComputeModel::None,
         target_ups: 2.0,
-        n_complete: n_complete.max(3),
+        n_complete: updates(quick),
         n_partial: 2,
         seed: FIG8_SEED,
     };
@@ -191,6 +185,7 @@ pub fn export_traces(dir: &std::path::Path, n_complete: u32) {
         dir,
         "fig8",
         "Figure 8 time breakdown at the 500 us bound, 2 updates/sec load (us of server-time)",
+        FIG8_SEED,
         &[
             ("TCP", mk(TransportKind::KTcp, tcp_block)),
             ("SocketVIA", mk(TransportKind::SocketVia, tcp_block)),

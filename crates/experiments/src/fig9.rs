@@ -4,15 +4,14 @@
 //! none / 8 / 64 chunks, over TCP and SocketVIA, with and without
 //! computation.
 
-use crate::breakdown::{self, ProbeFactory, ProbedRun};
-use crate::replicate::{self, Series};
-use crate::runner::{RunCapture, FIG9_SEED};
+use crate::breakdown;
+use crate::replicate::{self, Layout, Series};
+use crate::runner::{run_pipeline, RunCapture, FIG9_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::Table;
-use hpsock_net::{Cluster, TransportKind};
-use hpsock_sim::{Probe, Sim};
-use hpsock_vizserver::{BlockedImage, ComputeModel, PipelineCfg, Plan, QueryDriver, VizPipeline};
-use socketvia::Provider;
+use hpsock_net::TransportKind;
+use hpsock_sim::Probe;
+use hpsock_vizserver::{BlockedImage, ComputeModel, Plan};
 use std::path::Path;
 
 /// The mixed-stream interleaving now lives next to the other query
@@ -57,48 +56,26 @@ pub fn mean_response_probed(
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (f64, RunCapture) {
     let img = BlockedImage::paper_image(IMAGE_BYTES / partitions);
-    let queries = query_mix(&img, fraction, n);
-    let mut sim = Sim::new(seed);
-    let cluster = Cluster::build(&mut sim, VizPipeline::nodes_needed(3));
-    let cfg = PipelineCfg::paper(Provider::new(kind), compute);
-    let (driver_pid, targets) = QueryDriver::install(&mut sim, Plan::ClosedLoop(queries));
-    let pipe = VizPipeline::build(&mut sim, &cluster, &cfg, driver_pid);
-    *targets.lock().expect("targets") = pipe.repo_pids();
-    crate::sharding::apply_pipeline_plan(&mut sim, &cluster, driver_pid, 3);
-    if let Some(p) = make_probe(&sim.resource_names()) {
-        sim.attach_probe(p);
-    }
-    let end = sim.run();
-    let cap = RunCapture::of(&sim, end);
-    let d: &QueryDriver = sim.process(driver_pid).expect("driver persists");
-    assert_eq!(d.results.len(), n as usize, "closed loop drained");
-    (
-        d.mean_latency_all_us().expect("results present") / 1_000.0,
-        cap,
-    )
+    let plan = Plan::ClosedLoop(query_mix(&img, fraction, n));
+    run_pipeline(kind, compute, plan, seed, make_probe, |d| {
+        assert_eq!(d.results.len(), n as usize, "closed loop drained");
+        d.mean_latency_all_us().expect("results present") / 1_000.0
+    })
 }
 
 /// `HPSOCK_TRACE` export: replay the half-complete/half-zoom mix at 64
 /// partitions without computation (the panel point where the transports
 /// diverge hardest) over TCP and SocketVIA with the probe bus recording;
 /// see [`breakdown::export_run_traces`] for the files written.
-pub fn export_traces(dir: &Path, n: u32) {
-    let run = |kind: TransportKind| -> ProbedRun<'static> {
-        Box::new(move |seed: u64, mk: &mut ProbeFactory<'_>| {
-            mean_response_probed(kind, ComputeModel::None, 64, 0.5, n, seed, |names| {
-                mk(names)
-            })
-            .1
-        })
-    };
+pub fn export_traces(dir: &Path, quick: bool) {
+    let n = queries(quick);
     breakdown::export_run_traces(
         dir,
         "fig9",
         "Figure 9 time breakdown at fraction 0.5, 64 partitions, no computation (us of server-time)",
-        vec![
-            ("TCP", FIG9_SEED, run(TransportKind::KTcp)),
-            ("SocketVIA", FIG9_SEED, run(TransportKind::SocketVia)),
-        ],
+        FIG9_SEED,
+        &[("TCP", TransportKind::KTcp), ("SocketVIA", TransportKind::SocketVia)],
+        |&kind, seed, mk| mean_response_probed(kind, ComputeModel::None, 64, 0.5, n, seed, mk).1,
     );
 }
 
@@ -133,16 +110,10 @@ pub fn panel_seeded(compute: ComputeModel, n: u32, seeds: &[u64]) -> Table {
     let results = parallel_map_seeded(jobs, seeds, move |&(kind, parts, f), seed| {
         mean_response_ms(kind, compute, parts, f, n, seed)
     });
-    let replicated = seeds.len() > 1;
-    let tails = replicate::tails_enabled();
+    let layout = Layout::new(seeds.len(), 1);
     let mut headers = vec!["fraction".to_string()];
-    for name in COLS {
-        replicate::value_headers(&mut headers, name, replicated);
-        replicate::tail_headers(&mut headers, name, tails);
-    }
-    if replicated {
-        headers.push("n_seeds".into());
-    }
+    layout.headers(&mut headers, COLS);
+    layout.n_seeds_header(&mut headers);
     let mut t = Table::from_headers(
         format!(
             "Figure 9: avg response time (ms) vs fraction of complete-update queries, {}",
@@ -153,22 +124,28 @@ pub fn panel_seeded(compute: ComputeModel, n: u32, seeds: &[u64]) -> Table {
     for (i, &f) in fr.iter().enumerate() {
         let base = i * COLS.len();
         let mut row = vec![format!("{f:.1}")];
-        for j in 0..COLS.len() {
-            let s = Series::collect(results[base + j].iter().map(|&v| Some(v)));
-            replicate::value_cells(&mut row, &s, 1, replicated);
-            replicate::tail_cells(&mut row, &s, 1, tails);
+        for reps in &results[base..base + COLS.len()] {
+            layout.cells(&mut row, &Series::collect(reps.iter().map(|&v| Some(v))));
         }
-        if replicated {
-            row.push(seeds.len().to_string());
-        }
+        layout.n_seeds_cell(&mut row);
         t.add_row(row);
     }
     t
 }
 
-/// Run both panels with `n` queries per point, with the `HPSOCK_SEEDS`
+/// Queries per closed-loop stream at quick (smoke) or full scale.
+fn queries(quick: bool) -> u32 {
+    if quick {
+        5
+    } else {
+        10
+    }
+}
+
+/// Run both panels at quick or full scale, with the `HPSOCK_SEEDS`
 /// replicate batch derived from [`FIG9_SEED`].
-pub fn run(n: u32) -> Vec<Table> {
+pub fn run(quick: bool) -> Vec<Table> {
+    let n = queries(quick);
     let seeds = replicate::seed_batch(FIG9_SEED, replicate::seed_count());
     vec![
         panel_seeded(ComputeModel::None, n, &seeds),

@@ -17,7 +17,7 @@
 //! columns like the paper figures; the injected plans are scoped via
 //! `fault::with_plan`, so a run never touches the process environment.
 
-use crate::replicate::{self, Series};
+use crate::replicate::{self, Layout, Series};
 use crate::runner::{run_guarantee, GuaranteeRun, FIG_FAULTS_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::{fmt_opt, Table};
@@ -102,16 +102,10 @@ fn availability_table(quick: bool, seeds: &[u64]) -> Table {
     let results = parallel_map_seeded(jobs, seeds, |(spec, kind), seed| {
         availability_run(*kind, spec, quick, seed).availability()
     });
-    let replicated = seeds.len() > 1;
-    let tails = replicate::tails_enabled();
+    let layout = Layout::new(seeds.len(), 4);
     let mut headers = vec!["fault".to_string()];
-    for (name, _) in KINDS {
-        replicate::value_headers(&mut headers, name, replicated);
-        replicate::tail_headers(&mut headers, name, tails);
-    }
-    if replicated {
-        headers.push("n_seeds".into());
-    }
+    layout.headers(&mut headers, KINDS.map(|(name, _)| name));
+    layout.n_seeds_header(&mut headers);
     let mut t = Table::from_headers(
         "Fault injection: availability (fraction of blocks processed) per transport",
         headers,
@@ -119,14 +113,10 @@ fn availability_table(quick: bool, seeds: &[u64]) -> Table {
     for (i, (label, _)) in points.iter().enumerate() {
         let base = i * KINDS.len();
         let mut row = vec![label.clone()];
-        for j in 0..KINDS.len() {
-            let s = Series::collect(results[base + j].iter().map(|&v| Some(v)));
-            replicate::value_cells(&mut row, &s, 4, replicated);
-            replicate::tail_cells(&mut row, &s, 4, tails);
+        for reps in &results[base..base + KINDS.len()] {
+            layout.cells(&mut row, &Series::collect(reps.iter().map(|&v| Some(v))));
         }
-        if replicated {
-            row.push(seeds.len().to_string());
-        }
+        layout.n_seeds_cell(&mut row);
         t.add_row(row);
     }
     t

@@ -41,30 +41,19 @@ use table::Table;
 /// Print each table and write it as CSV under `dir` (slug from the title).
 pub fn emit(tables: &[Table], dir: impl AsRef<Path>) {
     for t in tables {
-        println!("{t}");
-        let slug: String = t
-            .title
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '_'
-                }
-            })
-            .collect::<String>()
-            .split('_')
-            .filter(|s| !s.is_empty())
-            .collect::<Vec<_>>()
-            .join("_");
-        let path = dir
-            .as_ref()
-            .join(format!("{}.csv", &slug[..slug.len().min(60)]));
-        if let Err(e) = t.write_csv(&path) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("  -> {}\n", path.display());
-        }
+        let slug = breakdown::slug(&t.title);
+        let name = format!("{}.csv", &slug[..slug.len().min(60)]);
+        emit_as(t, &dir.as_ref().join(name));
+    }
+}
+
+/// Print `t` and write it as CSV to `path`; a write failure is a warning.
+pub(crate) fn emit_as(t: &Table, path: &Path) {
+    println!("{t}");
+    if let Err(e) = t.write_csv(path) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    } else {
+        println!("  -> {}\n", path.display());
     }
 }
 

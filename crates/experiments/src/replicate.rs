@@ -108,55 +108,81 @@ impl Series {
     }
 }
 
-/// Append the header(s) of one value column: just `name` for single-seed
-/// tables (bit-identical to the historical output), or
-/// `name`,`name_ci95_lo`,`name_ci95_hi` when replicated — the bare column
-/// then carries the across-seed mean.
-pub fn value_headers(out: &mut Vec<String>, name: &str, replicated: bool) {
-    out.push(name.to_string());
-    if replicated {
-        out.push(format!("{name}_ci95_lo"));
-        out.push(format!("{name}_ci95_hi"));
-    }
+/// How a figure table renders its series across a seed batch, fixed once
+/// per table: each series is the bare `name` column (the across-seed mean
+/// when replicated), then `name_ci95_lo`/`name_ci95_hi` when replicated,
+/// then `name_p50`/`name_p99`/`name_p999` when [`TAILS`] is on; a
+/// replicated table ends with an `n_seeds` column. A single-seed table
+/// with tails off keeps the historical columns bit-for-bit.
+#[derive(Debug, Clone, Copy)]
+pub struct Layout {
+    n_seeds: usize,
+    tails: bool,
+    decimals: usize,
 }
 
-/// Append the cell(s) of one value column, matching [`value_headers`].
-pub fn value_cells(out: &mut Vec<String>, s: &Series, decimals: usize, replicated: bool) {
-    out.push(crate::table::fmt_opt(s.mean(), decimals));
-    if replicated {
-        let (lo, hi) = match s.ci95_bounds() {
-            Some((lo, hi)) => (Some(lo), Some(hi)),
-            None => (None, None),
-        };
-        out.push(crate::table::fmt_opt(lo, decimals));
-        out.push(crate::table::fmt_opt(hi, decimals));
+impl Layout {
+    /// The layout of a table over `n_seeds` replicates whose values print
+    /// with `decimals` places. Reads [`TAILS`] here, once.
+    pub fn new(n_seeds: usize, decimals: usize) -> Layout {
+        Layout {
+            n_seeds,
+            tails: tails_enabled(),
+            decimals,
+        }
     }
-}
 
-/// Append the tail-quantile header(s) of one value column:
-/// `name_p50`,`name_p99`,`name_p999` when `tails` is on (see
-/// [`tails_enabled`]), nothing otherwise. Separate from [`value_headers`]
-/// so the base and ci95 layouts stay byte-identical with tails off.
-pub fn tail_headers(out: &mut Vec<String>, name: &str, tails: bool) {
-    if tails {
-        out.push(format!("{name}_p50"));
-        out.push(format!("{name}_p99"));
-        out.push(format!("{name}_p999"));
+    /// Whether the batch holds more than one seed.
+    pub fn replicated(&self) -> bool {
+        self.n_seeds > 1
     }
-}
 
-/// Append the tail-quantile cell(s) of one value column, matching
-/// [`tail_headers`]: log-spaced-histogram quantiles over the raw seed
-/// observations (see [`Histogram::summarize`]), dashes when every seed
-/// dropped out.
-pub fn tail_cells(out: &mut Vec<String>, s: &Series, decimals: usize, tails: bool) {
-    if tails {
-        let h = Histogram::summarize(&s.samples);
-        for q in [0.5, 0.99, 0.999] {
-            out.push(crate::table::fmt_opt(
-                (s.n() > 0).then(|| h.quantile(q)),
-                decimals,
-            ));
+    /// Append the headers of each named series.
+    pub fn headers<'a>(&self, out: &mut Vec<String>, names: impl IntoIterator<Item = &'a str>) {
+        for name in names {
+            out.push(name.to_string());
+            if self.replicated() {
+                out.push(format!("{name}_ci95_lo"));
+                out.push(format!("{name}_ci95_hi"));
+            }
+            if self.tails {
+                out.extend(["p50", "p99", "p999"].map(|q| format!("{name}_{q}")));
+            }
+        }
+    }
+
+    /// Append one series' cells, matching [`Layout::headers`]. Tail cells
+    /// are log-spaced-histogram quantiles over the raw seed observations
+    /// (see [`Histogram::summarize`]); a series where every seed dropped
+    /// out renders as dashes.
+    pub fn cells(&self, out: &mut Vec<String>, s: &Series) {
+        let cell = |v: Option<f64>| crate::table::fmt_opt(v, self.decimals);
+        out.push(cell(s.mean()));
+        if self.replicated() {
+            let ci = s.ci95_bounds();
+            out.push(cell(ci.map(|(lo, _)| lo)));
+            out.push(cell(ci.map(|(_, hi)| hi)));
+        }
+        if self.tails {
+            let h = Histogram::summarize(&s.samples);
+            for q in [0.5, 0.99, 0.999] {
+                out.push(cell((s.n() > 0).then(|| h.quantile(q))));
+            }
+        }
+    }
+
+    /// Append the trailing `n_seeds` header of a replicated table.
+    pub fn n_seeds_header(&self, out: &mut Vec<String>) {
+        if self.replicated() {
+            out.push("n_seeds".into());
+        }
+    }
+
+    /// Append the trailing `n_seeds` cell, matching
+    /// [`Layout::n_seeds_header`].
+    pub fn n_seeds_cell(&self, out: &mut Vec<String>) {
+        if self.replicated() {
+            out.push(self.n_seeds.to_string());
         }
     }
 }
@@ -208,24 +234,42 @@ mod tests {
         assert_eq!(empty.ci95_bounds(), None);
     }
 
+    /// A one-decimal layout, without reading `HPSOCK_TAILS`.
+    fn layout(n_seeds: usize, tails: bool) -> Layout {
+        Layout {
+            n_seeds,
+            tails,
+            decimals: 1,
+        }
+    }
+
+    /// The headers and cells of one `TCP` series under `layout`.
+    fn render(layout: Layout, s: &Series) -> (Vec<String>, Vec<String>) {
+        let (mut h, mut c) = (Vec::new(), Vec::new());
+        layout.headers(&mut h, ["TCP"]);
+        layout.cells(&mut c, s);
+        (h, c)
+    }
+
     #[test]
     fn cells_match_headers_in_both_modes() {
         let s = Series::collect([Some(1.0), Some(3.0)]);
-        let (mut h1, mut c1) = (Vec::new(), Vec::new());
-        value_headers(&mut h1, "TCP", false);
-        value_cells(&mut c1, &s, 1, false);
+        let (h1, c1) = render(layout(1, false), &s);
         assert_eq!(h1, vec!["TCP"]);
         assert_eq!(c1, vec!["2.0"]);
-        let (mut h3, mut c3) = (Vec::new(), Vec::new());
-        value_headers(&mut h3, "TCP", true);
-        value_cells(&mut c3, &s, 1, true);
+        let (h3, c3) = render(layout(2, false), &s);
         assert_eq!(h3, vec!["TCP", "TCP_ci95_lo", "TCP_ci95_hi"]);
         assert_eq!(c3.len(), 3);
         assert_eq!(c3[0], "2.0");
-        let dropout = Series::collect([None]);
-        let mut cells = Vec::new();
-        value_cells(&mut cells, &dropout, 1, true);
+        let (_, cells) = render(layout(2, false), &Series::collect([None]));
         assert_eq!(cells, vec!["-", "-", "-"], "dropouts stay explicit dashes");
+        let (mut h, mut c) = (Vec::new(), Vec::new());
+        layout(1, false).n_seeds_header(&mut h);
+        layout(1, false).n_seeds_cell(&mut c);
+        assert!(h.is_empty() && c.is_empty(), "single-seed has no n_seeds");
+        layout(3, false).n_seeds_header(&mut h);
+        layout(3, false).n_seeds_cell(&mut c);
+        assert_eq!((h, c), (vec!["n_seeds".into()], vec!["3".into()]));
     }
 
     #[test]
@@ -251,27 +295,28 @@ mod tests {
     #[test]
     fn tail_cells_match_tail_headers() {
         let s = Series::collect((1..=100).map(|v| Some(v as f64)));
-        let (mut h, mut c) = (Vec::new(), Vec::new());
-        tail_headers(&mut h, "TCP", false);
-        tail_cells(&mut c, &s, 1, false);
-        assert!(h.is_empty() && c.is_empty(), "tails off adds nothing");
-        tail_headers(&mut h, "TCP", true);
-        tail_cells(&mut c, &s, 1, true);
-        assert_eq!(h, vec!["TCP_p50", "TCP_p99", "TCP_p999"]);
-        assert_eq!(c.len(), 3);
-        let p50: f64 = c[0].parse().unwrap();
-        let p99: f64 = c[1].parse().unwrap();
-        let p999: f64 = c[2].parse().unwrap();
-        assert!((45.0..=56.0).contains(&p50), "p50 near the median: {p50}");
-        assert!(p50 <= p99 && p99 <= p999, "quantiles are monotone");
-        assert!(p999 <= 100.0, "p999 capped at the observed max: {p999}");
+        let (h, c) = render(layout(1, false), &s);
+        assert!(h.len() == 1 && c.len() == 1, "tails off adds nothing");
+        // Tails after the bare column, and after the ci95 pair when
+        // replicated.
+        for n_seeds in [1, 100] {
+            let (h, c) = render(layout(n_seeds, true), &s);
+            assert_eq!(h[h.len() - 3..], ["TCP_p50", "TCP_p99", "TCP_p999"]);
+            assert_eq!(h.len(), if n_seeds > 1 { 6 } else { 4 });
+            assert_eq!(c.len(), h.len());
+            let p50: f64 = c[c.len() - 3].parse().unwrap();
+            let p99: f64 = c[c.len() - 2].parse().unwrap();
+            let p999: f64 = c[c.len() - 1].parse().unwrap();
+            assert!((45.0..=56.0).contains(&p50), "p50 near the median: {p50}");
+            assert!(p50 <= p99 && p99 <= p999, "quantiles are monotone");
+            assert!(p999 <= 100.0, "p999 capped at the observed max: {p999}");
+        }
     }
 
     #[test]
     fn tail_cells_render_dropouts_as_dashes() {
         let dropout = Series::collect([None, None]);
-        let mut cells = Vec::new();
-        tail_cells(&mut cells, &dropout, 1, true);
-        assert_eq!(cells, vec!["-", "-", "-"]);
+        let (_, cells) = render(layout(1, true), &dropout);
+        assert_eq!(cells, vec!["-", "-", "-", "-"]);
     }
 }

@@ -118,30 +118,16 @@ pub fn run_guarantee_probed(
             partial_update(&img, 1),
         ));
     }
-    let mut sim = Sim::new(run.seed);
-    let cluster = Cluster::build(&mut sim, VizPipeline::nodes_needed(3));
-    let cfg = PipelineCfg::paper(Provider::new(run.kind), run.compute);
-    let (driver_pid, targets) = QueryDriver::install(&mut sim, Plan::OpenLoop(items));
-    let pipe = VizPipeline::build(&mut sim, &cluster, &cfg, driver_pid);
-    *targets.lock().expect("targets") = pipe.repo_pids();
-    crate::sharding::apply_pipeline_plan(&mut sim, &cluster, driver_pid, 3);
-    if let Some(p) = make_probe(&sim.resource_names()) {
-        sim.attach_probe(p);
-    }
-    let end = sim.run();
-    let cap = RunCapture::of(&sim, end);
-    let d: &QueryDriver = sim.process(driver_pid).expect("driver persists");
-    let achieved = d.achieved_rate(QueryKind::Complete);
-    let sustained = achieved.is_some_and(|r| r >= 0.95 * run.target_ups) && d.outstanding() == 0;
-    (
+    let plan = Plan::OpenLoop(items);
+    run_pipeline(run.kind, run.compute, plan, run.seed, make_probe, |d| {
+        let achieved = d.achieved_rate(QueryKind::Complete);
         GuaranteeResult {
             partial_us: d.mean_latency_us(QueryKind::Partial),
             complete_us: d.mean_latency_us(QueryKind::Complete),
             achieved_ups: achieved,
-            sustained,
-        },
-        cap,
-    )
+            sustained: achieved.is_some_and(|r| r >= 0.95 * run.target_ups) && d.outstanding() == 0,
+        }
+    })
 }
 
 /// Saturation throughput: submit `n` complete updates back-to-back and
@@ -157,34 +143,12 @@ pub fn run_saturation_ups(
     let items: Vec<(SimTime, QueryDesc)> = (0..n)
         .map(|i| (SimTime::ZERO + Dur::micros(i as u64), complete_update(&img)))
         .collect();
-    let mut sim = Sim::new(seed);
-    let cluster = Cluster::build(&mut sim, VizPipeline::nodes_needed(3));
-    let cfg = PipelineCfg::paper(Provider::new(kind), compute);
-    let (driver_pid, targets) = QueryDriver::install(&mut sim, Plan::OpenLoop(items));
-    let pipe = VizPipeline::build(&mut sim, &cluster, &cfg, driver_pid);
-    *targets.lock().expect("targets") = pipe.repo_pids();
-    crate::sharding::apply_pipeline_plan(&mut sim, &cluster, driver_pid, 3);
-    sim.run();
-    let d: &QueryDriver = sim.process(driver_pid).expect("driver persists");
-    assert_eq!(d.outstanding(), 0, "saturation run drained");
-    let first_submit = d
-        .results
-        .iter()
-        .map(|r| r.submitted)
-        .min()
-        .expect("results");
-    let last_completion = d
-        .results
-        .iter()
-        .map(|r| r.completed)
-        .max()
-        .expect("results");
-    let span = last_completion.since(first_submit).as_secs_f64();
-    if span <= 0.0 {
-        0.0
-    } else {
-        d.results.len() as f64 / span
-    }
+    let plan = Plan::OpenLoop(items);
+    let (rate, _) = run_pipeline(kind, compute, plan, seed, no_probe, |d| {
+        assert_eq!(d.outstanding(), 0, "saturation run drained");
+        d.achieved_rate(QueryKind::Complete).unwrap_or(0.0)
+    });
+    rate
 }
 
 /// Isolated partial-update latency: the paper's "latency for this message
@@ -199,17 +163,40 @@ pub fn isolated_partial_us(
 ) -> f64 {
     let img = BlockedImage::paper_image(block_bytes);
     let queries: Vec<QueryDesc> = (0..n).map(|_| partial_update(&img, 1)).collect();
+    let plan = Plan::ClosedLoop(queries);
+    let (us, _) = run_pipeline(kind, compute, plan, seed, no_probe, |d| {
+        d.mean_latency_us(QueryKind::Partial)
+    });
+    us.expect("partial queries completed")
+}
+
+/// The probe factory of an unprobed run.
+fn no_probe(_: &[String]) -> Option<Box<dyn Probe>> {
+    None
+}
+
+/// The one Figure 5 pipeline run every experiment here shares: three
+/// copies per stage on their own cluster, the paper's pipeline over
+/// `kind`, a query driver executing `plan` and the sharding plan. Runs it
+/// with the factory's probe attached (see [`RunCapture::run`]) and hands
+/// the finished driver to `read`.
+pub(crate) fn run_pipeline<R>(
+    kind: TransportKind,
+    compute: ComputeModel,
+    plan: Plan,
+    seed: u64,
+    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+    read: impl FnOnce(&QueryDriver) -> R,
+) -> (R, RunCapture) {
     let mut sim = Sim::new(seed);
     let cluster = Cluster::build(&mut sim, VizPipeline::nodes_needed(3));
     let cfg = PipelineCfg::paper(Provider::new(kind), compute);
-    let (driver_pid, targets) = QueryDriver::install(&mut sim, Plan::ClosedLoop(queries));
+    let (driver_pid, targets) = QueryDriver::install(&mut sim, plan);
     let pipe = VizPipeline::build(&mut sim, &cluster, &cfg, driver_pid);
     *targets.lock().expect("targets") = pipe.repo_pids();
     crate::sharding::apply_pipeline_plan(&mut sim, &cluster, driver_pid, 3);
-    sim.run();
-    let d: &QueryDriver = sim.process(driver_pid).expect("driver persists");
-    d.mean_latency_us(QueryKind::Partial)
-        .expect("partial queries completed")
+    let cap = RunCapture::run(&mut sim, make_probe);
+    (read(sim.process(driver_pid).expect("driver persists")), cap)
 }
 
 #[cfg(test)]

@@ -170,11 +170,6 @@ impl Cluster {
         self.nodes[node.0].cpu
     }
 
-    /// All per-node resources (for custom processes).
-    pub fn node_resources(&self, node: crate::engine::NodeId) -> NodeResources {
-        self.nodes[node.0]
-    }
-
     /// Convenience: build an endpoint handle.
     pub fn endpoint(&self, node: crate::engine::NodeId, pid: ProcessId) -> Endpoint {
         assert!(node.0 < self.nodes.len(), "endpoint on unknown node");

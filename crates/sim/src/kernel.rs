@@ -305,11 +305,6 @@ impl Sim {
         self.core.probe = Some(probe);
     }
 
-    /// Detach and return the current probe, if any.
-    pub fn detach_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.core.probe.take()
-    }
-
     /// Names of all registered resources, indexed by `ResourceId`; the
     /// track table expected by [`crate::probe::Recorder::chrome_trace_json`].
     pub fn resource_names(&self) -> Vec<String> {
@@ -477,12 +472,6 @@ impl<'a> Ctx<'a> {
         self.core.now
     }
 
-    /// The id of the process handling the current event.
-    #[inline]
-    pub fn self_id(&self) -> ProcessId {
-        self.pid
-    }
-
     /// Deliver `msg` to `target` at the current instant (after all events
     /// already queued for this instant from this and earlier sources).
     pub fn send(&mut self, target: ProcessId, msg: Message) {
@@ -554,13 +543,6 @@ impl<'a> Ctx<'a> {
     pub fn use_resource(&mut self, rid: ResourceId, service: Dur, msg: Message) -> SimTime {
         let pid = self.pid;
         self.use_resource_for(rid, service, pid, msg)
-    }
-
-    /// Occupy resource time without any completion notification (e.g.
-    /// protocol processing whose completion is accounted for elsewhere).
-    /// Returns the completion instant.
-    pub fn occupy_resource(&mut self, rid: ResourceId, service: Dur) -> SimTime {
-        self.schedule_observed(rid, service)
     }
 
     /// Read-only view of a resource's statistics.

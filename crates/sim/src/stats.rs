@@ -2,7 +2,7 @@
 //! ([`Tally`]), log-spaced histograms ([`Histogram`]), time-weighted
 //! averages ([`TimeWeighted`]) and simple counters.
 
-use crate::time::{Dur, SimTime};
+use crate::time::SimTime;
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone)]
@@ -46,11 +46,6 @@ impl Tally {
         self.max = self.max.max(x);
     }
 
-    /// Record a duration observation in microseconds.
-    pub fn add_dur_us(&mut self, d: Dur) {
-        self.add(d.as_micros_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -72,11 +67,6 @@ impl Tally {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (0 if empty).

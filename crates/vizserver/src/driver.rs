@@ -13,8 +13,9 @@
 
 use crate::pipeline::{QueryDesc, QueryKind, UowDone};
 use hpsock_datacutter::UowStartMsg;
-use hpsock_sim::stats::Histogram;
-use hpsock_sim::{Ctx, Dur, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime};
+use hpsock_sim::{
+    Ctx, Dur, Message, Probe, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -43,9 +44,17 @@ pub struct RunCapture {
 }
 
 impl RunCapture {
-    /// Snapshot a finished simulation; `end` is the instant `Sim::run`
-    /// returned.
-    pub fn of(sim: &Sim, end: SimTime) -> RunCapture {
+    /// Attach the probe `make_probe` builds from the resource names (all
+    /// registered before the first event fires, so the probe observes the
+    /// whole run), run `sim` to completion and snapshot it.
+    pub fn run(
+        sim: &mut Sim,
+        make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+    ) -> RunCapture {
+        if let Some(p) = make_probe(&sim.resource_names()) {
+            sim.attach_probe(p);
+        }
+        let end = sim.run();
         let resource_names = sim.resource_names();
         let servers = (0..resource_names.len())
             .map(|i| sim.resource(ResourceId(i)).servers())
@@ -101,8 +110,6 @@ pub struct QueryDriver {
     pending: HashMap<u32, (QueryKind, SimTime)>,
     /// Completed queries in completion order.
     pub results: Vec<QueryResult>,
-    /// Log-binned distribution of all response times (µs), 1 µs – 100 s.
-    pub latency_hist: Histogram,
     next_uow: u32,
     closed_next: usize,
     closed: bool,
@@ -119,7 +126,6 @@ impl QueryDriver {
             queries: Vec::new(),
             pending: HashMap::new(),
             results: Vec::new(),
-            latency_hist: Histogram::log_spaced(1.0, 1e8, 160),
             next_uow: 0,
             closed_next: 0,
             closed: false,
@@ -200,16 +206,6 @@ impl QueryDriver {
     pub fn outstanding(&self) -> usize {
         self.pending.len()
     }
-
-    /// Approximate response-time quantile in microseconds (e.g. `0.95`),
-    /// across all completed queries.
-    pub fn latency_quantile_us(&self, q: f64) -> Option<f64> {
-        if self.results.is_empty() {
-            None
-        } else {
-            Some(self.latency_hist.quantile(q))
-        }
-    }
 }
 
 impl Process for QueryDriver {
@@ -252,14 +248,12 @@ impl Process for QueryDriver {
                     .pending
                     .remove(&done.uow)
                     .expect("completion for a submitted query");
-                let result = QueryResult {
+                self.results.push(QueryResult {
                     uow: done.uow,
                     kind,
                     submitted,
                     completed: done.at,
-                };
-                self.latency_hist.add(result.latency().as_micros_f64());
-                self.results.push(result);
+                });
                 ctx.probe_emit(|_| ProbeEvent::SpanEnd {
                     track: "viz.queries".to_string(),
                     time: done.at,

@@ -52,13 +52,22 @@ impl FilterLogic for LbSource {
     }
 }
 
-/// Terminal compute worker: processes each block at `ns_per_byte`.
+/// Set of the distinct block tags the workers processed.
+type TagSet = Arc<Mutex<HashSet<u64>>>;
+
+/// Terminal compute worker: processes each block at `ns_per_byte`, and
+/// records its tag in `seen` when given one (guarantee retention under
+/// faults).
 struct ComputeWorker {
     ns_per_byte: f64,
+    seen: Option<TagSet>,
 }
 
 impl FilterLogic for ComputeWorker {
     fn on_buffer(&mut self, _fc: &mut FilterCtx<'_>, _port: usize, buf: DataBuffer) -> Action {
+        if let Some(seen) = &self.seen {
+            seen.lock().expect("tag set lock").insert(buf.tag);
+        }
         Action::compute(Dur::nanos(
             (self.ns_per_byte * buf.bytes as f64).round() as u64
         ))
@@ -100,12 +109,16 @@ impl LbSetup {
     }
 }
 
+/// The one Figure 6 setup: balancer on node 0, `setup.workers` workers
+/// behind it (`speeds[i]` for worker `i`, the default speed past the end
+/// of `speeds`), the `blocks`-block query started at time zero.
 fn build_lb(
     sim: &mut Sim,
     setup: &LbSetup,
     policy: Policy,
     speeds: &[SpeedModel],
     blocks: u32,
+    seen: Option<TagSet>,
 ) -> (
     hpsock_datacutter::Instance,
     hpsock_datacutter::FilterHandle,
@@ -135,7 +148,12 @@ fn build_lb(
     let workers = g.filter(
         "worker",
         (1..=setup.workers).map(NodeId).collect(),
-        Box::new(move |_| Box::new(ComputeWorker { ns_per_byte: npb })),
+        Box::new(move |_| {
+            Box::new(ComputeWorker {
+                ns_per_byte: npb,
+                seen: seen.clone(),
+            })
+        }),
     );
     for (i, &m) in speeds.iter().enumerate() {
         g.set_speed(workers, i, m);
@@ -183,18 +201,15 @@ pub fn rr_reaction_time_probed(
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (Option<Dur>, RunCapture) {
     let mut sim = Sim::new(seed);
-    let mut speeds = vec![SpeedModel::Uniform(1.0); setup.workers];
-    speeds[0] = SpeedModel::StepAt {
+    // Worker 0 turns slow; the others keep the default speed.
+    let speeds = [SpeedModel::StepAt {
         t: slow_at,
         before: 1.0,
         after: factor,
-    };
-    let (inst, lb, _workers) = build_lb(&mut sim, setup, Policy::RoundRobinAcked, &speeds, blocks);
-    if let Some(p) = make_probe(&sim.resource_names()) {
-        sim.attach_probe(p);
-    }
-    let end = sim.run();
-    let cap = RunCapture::of(&sim, end);
+    }];
+    let policy = Policy::RoundRobinAcked;
+    let (inst, lb, _) = build_lb(&mut sim, setup, policy, &speeds, blocks, None);
+    let cap = RunCapture::run(&mut sim, make_probe);
     let lb_proc = inst.copy(&sim, lb, 0);
     let reaction = lb_proc
         .done_log
@@ -229,15 +244,9 @@ pub fn dd_execution_time_probed(
     seed: u64,
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (Dur, RunCapture) {
-    run_lb_workload_probed(
-        setup,
-        Policy::demand_driven(),
-        slow_prob,
-        factor,
-        blocks,
-        seed,
-        make_probe,
-    )
+    let speeds = random_slow(setup, slow_prob, factor);
+    let policy = Policy::demand_driven();
+    lb_run_probed(setup, policy, &speeds, blocks, seed, make_probe)
 }
 
 /// [`dd_execution_time`] with an explicit demand-driven window depth
@@ -251,14 +260,9 @@ pub fn dd_execution_time_with_window(
     blocks: u32,
     seed: u64,
 ) -> Dur {
-    run_lb_workload(
-        setup,
-        Policy::DemandDriven { window },
-        slow_prob,
-        factor,
-        blocks,
-        seed,
-    )
+    let speeds = random_slow(setup, slow_prob, factor);
+    let policy = Policy::DemandDriven { window };
+    lb_execution_time(setup, policy, &speeds, blocks, seed)
 }
 
 /// Same workload under (acked) round-robin — the comparison that shows why
@@ -270,14 +274,9 @@ pub fn rr_execution_time(
     blocks: u32,
     seed: u64,
 ) -> Dur {
-    run_lb_workload(
-        setup,
-        Policy::RoundRobinAcked,
-        slow_prob,
-        factor,
-        blocks,
-        seed,
-    )
+    let speeds = random_slow(setup, slow_prob, factor);
+    let policy = Policy::RoundRobinAcked;
+    lb_execution_time(setup, policy, &speeds, blocks, seed)
 }
 
 /// Execution time of the load-balancing workload with explicit per-worker
@@ -290,46 +289,34 @@ pub fn lb_execution_time(
     blocks: u32,
     seed: u64,
 ) -> Dur {
-    assert_eq!(speeds.len(), setup.workers, "one speed model per worker");
-    let mut sim = Sim::new(seed);
-    let (_inst, _lb, _workers) = build_lb(&mut sim, setup, policy, speeds, blocks);
-    sim.run().since(SimTime::ZERO)
+    lb_run_probed(setup, policy, speeds, blocks, seed, |_| None).0
 }
 
-fn run_lb_workload(
-    setup: &LbSetup,
-    policy: Policy,
-    slow_prob: f64,
-    factor: f64,
-    blocks: u32,
-    seed: u64,
-) -> Dur {
-    run_lb_workload_probed(setup, policy, slow_prob, factor, blocks, seed, |_| None).0
+/// Every worker runs `factor`× slower on each block with probability
+/// `slow_prob`.
+fn random_slow(setup: &LbSetup, slow_prob: f64, factor: f64) -> Vec<SpeedModel> {
+    let slow = SpeedModel::RandomSlow {
+        prob: slow_prob,
+        factor,
+    };
+    vec![slow; setup.workers]
 }
 
-fn run_lb_workload_probed(
+/// [`lb_execution_time`] with the probe bus attached after the cluster
+/// exists, returning the run's [`RunCapture`].
+fn lb_run_probed(
     setup: &LbSetup,
     policy: Policy,
-    slow_prob: f64,
-    factor: f64,
+    speeds: &[SpeedModel],
     blocks: u32,
     seed: u64,
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (Dur, RunCapture) {
+    assert_eq!(speeds.len(), setup.workers, "one speed model per worker");
     let mut sim = Sim::new(seed);
-    let speeds = vec![
-        SpeedModel::RandomSlow {
-            prob: slow_prob,
-            factor,
-        };
-        setup.workers
-    ];
-    let (_inst, _lb, _workers) = build_lb(&mut sim, setup, policy, &speeds, blocks);
-    if let Some(p) = make_probe(&sim.resource_names()) {
-        sim.attach_probe(p);
-    }
-    let end = sim.run();
-    (end.since(SimTime::ZERO), RunCapture::of(&sim, end))
+    build_lb(&mut sim, setup, policy, speeds, blocks, None);
+    let cap = RunCapture::run(&mut sim, make_probe);
+    (cap.end.since(SimTime::ZERO), cap)
 }
 
 /// Recovery/availability outcome of one fault-injected load-balancing run
@@ -369,22 +356,6 @@ impl FaultedLbOutcome {
     }
 }
 
-/// Worker that also records the distinct block tags it processed, so the
-/// caller can measure guarantee retention under faults.
-struct TrackingWorker {
-    ns_per_byte: f64,
-    seen: Arc<Mutex<HashSet<u64>>>,
-}
-
-impl FilterLogic for TrackingWorker {
-    fn on_buffer(&mut self, _fc: &mut FilterCtx<'_>, _port: usize, buf: DataBuffer) -> Action {
-        self.seen.lock().expect("tag set lock").insert(buf.tag);
-        Action::compute(Dur::nanos(
-            (self.ns_per_byte * buf.bytes as f64).round() as u64
-        ))
-    }
-}
-
 /// Run the Figure 6 load-balancing workload under whatever fault plan is
 /// currently installed (`HPSOCK_FAULTS` or `hpsock_net::fault::with_plan`),
 /// demand-driven with homogeneous workers, and report what survived. With
@@ -392,43 +363,9 @@ impl FilterLogic for TrackingWorker {
 /// every fault counter is zero.
 pub fn faulted_lb_run(setup: &LbSetup, blocks: u32, seed: u64) -> FaultedLbOutcome {
     let mut sim = Sim::new(seed);
-    let cluster = Cluster::build(&mut sim, setup.workers + 1);
-    let provider = Provider::new(setup.kind);
-    let mut g = GroupBuilder::new();
-    let bb = setup.block_bytes;
-    let emit_interval = Dur::nanos((setup.ns_per_byte * setup.block_bytes as f64).round() as u64);
-    let lb = g.filter(
-        "load-balancer",
-        vec![NodeId(0)],
-        Box::new(move |_| {
-            Box::new(LbSource {
-                queue: VecDeque::new(),
-                block_bytes: bb,
-                emit_interval,
-            })
-        }),
-    );
-    let seen = Arc::new(Mutex::new(HashSet::new()));
-    let npb = setup.ns_per_byte;
-    let worker_seen = Arc::clone(&seen);
-    let workers = g.filter(
-        "worker",
-        (1..=setup.workers).map(NodeId).collect(),
-        Box::new(move |_| {
-            Box::new(TrackingWorker {
-                ns_per_byte: npb,
-                seen: Arc::clone(&worker_seen),
-            })
-        }),
-    );
-    g.stream(lb, workers, Policy::demand_driven(), &provider);
-    let inst = g.instantiate(&mut sim, &cluster);
-    let desc = QueryDesc {
-        kind: crate::pipeline::QueryKind::Complete,
-        blocks: (0..blocks as u64).collect(),
-        block_bytes: setup.block_bytes,
-    };
-    inst.start_uow_at(&mut sim, SimTime::ZERO, lb, 0, Arc::new(desc));
+    let seen = TagSet::default();
+    let (policy, tags) = (Policy::demand_driven(), Some(Arc::clone(&seen)));
+    let (inst, lb, workers) = build_lb(&mut sim, setup, policy, &[], blocks, tags);
     let end = sim.run();
     let mut out = FaultedLbOutcome {
         blocks,
