@@ -285,7 +285,7 @@ fn bench_sharded_big(c: &mut Criterion) {
 }
 
 /// The big rack topology on the flow-vs-packet gate workload (64 TCP
-/// streams at 32 KiB — ~120 packet-engine events per message): the same
+/// streams at 32 KiB — ~96 packet-engine events per message): the same
 /// run under the packet engine (`flow_big_packet`) and the fluid model
 /// (`flow_big_fluid`). These are separate baselines like the sharded
 /// variants; the cross-variant ratio is the fluid fast path's payoff and

@@ -13,9 +13,11 @@ use crate::logic::{Action, FilterCtx, FilterLogic, SpeedModel};
 use crate::sched::{Policy, Scheduler};
 use hpsock_net::{ConnId, Delivery, Network, NodeId, RecoveryCfg, StreamError, StreamErrorKind};
 use hpsock_sim::stats::Tally;
-use hpsock_sim::{Ctx, Dur, Message, ProbeEvent, Process, ProcessId, ResourceId, SimTime};
+use hpsock_sim::{
+    Ctx, Dur, FxHashMap, FxHashSet, Message, ProbeEvent, Process, ProcessId, ResourceId, SimTime,
+};
 use std::any::Any;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Driver → source-filter message: start a unit of work.
@@ -80,7 +82,7 @@ pub struct CopyWiring {
     /// Output ports in stream-declaration order.
     pub outputs: Vec<OutputWiring>,
     /// Delivery classification for every connection touching this copy.
-    pub routes: HashMap<ConnId, Route>,
+    pub routes: FxHashMap<ConnId, Route>,
     /// Compute speed model for this copy.
     pub speed: SpeedModel,
     /// Record per-buffer ack round-trips (Figure 10 instrumentation).
@@ -207,17 +209,17 @@ pub struct FilterProcess {
     /// Send timestamps per `[port][consumer]` for completion matching.
     done_times: Vec<Vec<VecDeque<SimTime>>>,
     /// EOW markers seen per `(uow, port)`.
-    eow_seen: HashMap<(u32, usize), usize>,
+    eow_seen: FxHashMap<(u32, usize), usize>,
     /// Ports fully ended per uow.
-    ports_done: HashMap<u32, usize>,
+    ports_done: FxHashMap<u32, usize>,
     /// `(port, consumer)` for every outbound data connection, for failover.
-    out_index: HashMap<ConnId, (usize, usize)>,
+    out_index: FxHashMap<ConnId, (usize, usize)>,
     /// Unacknowledged sends retained for retry/replay (recovery mode only).
-    retained: HashMap<ConnId, HashMap<u64, Retained>>,
+    retained: FxHashMap<ConnId, FxHashMap<u64, Retained>>,
     /// Connections failed over away from; late events on them are ignored.
-    dead_conns: HashSet<ConnId>,
+    dead_conns: FxHashSet<ConnId>,
     /// Connections with a retry in flight, awaiting a post-retry ack.
-    recovering: HashSet<ConnId>,
+    recovering: FxHashSet<ConnId>,
     /// Collected statistics.
     pub stats: FilterStats,
     /// Ack (processing-start) round-trip log, if enabled.
@@ -254,12 +256,12 @@ impl FilterProcess {
             scheds: Vec::new(),
             sent_times: Vec::new(),
             done_times: Vec::new(),
-            eow_seen: HashMap::new(),
-            ports_done: HashMap::new(),
-            out_index: HashMap::new(),
-            retained: HashMap::new(),
-            dead_conns: HashSet::new(),
-            recovering: HashSet::new(),
+            eow_seen: FxHashMap::default(),
+            ports_done: FxHashMap::default(),
+            out_index: FxHashMap::default(),
+            retained: FxHashMap::default(),
+            dead_conns: FxHashSet::default(),
+            recovering: FxHashSet::default(),
             stats: FilterStats::default(),
             ack_log: Vec::new(),
             done_log: Vec::new(),

@@ -12,10 +12,9 @@ use crate::filter::{CopyWiring, FilterProcess, InputWiring, OutputWiring, Route,
 use crate::logic::{FilterLogic, SpeedModel};
 use crate::sched::Policy;
 use hpsock_net::{Cluster, NodeId};
-use hpsock_sim::{Message, ProcessId, Sim, SimTime};
+use hpsock_sim::{FxHashMap, Message, ProcessId, Sim, SimTime};
 use socketvia::Provider;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Handle to a declared filter.
@@ -146,7 +145,7 @@ impl GroupBuilder {
                         cpu: cluster.cpu(node),
                         inputs: Vec::new(),
                         outputs: Vec::new(),
-                        routes: HashMap::new(),
+                        routes: FxHashMap::default(),
                         speed,
                         ack_log: def.ack_log,
                         recovery: cluster.fault_recovery(),

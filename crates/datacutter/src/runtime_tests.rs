@@ -8,10 +8,10 @@ use crate::group::{FilterHandle, GroupBuilder, Instance};
 use crate::logic::{Action, FilterCtx, FilterLogic, SpeedModel};
 use crate::sched::Policy;
 use hpsock_net::{fault, Cluster, ConnId, Delivery, NodeId, TransportKind};
-use hpsock_sim::{Ctx, Dur, Message, Process, ProcessId, Sim, SimTime};
+use hpsock_sim::{Ctx, Dur, FxHashMap, Message, Process, ProcessId, Sim, SimTime};
 use socketvia::Provider;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Source: emits `blocks` buffers of `bytes` each per unit of work, one per
@@ -383,7 +383,7 @@ fn stale_delivery_is_counted_not_a_panic() {
         cpu: cluster.cpu(NodeId(0)),
         inputs: Vec::new(),
         outputs: Vec::new(),
-        routes: HashMap::new(),
+        routes: FxHashMap::default(),
         speed: SpeedModel::default(),
         ack_log: false,
         recovery: None,

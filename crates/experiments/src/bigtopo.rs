@@ -16,7 +16,7 @@
 //! [`run_big_custom`] parameterizes the same topology by transport and
 //! message size. The flow-vs-packet speed gate uses TCP at
 //! [`GATE_BYTES`]: a 32 KiB TCP message segments into 23 wire frames
-//! (~120 stage events per message under the packet engine) while the
+//! (~96 stage events per message under the packet engine) while the
 //! fluid model spends a handful of events per flow regardless of size —
 //! the workload where the fast path must show its ≥10× event reduction.
 

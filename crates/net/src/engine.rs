@@ -15,6 +15,18 @@
 //! emission; acknowledgments and credit returns travel back as delayed
 //! events with the transport's `ack_latency`.
 //!
+//! A frame costs four kernel events: `WireDone` (host_tx and nic_tx are
+//! booked back to back when the frame is pumped — the NIC's only feeder is
+//! the node's single-server host_tx, so its arrivals are exactly those
+//! completions, in order), its arrival at the receiver (`RxFirst` or
+//! `RxArrive`), `HostRxFrameDone`, and the credit or window-ack return
+//! (`CreditArrive` / `AckArrive`, when the flow model sends one). The last
+//! frame's `HostRxFrameDone` books the per-message receive work and
+//! schedules the [`Delivery`] at its completion. With the `Send` command
+//! and the application's `Consumed` reply, a single-frame SocketVIA
+//! message costs seven events end to end (a window-model transport adds
+//! the `FlowReturn` of the consumption update).
+//!
 //! Engine state is owned per node by a [`NodeCore`] process: the core of a
 //! connection's source node owns the send side (flow-control window, send
 //! queue, stall accounting) and the destination node's core owns the
@@ -45,8 +57,10 @@ use crate::frame::{frame_count, frame_len};
 use crate::netmodel::NetModel;
 use crate::params::{PathCosts, TransportKind};
 use hpsock_sim::stats::{Tally, TimeWeighted};
-use hpsock_sim::{Ctx, Dur, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use hpsock_sim::{
+    Ctx, Dur, FxHashMap, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime,
+};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -186,12 +200,8 @@ pub enum NetCmd {
 /// Engine-internal frame/stage events. Frame length rides in the event so
 /// receive-side handlers never need the sender's per-message state.
 enum Ev {
-    HostTxDone {
-        conn: ConnId,
-        msg: u64,
-        frame: u32,
-        flen: u32,
-    },
+    /// A frame left the sender's NIC (host_tx and nic_tx were booked back
+    /// to back when the frame was pumped).
     WireDone {
         conn: ConnId,
         msg: u64,
@@ -212,50 +222,27 @@ enum Ev {
     },
     /// A later frame (index ≥ 1) arriving at the receiver. Reassembly only
     /// counts frames, so the frame index does not travel.
-    RxArrive {
-        conn: ConnId,
-        msg: u64,
-        flen: u32,
-    },
-    HostRxFrameDone {
-        conn: ConnId,
-        msg: u64,
-        flen: u32,
-    },
-    MsgReady {
-        conn: ConnId,
-        msg: u64,
-    },
+    RxArrive { conn: ConnId, msg: u64, flen: u32 },
+    /// The receive protocol engine finished one frame; on the last frame
+    /// of a message the per-message receive work is booked and the
+    /// [`Delivery`] scheduled at its completion.
+    HostRxFrameDone { conn: ConnId, msg: u64, flen: u32 },
     /// Window ack (window model): frees in-flight bytes at the sender.
-    AckArrive {
-        conn: ConnId,
-        frame_bytes: u64,
-    },
+    AckArrive { conn: ConnId, frame_bytes: u64 },
     /// Descriptor credits re-posted at frame arrival reached the sender
     /// (credits model).
-    CreditArrive {
-        conn: ConnId,
-        n: u32,
-    },
+    CreditArrive { conn: ConnId, n: u32 },
     /// Consumption notification reached the sender: frees receive-buffer
     /// accounting (window model).
-    FlowReturn {
-        conn: ConnId,
-        bytes: u64,
-    },
+    FlowReturn { conn: ConnId, bytes: u64 },
     /// Loss-detection timer for a fault-doomed message fired at the
     /// sender: repair flow control for the charged frames and surface a
     /// [`StreamError`] to the sending process.
-    MsgLost {
-        conn: ConnId,
-        msg: u64,
-    },
+    MsgLost { conn: ConnId, msg: u64 },
     /// Crash-detection timer for a connection whose endpoint node
     /// fail-stops: fail everything queued or in flight and mark the send
     /// half dead.
-    ConnCut {
-        conn: ConnId,
-    },
+    ConnCut { conn: ConnId },
 }
 
 /// Counters and distributions per connection. Send-side fields are filled
@@ -308,7 +295,7 @@ struct RxMsgState {
     frames: u32,
     frames_arrived: u32,
     sent_at: SimTime,
-    payload: Option<Message>,
+    payload: Message,
 }
 
 /// Bookkeeping for a message the fault layer doomed at the wire: its
@@ -342,7 +329,7 @@ struct TxConn {
     costs: Arc<PathCosts>,
     flow: Flow,
     sendq: VecDeque<PendingMsg>,
-    pending_meta: HashMap<u64, TxMsgMeta>,
+    pending_meta: FxHashMap<u64, TxMsgMeta>,
     stats: ConnStats,
     /// When the sender last became credit-blocked with data queued.
     stall_since: Option<SimTime>,
@@ -353,8 +340,8 @@ struct TxConn {
     src_pid: ProcessId,
     /// Set by [`Ev::ConnCut`]; a dead connection accepts no traffic.
     dead: bool,
-    doomed: HashMap<u64, DoomedMsg>,
-    delayed: HashMap<u64, DelayedMsg>,
+    doomed: FxHashMap<u64, DoomedMsg>,
+    delayed: FxHashMap<u64, DelayedMsg>,
 }
 
 impl TxConn {
@@ -364,14 +351,14 @@ impl TxConn {
             costs: Arc::clone(&spec.costs),
             flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
             sendq: VecDeque::new(),
-            pending_meta: HashMap::new(),
+            pending_meta: FxHashMap::default(),
             stats: ConnStats::default(),
             stall_since: None,
             faults: faults.and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0)),
             src_pid: spec.src.pid,
             dead: false,
-            doomed: HashMap::new(),
-            delayed: HashMap::new(),
+            doomed: FxHashMap::default(),
+            delayed: FxHashMap::default(),
         }
     }
 }
@@ -384,9 +371,9 @@ struct RxConn {
     /// Same flow model as the send side; the receive half only drives the
     /// arrival path (descriptor reap/re-post in the credits model).
     flow: Flow,
-    msgs: HashMap<u64, RxMsgState>,
+    msgs: FxHashMap<u64, RxMsgState>,
     /// Delivered, not yet consumed: msg_id -> (bytes, frames).
-    unconsumed: HashMap<u64, (u64, u32)>,
+    unconsumed: FxHashMap<u64, (u64, u32)>,
     stats: ConnStats,
     /// Fail-stop time of this (destination) node, when the fault plan
     /// crashes it: frames arriving afterwards are dropped, returning no
@@ -401,8 +388,8 @@ impl RxConn {
             dst: spec.dst,
             costs: Arc::clone(&spec.costs),
             flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
-            msgs: HashMap::new(),
-            unconsumed: HashMap::new(),
+            msgs: FxHashMap::default(),
+            unconsumed: FxHashMap::default(),
             stats: ConnStats::default(),
             cut_at: faults.and_then(|p| p.crash_time(spec.dst.node.0)),
         }
@@ -737,7 +724,7 @@ impl NodeCore {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let host_tx = self.res.host_tx;
+        let (host_tx, nic_tx) = (self.res.host_tx, self.res.nic_tx);
         loop {
             let c = self.tx_mut(conn);
             if c.dead {
@@ -792,10 +779,19 @@ impl NodeCore {
                 time: t,
                 delta: 1.0,
             });
-            ctx.use_resource(
-                host_tx,
-                service,
-                Message::new(Ev::HostTxDone {
+            // host_tx has one server and only this core's pump feeds
+            // nic_tx, so the NIC's arrivals are exactly the host_tx
+            // completions, in booking order: the NIC job is booked now, at
+            // its arrival instant, and no event marks the hand-over.
+            let wire_bytes = flen as u64 + c.costs.frame_overhead as u64;
+            let nic_service = c.costs.nic_per_frame
+                + Dur::nanos((wire_bytes as f64 * c.costs.wire_ns_per_byte).round() as u64);
+            let now = ctx.now();
+            let tx_done = ctx.reserve_resource(host_tx, now, service);
+            let wire_done = ctx.reserve_resource(nic_tx, tx_done, nic_service);
+            ctx.send_self_in(
+                wire_done.since(now),
+                Message::new(Ev::WireDone {
                     conn,
                     msg,
                     frame,
@@ -910,27 +906,6 @@ impl NodeCore {
 
     fn on_ev(&mut self, ctx: &mut Ctx<'_>, ev: Ev) {
         match ev {
-            Ev::HostTxDone {
-                conn,
-                msg,
-                frame,
-                flen,
-            } => {
-                let c = self.tx_mut(conn);
-                let wire_bytes = flen as u64 + c.costs.frame_overhead as u64;
-                let service = c.costs.nic_per_frame
-                    + Dur::nanos((wire_bytes as f64 * c.costs.wire_ns_per_byte).round() as u64);
-                ctx.use_resource(
-                    self.res.nic_tx,
-                    service,
-                    Message::new(Ev::WireDone {
-                        conn,
-                        msg,
-                        frame,
-                        flen,
-                    }),
-                );
-            }
             Ev::WireDone {
                 conn,
                 msg,
@@ -1063,7 +1038,7 @@ impl NodeCore {
                         frames,
                         frames_arrived: 0,
                         sent_at,
-                        payload: Some(payload),
+                        payload,
                     },
                 );
                 self.on_rx_frame(ctx, conn, msg, flen);
@@ -1076,6 +1051,7 @@ impl NodeCore {
                 self.on_rx_frame(ctx, conn, msg, flen);
             }
             Ev::HostRxFrameDone { conn, msg, flen } => {
+                let host_rx = self.res.host_rx;
                 let c = self.rx_mut(conn);
                 let st = c.msgs.get_mut(&msg).expect("frame for unknown message");
                 st.frames_arrived += 1;
@@ -1108,45 +1084,34 @@ impl NodeCore {
                     );
                 }
                 if last {
+                    // Per-message receive work, then delivery at its
+                    // completion; the message counts as delivered (stats,
+                    // latency, bandwidth gauge) as of that instant.
                     let c = self.rx_mut(conn);
-                    let service = c.costs.per_msg_recv;
-                    ctx.use_resource(
-                        self.res.host_rx,
-                        service,
-                        Message::new(Ev::MsgReady { conn, msg }),
+                    let st = c.msgs.remove(&msg).expect("state read above");
+                    let delivery = Delivery {
+                        conn,
+                        msg_id: msg,
+                        bytes: st.bytes,
+                        sent_at: st.sent_at,
+                        payload: st.payload,
+                    };
+                    let done = ctx.use_resource_for(
+                        host_rx,
+                        c.costs.per_msg_recv,
+                        c.dst.pid,
+                        Message::new(delivery),
                     );
+                    c.unconsumed.insert(msg, (st.bytes, st.frames));
+                    c.stats.msgs_delivered += 1;
+                    c.stats.bytes_delivered += st.bytes;
+                    c.stats
+                        .latency_us
+                        .add(done.since(st.sent_at).as_micros_f64());
+                    // Cumulative achieved bandwidth of this connection so
+                    // far (bits delivered / virtual time), per delivery.
+                    ctx.probe_emit(|_| mbps_gauge(conn, c.stats.bytes_delivered, done));
                 }
-            }
-            Ev::MsgReady { conn, msg } => {
-                let c = self.rx_mut(conn);
-                let mut st = c.msgs.remove(&msg).expect("ready for unknown message");
-                let payload = st.payload.take().expect("payload present until delivery");
-                c.unconsumed.insert(msg, (st.bytes, st.frames));
-                c.stats.msgs_delivered += 1;
-                c.stats.bytes_delivered += st.bytes;
-                c.stats
-                    .latency_us
-                    .add(ctx.now().since(st.sent_at).as_micros_f64());
-                // Cumulative achieved bandwidth of this connection so far
-                // (bits delivered / virtual time), as a gauge per delivery.
-                let delivered = c.stats.bytes_delivered;
-                ctx.probe_emit(|t| ProbeEvent::Gauge {
-                    name: format!("net.conn{}.mbps", conn.0),
-                    time: t,
-                    value: if t == SimTime::ZERO {
-                        0.0
-                    } else {
-                        8.0 * delivered as f64 / t.as_nanos() as f64 * 1_000.0
-                    },
-                });
-                let delivery = Delivery {
-                    conn,
-                    msg_id: msg,
-                    bytes: st.bytes,
-                    sent_at: st.sent_at,
-                    payload,
-                };
-                ctx.send(c.dst.pid, Message::new(delivery));
             }
             Ev::AckArrive { conn, frame_bytes } => {
                 let c = self.tx_mut(conn);
@@ -1286,15 +1251,7 @@ impl NodeCore {
                     .latency_us
                     .add(ctx.now().since(sent_at).as_micros_f64());
                 let delivered = c.stats.bytes_delivered;
-                ctx.probe_emit(|t| ProbeEvent::Gauge {
-                    name: format!("net.conn{}.mbps", conn.0),
-                    time: t,
-                    value: if t == SimTime::ZERO {
-                        0.0
-                    } else {
-                        8.0 * delivered as f64 / t.as_nanos() as f64 * 1_000.0
-                    },
-                });
+                ctx.probe_emit(|t| mbps_gauge(conn, delivered, t));
                 let delivery = Delivery {
                     conn,
                     msg_id: msg,
@@ -1331,6 +1288,20 @@ impl NodeCore {
                 panic!("fluid-core event routed to a node core")
             }
         }
+    }
+}
+
+/// The `net.conn<N>.mbps` gauge: bits delivered on `conn` by `t` over
+/// the virtual time elapsed.
+fn mbps_gauge(conn: ConnId, delivered: u64, t: SimTime) -> ProbeEvent {
+    ProbeEvent::Gauge {
+        name: format!("net.conn{}.mbps", conn.0),
+        time: t,
+        value: if t == SimTime::ZERO {
+            0.0
+        } else {
+            8.0 * delivered as f64 / t.as_nanos() as f64 * 1_000.0
+        },
     }
 }
 
@@ -1405,6 +1376,39 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
             let d = msg.downcast::<Delivery>().expect("deliveries only");
             self.net.consumed(ctx, d.conn, d.msg_id);
+        }
+    }
+
+    /// Kernel events one single-frame message costs under the packet
+    /// model, from the `Send` command to the `Consumed` reply: `Send`,
+    /// `WireDone`, `RxFirst`, `HostRxFrameDone`, the credit or window-ack
+    /// return, the `Delivery` and `Consumed`, plus the window model's
+    /// `FlowReturn`. A stage hop that comes back as its own event (a
+    /// `HostTxDone` between host_tx and the NIC, or a `MsgReady` between
+    /// the last frame's receive work and the delivery) fails this pin.
+    #[test]
+    fn single_frame_message_event_counts_are_pinned() {
+        for (kind, events) in [(TransportKind::SocketVia, 7), (TransportKind::KTcp, 8)] {
+            crate::netmodel::with_netmodel(NetModel::Packet, || {
+                let mut sim = Sim::new(3);
+                let cluster = Cluster::build(&mut sim, 2);
+                let net = cluster.network();
+                let sender = sim.add_process(Box::new(OneShot {
+                    net: net.clone(),
+                    conns: vec![ConnId(0)],
+                }));
+                let drain = sim.add_process(Box::new(Drain { net: net.clone() }));
+                net.connect(
+                    cluster.endpoint(NodeId(0), sender),
+                    cluster.endpoint(NodeId(1), drain),
+                    kind,
+                );
+                sim.run();
+                let core: &NodeCore = sim.process(net.core_of(NodeId(1))).unwrap();
+                let rx = core.rx_stats(ConnId(0)).unwrap();
+                assert_eq!((rx.msgs_delivered, rx.rx_interrupts), (1, 1), "{kind:?}");
+                assert_eq!(sim.events_dispatched(), events, "{kind:?}");
+            });
         }
     }
 

@@ -503,14 +503,29 @@ impl<'a> Ctx<'a> {
         target: ProcessId,
         msg: Message,
     ) -> SimTime {
-        let done = self.schedule_observed(rid, service);
+        let now = self.core.now;
+        let done = self.reserve_resource(rid, now, service);
         let key = next_key(&mut self.core.push_counts, self.pid.0 + 1);
         self.core.push(done, key, target, msg);
         done
     }
 
-    /// Schedule on the resource and report the acquisition to the probe.
-    fn schedule_observed(&mut self, rid: ResourceId, service: Dur) -> SimTime {
+    /// Book a job of `service` demand on resource `rid` arriving at
+    /// `arrival` (now or later) and return its FCFS completion instant;
+    /// no event is scheduled. The probe sees the acquisition as of the
+    /// arrival instant (`arrived` and `busy_servers`).
+    ///
+    /// Booking ahead is exact only for a station whose every arrival is
+    /// booked this way, in arrival order — e.g. a tandem stage fed solely
+    /// by one single-server station's completions, booked at each
+    /// completion instant as the upstream job is booked. Arrivals must be
+    /// non-decreasing per resource (checked in debug builds).
+    pub fn reserve_resource(&mut self, rid: ResourceId, arrival: SimTime, service: Dur) -> SimTime {
+        debug_assert!(
+            arrival >= self.core.now,
+            "resource booked for arrival {arrival:?}, before now {:?}",
+            self.core.now
+        );
         if let Some(route) = &self.core.route {
             let owner = route.owner_rid[rid.0];
             assert!(
@@ -523,13 +538,13 @@ impl<'a> Ctx<'a> {
                 owner,
             );
         }
-        let now = self.core.now;
-        let busy_servers = self.core.resources[rid.0].busy_servers(now);
-        let done = self.core.resources[rid.0].schedule(now, service);
+        let res = &mut self.core.resources[rid.0];
+        let busy_servers = res.busy_servers(arrival);
+        let done = res.schedule(arrival, service);
         if let Some(probe) = self.core.probe.as_mut() {
             probe.record(ProbeEvent::ResourceAcquire {
                 rid,
-                arrived: now,
+                arrived: arrival,
                 start: done - service,
                 completion: done,
                 service,
@@ -753,6 +768,78 @@ mod tests {
         sim.run();
         let w_ref: &Worker = sim.process(w).unwrap();
         assert_eq!(w_ref.done_at, vec![100, 200]); // serialized on one server
+    }
+
+    /// A tandem booked ahead completes exactly as one handed over by an
+    /// event at the upstream completion, and the probe sees the
+    /// downstream acquisition as of its arrival instant.
+    #[test]
+    fn reserve_resource_books_a_tandem_ahead() {
+        struct Tandem {
+            up: ResourceId,
+            down: ResourceId,
+            done_at: Vec<u64>,
+        }
+        impl Process for Tandem {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+                if msg.downcast_ref::<()>().is_some() {
+                    for _ in 0..2 {
+                        let now = ctx.now();
+                        let handed = ctx.reserve_resource(self.up, now, Dur::nanos(100));
+                        let done = ctx.reserve_resource(self.down, handed, Dur::nanos(150));
+                        ctx.send_self_in(done.since(now), Message::new(1u8));
+                    }
+                } else {
+                    self.done_at.push(ctx.now().as_nanos());
+                }
+            }
+        }
+        let mut sim = Sim::new(0);
+        let up = sim.add_resource("up", 1);
+        let down = sim.add_resource("down", 1);
+        let rec = crate::Recorder::new();
+        sim.attach_probe(rec.probe());
+        let pid = sim.add_process(Box::new(Tandem {
+            up,
+            down,
+            done_at: vec![],
+        }));
+        sim.schedule_at(SimTime::from_nanos(10), pid, Message::new(()));
+        sim.run();
+        let t: &Tandem = sim.process(pid).unwrap();
+        // Up: [10, 110), [110, 210); down: [110, 260), [260, 410).
+        assert_eq!(t.done_at, vec![260, 410]);
+        let downs: Vec<(u64, usize)> = rec.with_events(|evs| {
+            evs.iter()
+                .filter_map(|e| match e {
+                    ProbeEvent::ResourceAcquire {
+                        rid,
+                        arrived,
+                        busy_servers,
+                        ..
+                    } if *rid == down => Some((arrived.as_nanos(), *busy_servers)),
+                    _ => None,
+                })
+                .collect()
+        });
+        assert_eq!(downs, vec![(110, 0), (210, 1)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before now")]
+    fn reserve_resource_rejects_a_past_arrival() {
+        struct Late(ResourceId);
+        impl Process for Late {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
+                ctx.reserve_resource(self.0, SimTime::from_nanos(5), Dur::nanos(1));
+            }
+        }
+        let mut sim = Sim::new(0);
+        let r = sim.add_resource("r", 1);
+        let pid = sim.add_process(Box::new(Late(r)));
+        sim.schedule_at(SimTime::from_nanos(10), pid, Message::new(()));
+        sim.run();
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * analytic FCFS multi-server resources ([`Resource`]) used to model CPUs,
 //!   NICs and links,
 //! * deterministic per-process random-number streams,
+//! * a seedless multiplicative hasher for integer-keyed maps on the
+//!   per-message path ([`hash`]),
 //! * statistics collectors ([`stats::Tally`], [`stats::Histogram`],
 //!   [`stats::TimeWeighted`]),
 //! * an event-trace digest used by determinism tests,
@@ -58,6 +60,7 @@
 
 pub mod arena;
 pub mod event;
+pub mod hash;
 pub mod kernel;
 pub mod knob;
 pub mod payload;
@@ -70,6 +73,7 @@ pub mod time;
 pub mod trace;
 
 pub use event::{Event, EventQueue};
+pub use hash::{FxHashMap, FxHashSet};
 pub use kernel::{Ctx, Message, Process, ProcessId, Sim};
 pub use payload::Payload;
 pub use probe::{

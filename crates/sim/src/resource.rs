@@ -7,6 +7,11 @@
 //! rule computes the exact FCFS completion time in O(c) without simulating
 //! the queue explicitly: each `schedule` call immediately returns the
 //! completion instant, which the caller turns into a future event.
+//!
+//! A caller may also book a job whose arrival lies in the future (a
+//! tandem stage fed only by another station's completions, see
+//! `Ctx::reserve_resource`), as long as it still presents arrivals in
+//! non-decreasing order; debug builds check that order on every booking.
 
 use crate::time::{Dur, SimTime};
 
@@ -28,6 +33,8 @@ pub struct Resource {
     jobs: u64,
     /// Latest completion instant ever handed out.
     last_completion: SimTime,
+    /// Latest arrival booked so far (FCFS needs non-decreasing arrivals).
+    last_arrival: SimTime,
 }
 
 impl Resource {
@@ -41,6 +48,7 @@ impl Resource {
             waited: Dur::ZERO,
             jobs: 0,
             last_completion: SimTime::ZERO,
+            last_arrival: SimTime::ZERO,
         }
     }
 
@@ -48,8 +56,19 @@ impl Resource {
     /// the instant the job completes under FCFS.
     ///
     /// Callers must present arrivals in non-decreasing `now` order (the
-    /// kernel guarantees this when called from event handlers).
+    /// kernel guarantees this for jobs arriving at the current instant;
+    /// future-arrival bookings must keep it themselves). Debug builds
+    /// panic on an arrival earlier than the previous one.
     pub fn schedule(&mut self, now: SimTime, service: Dur) -> SimTime {
+        debug_assert!(
+            now >= self.last_arrival,
+            "resource {}: arrival {:?} precedes earlier arrival {:?}; FCFS needs \
+             non-decreasing arrivals",
+            self.name,
+            now,
+            self.last_arrival
+        );
+        self.last_arrival = now;
         // Earliest-free server.
         let (idx, _) = self
             .free_at
@@ -185,6 +204,17 @@ mod tests {
         r.schedule(t(0), Dur::nanos(500));
         assert_eq!(r.earliest_start(t(100)), t(500));
         assert_eq!(r.earliest_start(t(700)), t(700));
+    }
+
+    /// The arrival-order check is a debug assertion, so it only exists in
+    /// builds with debug assertions on.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-decreasing arrivals")]
+    fn out_of_order_arrival_is_rejected() {
+        let mut r = Resource::new("nic", 1);
+        r.schedule(t(500), Dur::nanos(100));
+        r.schedule(t(499), Dur::nanos(100));
     }
 
     #[test]

@@ -14,9 +14,8 @@
 use crate::pipeline::{QueryDesc, QueryKind, UowDone};
 use hpsock_datacutter::UowStartMsg;
 use hpsock_sim::{
-    Ctx, Dur, Message, Probe, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime,
+    Ctx, Dur, FxHashMap, Message, Probe, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime,
 };
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// What a probed run exposes about the simulation it ran, for trace
@@ -107,7 +106,7 @@ pub struct QueryDriver {
     plan: Option<Plan>,
     targets: TargetSlot,
     queries: Vec<QueryDesc>,
-    pending: HashMap<u32, (QueryKind, SimTime)>,
+    pending: FxHashMap<u32, (QueryKind, SimTime)>,
     /// Completed queries in completion order.
     pub results: Vec<QueryResult>,
     next_uow: u32,
@@ -124,7 +123,7 @@ impl QueryDriver {
             plan: Some(plan),
             targets: Arc::clone(&targets),
             queries: Vec::new(),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             results: Vec::new(),
             next_uow: 0,
             closed_next: 0,

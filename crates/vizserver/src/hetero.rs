@@ -8,13 +8,14 @@
 use crate::driver::RunCapture;
 use crate::pipeline::QueryDesc;
 use hpsock_datacutter::{
-    Action, DataBuffer, FilterCtx, FilterLogic, FilterStats, GroupBuilder, Policy, SpeedModel,
+    Action, DataBuffer, FilterCtx, FilterHandle, FilterLogic, FilterStats, GroupBuilder, Instance,
+    Policy, SpeedModel,
 };
 use hpsock_net::{Cluster, NodeId, TransportKind};
-use hpsock_sim::{Dur, Probe, Sim, SimTime};
+use hpsock_sim::{Dur, FxHashSet, Probe, Sim, SimTime};
 use socketvia::Provider;
 use std::any::Any;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Load-balancer source: streams the query's blocks one at a time, paced
@@ -53,7 +54,7 @@ impl FilterLogic for LbSource {
 }
 
 /// Set of the distinct block tags the workers processed.
-type TagSet = Arc<Mutex<HashSet<u64>>>;
+type TagSet = Arc<Mutex<FxHashSet<u64>>>;
 
 /// Terminal compute worker: processes each block at `ns_per_byte`, and
 /// records its tag in `seen` when given one (guarantee retention under
@@ -111,7 +112,9 @@ impl LbSetup {
 
 /// The one Figure 6 setup: balancer on node 0, `setup.workers` workers
 /// behind it (`speeds[i]` for worker `i`, the default speed past the end
-/// of `speeds`), the `blocks`-block query started at time zero.
+/// of `speeds`), the `blocks`-block query started at time zero. `ack_log`
+/// makes the balancer record per-buffer ack and completion round-trips,
+/// which only the reaction-time measurement reads.
 fn build_lb(
     sim: &mut Sim,
     setup: &LbSetup,
@@ -119,11 +122,8 @@ fn build_lb(
     speeds: &[SpeedModel],
     blocks: u32,
     seen: Option<TagSet>,
-) -> (
-    hpsock_datacutter::Instance,
-    hpsock_datacutter::FilterHandle,
-    hpsock_datacutter::FilterHandle,
-) {
+    ack_log: bool,
+) -> (Instance, FilterHandle, FilterHandle) {
     let cluster = Cluster::build(sim, setup.workers + 1);
     let provider = Provider::new(setup.kind);
     let mut g = GroupBuilder::new();
@@ -158,7 +158,9 @@ fn build_lb(
     for (i, &m) in speeds.iter().enumerate() {
         g.set_speed(workers, i, m);
     }
-    g.enable_ack_log(lb);
+    if ack_log {
+        g.enable_ack_log(lb);
+    }
     g.stream(lb, workers, policy, &provider);
     let inst = g.instantiate(sim, &cluster);
     let desc = QueryDesc {
@@ -208,7 +210,7 @@ pub fn rr_reaction_time_probed(
         after: factor,
     }];
     let policy = Policy::RoundRobinAcked;
-    let (inst, lb, _) = build_lb(&mut sim, setup, policy, &speeds, blocks, None);
+    let (inst, lb, _) = build_lb(&mut sim, setup, policy, &speeds, blocks, None, true);
     let cap = RunCapture::run(&mut sim, make_probe);
     let lb_proc = inst.copy(&sim, lb, 0);
     let reaction = lb_proc
@@ -312,11 +314,25 @@ fn lb_run_probed(
     seed: u64,
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (Dur, RunCapture) {
+    let (.., cap) = lb_run(setup, policy, speeds, blocks, seed, make_probe);
+    (cap.end.since(SimTime::ZERO), cap)
+}
+
+/// One execution-time run, returned finished with its balancer so the
+/// balancer's state can be read back.
+fn lb_run(
+    setup: &LbSetup,
+    policy: Policy,
+    speeds: &[SpeedModel],
+    blocks: u32,
+    seed: u64,
+    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+) -> (Sim, Instance, FilterHandle, RunCapture) {
     assert_eq!(speeds.len(), setup.workers, "one speed model per worker");
     let mut sim = Sim::new(seed);
-    build_lb(&mut sim, setup, policy, speeds, blocks, None);
+    let (inst, lb, _) = build_lb(&mut sim, setup, policy, speeds, blocks, None, false);
     let cap = RunCapture::run(&mut sim, make_probe);
-    (cap.end.since(SimTime::ZERO), cap)
+    (sim, inst, lb, cap)
 }
 
 /// Recovery/availability outcome of one fault-injected load-balancing run
@@ -365,7 +381,7 @@ pub fn faulted_lb_run(setup: &LbSetup, blocks: u32, seed: u64) -> FaultedLbOutco
     let mut sim = Sim::new(seed);
     let seen = TagSet::default();
     let (policy, tags) = (Policy::demand_driven(), Some(Arc::clone(&seen)));
-    let (inst, lb, workers) = build_lb(&mut sim, setup, policy, &[], blocks, tags);
+    let (inst, lb, workers) = build_lb(&mut sim, setup, policy, &[], blocks, tags, false);
     let end = sim.run();
     let mut out = FaultedLbOutcome {
         blocks,
@@ -488,6 +504,22 @@ mod tests {
         );
         let again = run();
         assert_eq!(out.digest, again.digest, "faulted run is reproducible");
+    }
+
+    /// Only the reaction-time run reads the balancer's round-trip logs, so
+    /// only it records them: an execution-time run leaves both empty.
+    #[test]
+    fn only_the_reaction_run_keeps_ack_logs() {
+        let sv = LbSetup::paper(TransportKind::SocketVia);
+        let speeds = random_slow(&sv, 0.3, 4.0);
+        let (sim, inst, lb, _) = lb_run(&sv, Policy::demand_driven(), &speeds, 200, 5, |_| None);
+        let balancer = inst.copy(&sim, lb, 0);
+        assert!(balancer.stats.buffers_out > 0, "the balancer sent buffers");
+        assert!(balancer.ack_log.is_empty() && balancer.done_log.is_empty());
+        // The reaction time is read off the completion log, so a reaction
+        // means the log was kept.
+        let slow_at = SimTime::from_nanos(2_000_000);
+        assert!(rr_reaction_time(&sv, 4.0, slow_at, 400, 7).is_some());
     }
 
     #[test]

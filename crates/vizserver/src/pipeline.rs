@@ -14,10 +14,9 @@ use hpsock_datacutter::{
     Action, DataBuffer, FilterCtx, FilterHandle, FilterLogic, GroupBuilder, Instance, Policy,
 };
 use hpsock_net::{Cluster, NodeId};
-use hpsock_sim::{Dur, Message, ProcessId, Sim, SimTime};
+use hpsock_sim::{Dur, FxHashMap, Message, ProcessId, Sim, SimTime};
 use socketvia::Provider;
 use std::any::Any;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -101,8 +100,8 @@ impl QueryDesc {
 /// query's blocks, one per continuation step (paced by `read_cost`).
 pub struct RepositoryLogic {
     read_cost: Dur,
-    pending: HashMap<u32, VecDeque<u64>>,
-    block_bytes: HashMap<u32, u64>,
+    pending: FxHashMap<u32, VecDeque<u64>>,
+    block_bytes: FxHashMap<u32, u64>,
 }
 
 impl RepositoryLogic {
@@ -110,8 +109,8 @@ impl RepositoryLogic {
     pub fn new(read_cost: Dur) -> RepositoryLogic {
         RepositoryLogic {
             read_cost,
-            pending: HashMap::new(),
-            block_bytes: HashMap::new(),
+            pending: FxHashMap::default(),
+            block_bytes: FxHashMap::default(),
         }
     }
 }
@@ -182,7 +181,7 @@ pub struct VizLogic {
     compute: ComputeModel,
     driver: ProcessId,
     /// Bytes composed per uow (sanity checking).
-    pub bytes_per_uow: HashMap<u32, u64>,
+    pub bytes_per_uow: FxHashMap<u32, u64>,
 }
 
 impl VizLogic {
@@ -191,7 +190,7 @@ impl VizLogic {
         VizLogic {
             compute,
             driver,
-            bytes_per_uow: HashMap::new(),
+            bytes_per_uow: FxHashMap::default(),
         }
     }
 }
