@@ -352,6 +352,30 @@ fn bench_flow_big(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&tel_dir);
 }
 
+/// The fluid allocator under a large shared component: the `fig_scale`
+/// rack fabric at 128 nodes (8 racks × 16), 64 sender nodes × 4 open-loop
+/// TCP clients × 3 messages, every flow crossing its rack's 4×
+/// oversubscribed uplink. Each arrival or departure changes the rate of
+/// every cross-rack flow behind that uplink, so this row is dominated by
+/// reallocation and completion rescheduling — costs `flow_big_fluid`'s
+/// small components barely show.
+fn bench_flow_rack_shared(c: &mut Criterion) {
+    use hpsock_experiments::fig_scale::run_scale_point;
+    use hpsock_net::NetModel;
+
+    const NODES: usize = 128;
+    const CLIENTS_PER_NODE: usize = 4;
+    const MSGS: u32 = 3;
+    let run = || run_scale_point(NetModel::Flow, NODES, CLIENTS_PER_NODE, MSGS);
+
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.measurement_time(Duration::from_secs(3));
+    g.throughput(Throughput::Elements(run().msgs));
+    g.bench_function("flow_rack_shared", |b| b.iter(|| black_box(run().events)));
+    g.finish();
+}
+
 criterion_group!(
     engine,
     bench_event_dispatch,
@@ -361,5 +385,6 @@ criterion_group!(
     bench_sharded_cluster,
     bench_sharded_big,
     bench_flow_big,
+    bench_flow_rack_shared,
 );
 criterion_main!(engine);

@@ -7,9 +7,9 @@
 //! arrival or departure the allocator recomputes bottleneck fair shares
 //! for the affected connected component only and reschedules the changed
 //! flows' completions — O(flows) work per state change regardless of
-//! message size. Completions live in an ordered due set behind a single
-//! wake-up timer, so a flow costs O(1) kernel events however often its
-//! rate changes.
+//! message size. Completions live in a lazily pruned min-heap behind a
+//! single wake-up timer, so a flow costs O(1) kernel events however often
+//! its rate changes.
 //!
 //! ## Calibration
 //!
@@ -49,7 +49,8 @@ use crate::engine::{ConnId, Registry, Route, StreamErrorKind};
 use crate::fault::{ConnFaults, MsgFate};
 use crate::params::PathCosts;
 use hpsock_sim::{Ctx, Dur, Message, Process, ProcessId, SimTime};
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// cLAN wire drain rate in payload bytes per nanosecond (the 795 Mbps
@@ -258,9 +259,6 @@ struct ActiveFlow {
     rate: f64,
     /// Virtual time `remaining` was last brought current.
     updated: SimTime,
-    /// `(finish, order)` of this flow's entry in [`FluidCore::due`]; `None`
-    /// until the first allocation.
-    due: Option<(SimTime, u64)>,
     /// `(global link id, weight)` pairs — the allocator's view; the first
     /// `hops` entries are used.
     path: [(usize, f64); MAX_HOPS],
@@ -345,6 +343,85 @@ impl Scratch {
     }
 }
 
+/// Heap entries beyond `2 · live` tolerated before a compaction pass.
+const DUE_SLACK: usize = 64;
+
+/// Scheduled flow completions: a min-heap over `(finish, order, conn)`
+/// that deletes lazily. A reschedule pushes a new entry and leaves the old
+/// one behind; an entry is *stale* once `(finish, order)` no longer equals
+/// its connection's current key. `order` is bumped on every schedule and
+/// only grows, so a stale entry can never match again, and the live
+/// minimum is the `(finish, order, conn)` minimum an ordered set of only
+/// the current keys would give.
+#[derive(Default)]
+struct DueHeap {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Current `(finish, order)` per connection; `None` while it has no
+    /// scheduled completion.
+    keys: Vec<Option<(SimTime, u64)>>,
+    /// Bumped on every (re)schedule; breaks ties at one finish time by
+    /// scheduling order.
+    order: u64,
+    /// Connections with a scheduled completion (`Some` keys).
+    live: usize,
+}
+
+impl DueHeap {
+    fn new(conns: usize) -> DueHeap {
+        DueHeap {
+            keys: vec![None; conns],
+            ..DueHeap::default()
+        }
+    }
+
+    /// (Re)schedule `conn` to complete at `finish`, superseding any
+    /// earlier entry.
+    fn schedule(&mut self, conn: usize, finish: SimTime) {
+        self.order += 1;
+        if self.keys[conn].replace((finish, self.order)).is_none() {
+            self.live += 1;
+        }
+        self.heap.push(Reverse((finish, self.order, conn)));
+        self.compact_if_loose();
+    }
+
+    /// The earliest live completion `(finish, conn)`, popping stale tops.
+    fn first_due(&mut self) -> Option<(SimTime, usize)> {
+        while let Some(&Reverse((finish, order, conn))) = self.heap.peek() {
+            if self.keys[conn] == Some((finish, order)) {
+                return Some((finish, conn));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Remove and return the earliest live completion if it is due by
+    /// `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
+        let (finish, conn) = self.first_due()?;
+        if finish > now {
+            return None;
+        }
+        self.heap.pop();
+        self.keys[conn] = None;
+        self.live -= 1;
+        self.compact_if_loose();
+        Some((finish, conn))
+    }
+
+    /// Drop every stale entry once they outnumber the live ones by more
+    /// than [`DUE_SLACK`], so memory stays O(live flows).
+    fn compact_if_loose(&mut self) {
+        if self.heap.len() > 2 * self.live + DUE_SLACK {
+            let keys = &self.keys;
+            self.heap
+                .retain(|&Reverse((finish, order, conn))| keys[conn] == Some((finish, order)));
+            debug_assert_eq!(self.heap.len(), self.live, "compaction kept a stale entry");
+        }
+    }
+}
+
 /// The single process owning all flow state (see module docs). Spawned by
 /// the net switch when the cluster was built under [`super::NetModel::Flow`];
 /// shard plans pin it to shard 0.
@@ -360,11 +437,8 @@ pub(crate) struct FluidCore {
     /// incrementally so a state change never scans flows that share
     /// nothing with it.
     link_users: Vec<Vec<usize>>,
-    /// Scheduled completions `(finish, order, conn)`, one per flow with a
-    /// rate. `order` breaks ties at one finish time by scheduling order.
-    due: BTreeSet<(SimTime, u64, usize)>,
-    /// Bumped on every (re)schedule.
-    order: u64,
+    /// Scheduled completions, one live entry per flow with a rate.
+    due: DueHeap,
     /// Times of the [`FluidEv::Wake`] events in flight, ascending. A wake
     /// is only armed ahead of the earliest one, so pushing at the front
     /// keeps the order.
@@ -380,8 +454,7 @@ impl FluidCore {
             conns: Vec::new(),
             caps: Vec::new(),
             link_users: Vec::new(),
-            due: BTreeSet::new(),
-            order: 0,
+            due: DueHeap::default(),
             wakes: VecDeque::new(),
             scratch: Scratch::default(),
         }
@@ -471,7 +544,6 @@ impl FluidCore {
                 remaining: q.bytes.max(1) as f64,
                 rate: 0.0,
                 updated: ctx.now(),
-                due: None,
                 path,
                 hops,
             });
@@ -491,7 +563,6 @@ impl FluidCore {
             link_users,
             scratch: sc,
             due,
-            order,
             ..
         } = self;
         sc.begin();
@@ -529,13 +600,7 @@ impl FluidCore {
                 // An unchanged rate keeps its scheduled completion: the
                 // residual shrank by exactly rate·dt since scheduling.
                 f.rate = rate;
-                if let Some((finish, o)) = f.due.take() {
-                    due.remove(&(finish, o, ci));
-                }
-                *order += 1;
-                let finish = now + Dur::nanos((f.remaining / f.rate).ceil() as u64);
-                f.due = Some((finish, *order));
-                due.insert((finish, *order, ci));
+                due.schedule(ci, now + Dur::nanos((f.remaining / f.rate).ceil() as u64));
             }
         }
     }
@@ -544,7 +609,7 @@ impl FluidCore {
     /// completion. Wakes armed for completions that have since moved
     /// later fire as no-ops and re-arm here.
     fn arm(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&(next, _, _)) = self.due.first() else {
+        let Some((next, _)) = self.due.first_due() else {
             return;
         };
         if self.wakes.front().map_or(true, |&w| w > next) {
@@ -600,11 +665,7 @@ impl FluidCore {
         let now = ctx.now();
         debug_assert_eq!(self.wakes.front(), Some(&now), "wake out of order");
         self.wakes.pop_front();
-        while let Some(&(finish, _, conn)) = self.due.first() {
-            if finish > now {
-                break;
-            }
-            self.due.pop_first();
+        while let Some((_, conn)) = self.due.pop_due(now) {
             self.complete(ctx, conn);
         }
     }
@@ -705,6 +766,7 @@ impl Process for FluidCore {
                 }
             })
             .collect();
+        self.due = DueHeap::new(self.conns.len());
         let sc = &mut self.scratch;
         sc.conn_mark = vec![0; self.conns.len()];
         sc.link_mark = vec![0; self.caps.len()];
@@ -790,6 +852,118 @@ mod tests {
         assert_close(rates[0], 1.0, "f0");
         assert_close(rates[1], 2.0, "f1");
         assert_close(rates[2], 10.0, "f2");
+    }
+
+    /// Reference model for [`DueHeap`]: an ordered set holding only the
+    /// current keys, with its own order counter.
+    #[derive(Default)]
+    struct DueModel {
+        set: std::collections::BTreeSet<(SimTime, u64, usize)>,
+        keys: Vec<Option<(SimTime, u64)>>,
+        order: u64,
+    }
+
+    impl DueModel {
+        fn schedule(&mut self, conn: usize, finish: SimTime) {
+            if let Some((f, o)) = self.keys[conn].take() {
+                self.set.remove(&(f, o, conn));
+            }
+            self.order += 1;
+            self.keys[conn] = Some((finish, self.order));
+            self.set.insert((finish, self.order, conn));
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
+            let &(finish, _, conn) = self.set.first()?;
+            if finish > now {
+                return None;
+            }
+            self.set.pop_first();
+            self.keys[conn] = None;
+            Some((finish, conn))
+        }
+    }
+
+    /// Uniform-enough draw in `0..n` for test scripts.
+    fn below(rng: &mut rand::rngs::SmallRng, n: u64) -> u64 {
+        use rand::RngCore;
+        rng.next_u64() % n
+    }
+
+    /// Reschedule a random subset of connections, the way a reallocation
+    /// does: new flows get a first completion, flows already scheduled move.
+    /// Finish times land on a coarse grid so same-nanosecond ties are common.
+    fn reallocate_both(
+        rng: &mut rand::rngs::SmallRng,
+        heap: &mut DueHeap,
+        model: &mut DueModel,
+        now: SimTime,
+        conns: usize,
+    ) {
+        let touched = 1 + below(rng, conns as u64);
+        for _ in 0..touched {
+            let conn = below(rng, conns as u64) as usize;
+            let finish = now + Dur::nanos(below(rng, 40) * 25);
+            heap.schedule(conn, finish);
+            model.schedule(conn, finish);
+        }
+        assert_eq!(heap.live, model.set.len(), "live count");
+        assert!(
+            heap.heap.len() <= 2 * heap.live + DUE_SLACK,
+            "{} heap entries for {} live flows",
+            heap.heap.len(),
+            heap.live
+        );
+    }
+
+    #[test]
+    fn due_heap_pops_like_an_ordered_set() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let conns = 100 + below(&mut rng, 300) as usize;
+            let mut heap = DueHeap::new(conns);
+            let mut model = DueModel {
+                keys: vec![None; conns],
+                ..DueModel::default()
+            };
+            let mut now = SimTime::ZERO;
+            let mut popped = 0usize;
+            for _ in 0..400 {
+                if rng.gen_bool(0.5) {
+                    reallocate_both(&mut rng, &mut heap, &mut model, now, conns);
+                    continue;
+                }
+                // A wake: jump to the earliest completion and complete
+                // everything due by then; each completion may reallocate,
+                // rescheduling flows to this very instant.
+                let Some((next, _)) = heap.first_due() else {
+                    continue;
+                };
+                now = next;
+                loop {
+                    let want = model.pop_due(now);
+                    assert_eq!(heap.pop_due(now), want, "seed {seed}: pop {popped}");
+                    if want.is_none() {
+                        break;
+                    }
+                    popped += 1;
+                    if rng.gen_bool(0.3) {
+                        reallocate_both(&mut rng, &mut heap, &mut model, now, conns);
+                    }
+                }
+            }
+            // Drain: the remaining pop sequences agree to the end.
+            let end = SimTime::from_nanos(u64::MAX);
+            loop {
+                let want = model.pop_due(end);
+                assert_eq!(heap.pop_due(end), want, "seed {seed}: drain");
+                if want.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(heap.live, 0, "seed {seed}: live count after the drain");
+        }
     }
 
     #[test]
