@@ -30,11 +30,9 @@
 pub mod curves;
 pub mod microbench;
 pub mod provider;
-pub mod socket;
 
 pub use curves::PerfCurve;
 pub use microbench::{
     bandwidth_series, latency_series, streaming_mbps_probed, BandwidthPoint, LatencyPoint,
 };
 pub use provider::Provider;
-pub use socket::{Socket, SocketSet};

@@ -12,9 +12,8 @@ use crate::buffer::{DataBuffer, StreamMsg, CONTROL_BYTES};
 use crate::logic::{Action, FilterCtx, FilterLogic, SpeedModel};
 use crate::sched::{Policy, Scheduler};
 use hpsock_net::{ConnId, Delivery, Network, NodeId, RecoveryCfg, StreamError, StreamErrorKind};
-use hpsock_sim::stats::Tally;
 use hpsock_sim::{
-    Ctx, Dur, FxHashMap, FxHashSet, Message, ProbeEvent, Process, ProcessId, ResourceId, SimTime,
+    Ctx, FxHashMap, FxHashSet, Message, ProbeEvent, Process, ProcessId, ResourceId, SimTime,
 };
 use std::any::Any;
 use std::collections::VecDeque;
@@ -117,12 +116,6 @@ pub struct FilterStats {
     pub bytes_in: u64,
     /// Buffers emitted on output streams.
     pub buffers_out: u64,
-    /// Bytes emitted on output streams.
-    pub bytes_out: u64,
-    /// Total (speed-scaled) CPU demand charged.
-    pub compute_busy: Dur,
-    /// Time buffers waited in the inbox before processing started, µs.
-    pub queue_wait_us: Tally,
     /// `(uow, time)` each unit of work completed at this copy.
     pub uow_ends: Vec<(u32, SimTime)>,
     /// Stream errors reported by the transport (lost or dead-peer sends).
@@ -157,7 +150,6 @@ enum WorkItem {
         port: usize,
         producer: usize,
         buf: DataBuffer,
-        arrived: SimTime,
         conn: ConnId,
         msg_id: u64,
     },
@@ -447,7 +439,6 @@ impl FilterProcess {
             speed.factor(now, ctx.rng())
         };
         let scaled = action.compute.mul_f64(factor);
-        self.stats.compute_busy += scaled;
         self.busy = true;
         let done = ComputeDone {
             outputs: std::mem::take(&mut action.outputs),
@@ -557,7 +548,6 @@ impl FilterProcess {
                         self.done_times[port][i].push_back(ctx.now());
                     }
                     self.stats.buffers_out += 1;
-                    self.stats.bytes_out += buf.bytes;
                     let conn = self.wiring().outputs[port].data_conns[i];
                     let bytes = buf.bytes;
                     self.send_stream(ctx, conn, bytes, StreamMsg::Data(buf));
@@ -578,7 +568,6 @@ impl FilterProcess {
                     port,
                     producer,
                     buf,
-                    arrived,
                     conn,
                     msg_id,
                 } => {
@@ -593,9 +582,6 @@ impl FilterProcess {
                     }
                     self.stats.buffers_in += 1;
                     self.stats.bytes_in += buf.bytes;
-                    self.stats
-                        .queue_wait_us
-                        .add(ctx.now().since(arrived).as_micros_f64());
                     let done_notify = if matches!(input_policy, Policy::RoundRobinAcked) {
                         Some(ack_conn_for_done)
                     } else {
@@ -716,7 +702,6 @@ impl Process for FilterProcess {
                                 port,
                                 producer,
                                 buf,
-                                arrived: ctx.now(),
                                 conn: d.conn,
                                 msg_id: d.msg_id,
                             }),

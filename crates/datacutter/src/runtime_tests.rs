@@ -490,19 +490,3 @@ fn crashed_worker_fails_over_and_survivors_cover_all_blocks() {
         "failover replay keeps at-least-once coverage"
     );
 }
-
-#[test]
-fn queue_wait_is_recorded() {
-    let mut b = build_pipeline(
-        TransportKind::SocketVia,
-        Policy::demand_driven(),
-        64,
-        4096,
-        180,
-        &[],
-    );
-    run_one_uow(&mut b);
-    let w = b.inst.copy(&b.sim, b.mid, 0);
-    assert!(w.stats.queue_wait_us.count() > 0);
-    assert!(w.stats.compute_busy > Dur::ZERO);
-}

@@ -55,10 +55,10 @@ use crate::flow::Flow;
 use crate::fluid::{FluidCore, FluidEv};
 use crate::frame::{frame_count, frame_len};
 use crate::netmodel::NetModel;
-use crate::params::{PathCosts, TransportKind};
-use hpsock_sim::stats::{Tally, TimeWeighted};
+use crate::params::{FlowModel, PathCosts, TransportKind};
 use hpsock_sim::{
-    Ctx, Dur, FxHashMap, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime,
+    Ctx, Dur, FxHashMap, FxHashSet, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim,
+    SimTime,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -229,12 +229,12 @@ enum Ev {
     HostRxFrameDone { conn: ConnId, msg: u64, flen: u32 },
     /// Window ack (window model): frees in-flight bytes at the sender.
     AckArrive { conn: ConnId, frame_bytes: u64 },
-    /// Descriptor credits re-posted at frame arrival reached the sender
-    /// (credits model).
-    CreditArrive { conn: ConnId, n: u32 },
-    /// Consumption notification reached the sender: frees receive-buffer
-    /// accounting (window model).
-    FlowReturn { conn: ConnId, bytes: u64 },
+    /// The descriptor credit re-posted at a frame's arrival reached the
+    /// sender (credits model).
+    CreditArrive { conn: ConnId },
+    /// Consumption notification reached the sender (window model); the
+    /// sender re-pumps its queue.
+    FlowReturn { conn: ConnId },
     /// Loss-detection timer for a fault-doomed message fired at the
     /// sender: repair flow control for the charged frames and surface a
     /// [`StreamError`] to the sending process.
@@ -245,7 +245,7 @@ enum Ev {
     ConnCut { conn: ConnId },
 }
 
-/// Counters and distributions per connection. Send-side fields are filled
+/// Counters per connection. Send-side fields are filled
 /// by the source node's core, receive-side fields by the destination
 /// node's core; read them back via [`Network::core_of`] +
 /// [`hpsock_sim::Sim::process`] with [`NodeCore::tx_stats`] /
@@ -254,16 +254,10 @@ enum Ev {
 pub struct ConnStats {
     /// Application messages submitted.
     pub msgs_sent: u64,
-    /// Application bytes submitted.
-    pub bytes_sent: u64,
     /// Application messages delivered.
     pub msgs_delivered: u64,
     /// Application bytes delivered.
     pub bytes_delivered: u64,
-    /// Send→delivery latency in microseconds.
-    pub latency_us: Tally,
-    /// Sender queue depth (messages waiting for flow-control headroom).
-    pub queue_depth: TimeWeighted,
     /// Total time the sender sat blocked on flow-control credits with data
     /// queued (the paper's "waiting for descriptor credits" component).
     pub credit_stall: Dur,
@@ -349,7 +343,7 @@ impl TxConn {
         TxConn {
             conn,
             costs: Arc::clone(&spec.costs),
-            flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
+            flow: Flow::new(spec.costs.flow),
             sendq: VecDeque::new(),
             pending_meta: FxHashMap::default(),
             stats: ConnStats::default(),
@@ -368,12 +362,9 @@ struct RxConn {
     conn: ConnId,
     dst: Endpoint,
     costs: Arc<PathCosts>,
-    /// Same flow model as the send side; the receive half only drives the
-    /// arrival path (descriptor reap/re-post in the credits model).
-    flow: Flow,
     msgs: FxHashMap<u64, RxMsgState>,
-    /// Delivered, not yet consumed: msg_id -> (bytes, frames).
-    unconsumed: FxHashMap<u64, (u64, u32)>,
+    /// Ids of delivered, not yet consumed messages.
+    unconsumed: FxHashSet<u64>,
     stats: ConnStats,
     /// Fail-stop time of this (destination) node, when the fault plan
     /// crashes it: frames arriving afterwards are dropped, returning no
@@ -387,9 +378,8 @@ impl RxConn {
             conn,
             dst: spec.dst,
             costs: Arc::clone(&spec.costs),
-            flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
             msgs: FxHashMap::default(),
-            unconsumed: FxHashMap::default(),
+            unconsumed: FxHashSet::default(),
             stats: ConnStats::default(),
             cut_at: faults.and_then(|p| p.crash_time(spec.dst.node.0)),
         }
@@ -731,13 +721,11 @@ impl NodeCore {
                 return;
             }
             let Some(head) = c.sendq.front_mut() else {
-                c.stats.queue_depth.set(ctx.now(), 0.0);
                 return;
             };
             let flen = frame_len(head.bytes, c.costs.frame_payload, head.next_frame);
             if !c.flow.can_send(flen as u64) {
                 let depth = c.sendq.len() as f64;
-                c.stats.queue_depth.set(ctx.now(), depth);
                 if c.stall_since.is_none() {
                     c.stall_since = Some(ctx.now());
                 }
@@ -832,7 +820,6 @@ impl NodeCore {
                     // fates (including crash cuts) are decided there, at
                     // flow granularity.
                     c.stats.msgs_sent += 1;
-                    c.stats.bytes_sent += bytes;
                     let d_tx = c.costs.switch_latency + c.costs.prop_delay;
                     let fluid_core = self.fluid_core();
                     ctx.send_in(
@@ -865,27 +852,25 @@ impl NodeCore {
                     frames,
                 });
                 c.stats.msgs_sent += 1;
-                c.stats.bytes_sent += bytes;
-                c.stats.queue_depth.set(ctx.now(), c.sendq.len() as f64);
                 self.pump(ctx, conn);
             }
             NetCmd::Consumed { conn, msg_id } => {
                 let c = self.rx_mut(conn);
-                let (bytes, _frames) = c
-                    .unconsumed
-                    .remove(&msg_id)
-                    .expect("consumed an unknown or already-consumed message");
+                assert!(
+                    c.unconsumed.remove(&msg_id),
+                    "consumed an unknown or already-consumed message"
+                );
                 // The fluid model has no per-frame flow control to repair:
                 // consumption is pure bookkeeping.
                 if fluid {
                     return;
                 }
                 // Credits were re-posted at frame arrival; only the window
-                // model needs a receive-buffer update at the sender.
-                if !c.flow.is_credits() {
+                // model sends a consumption update to the sender.
+                if let FlowModel::Window { .. } = c.costs.flow {
                     let ack = c.costs.ack_latency;
                     let tx_core = self.tx_core(conn);
-                    ctx.send_in(ack, tx_core, Message::new(Ev::FlowReturn { conn, bytes }));
+                    ctx.send_in(ack, tx_core, Message::new(Ev::FlowReturn { conn }));
                 }
             }
         }
@@ -895,6 +880,13 @@ impl NodeCore {
     /// engine for the per-frame service.
     fn on_rx_frame(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: u64, flen: u32) {
         let c = self.rx_mut(conn);
+        // The frame lands in one eager buffer (credits model) or one
+        // segment (window model): the sender never exceeds the payload.
+        debug_assert!(
+            flen <= c.costs.frame_payload,
+            "frame of {flen} B overran a {} B frame payload",
+            c.costs.frame_payload
+        );
         let service = c.costs.per_frame_recv
             + Dur::nanos((flen as f64 * c.costs.per_byte_recv_ns).round() as u64);
         ctx.use_resource(
@@ -1063,26 +1055,18 @@ impl NodeCore {
                 });
                 let last = st.frames_arrived == st.frames;
                 let ack = c.costs.ack_latency;
-                if c.flow.is_credits() {
+                let reply = match c.costs.flow {
                     // The sockets layer drains the eager buffer and
                     // re-posts the descriptor; the credit update reaches
                     // the sender after the return-path latency.
-                    let n = c.flow.on_frame_arrived(flen as u64);
-                    if n > 0 {
-                        let tx_core = self.tx_core(conn);
-                        ctx.send_in(ack, tx_core, Message::new(Ev::CreditArrive { conn, n }));
-                    }
-                } else {
-                    let tx_core = self.tx_core(conn);
-                    ctx.send_in(
-                        ack,
-                        tx_core,
-                        Message::new(Ev::AckArrive {
-                            conn,
-                            frame_bytes: flen as u64,
-                        }),
-                    );
-                }
+                    FlowModel::Credits { .. } => Ev::CreditArrive { conn },
+                    FlowModel::Window { .. } => Ev::AckArrive {
+                        conn,
+                        frame_bytes: flen as u64,
+                    },
+                };
+                let tx_core = self.tx_core(conn);
+                ctx.send_in(ack, tx_core, Message::new(reply));
                 if last {
                     // Per-message receive work, then delivery at its
                     // completion; the message counts as delivered (stats,
@@ -1102,12 +1086,9 @@ impl NodeCore {
                         c.dst.pid,
                         Message::new(delivery),
                     );
-                    c.unconsumed.insert(msg, (st.bytes, st.frames));
+                    c.unconsumed.insert(msg);
                     c.stats.msgs_delivered += 1;
                     c.stats.bytes_delivered += st.bytes;
-                    c.stats
-                        .latency_us
-                        .add(done.since(st.sent_at).as_micros_f64());
                     // Cumulative achieved bandwidth of this connection so
                     // far (bits delivered / virtual time), per delivery.
                     ctx.probe_emit(|_| mbps_gauge(conn, c.stats.bytes_delivered, done));
@@ -1118,23 +1099,21 @@ impl NodeCore {
                 if c.dead {
                     return;
                 }
-                c.flow.on_frame_arrived(frame_bytes);
+                c.flow.on_acked(frame_bytes);
                 self.pump(ctx, conn);
             }
-            Ev::CreditArrive { conn, n } => {
+            Ev::CreditArrive { conn } => {
                 let c = self.tx_mut(conn);
                 if c.dead {
                     return;
                 }
-                c.flow.on_credits_returned(n);
+                c.flow.on_credits_returned(1);
                 self.pump(ctx, conn);
             }
-            Ev::FlowReturn { conn, bytes } => {
-                let c = self.tx_mut(conn);
-                if c.dead {
+            Ev::FlowReturn { conn } => {
+                if self.tx_mut(conn).dead {
                     return;
                 }
-                c.flow.on_consumed(bytes);
                 self.pump(ctx, conn);
             }
             Ev::MsgLost { conn, msg } => {
@@ -1153,16 +1132,16 @@ impl NodeCore {
                     d.repaired = true;
                 }
                 // Repair flow control for exactly the charged frames. The
-                // receiver never saw them, so its descriptor ring is
-                // untouched: the credits model gets its loaned credits
-                // back directly, the window model frees the in-flight
-                // bytes frame by frame.
+                // receiver never saw them, so no credit or ack will come
+                // back: the credits model gets its loaned credits back
+                // directly, the window model frees the in-flight bytes
+                // frame by frame.
                 if c.flow.is_credits() {
                     c.flow.on_credits_returned(frames_charged);
                 } else {
                     let fp = c.costs.frame_payload;
                     for i in 0..frames_charged {
-                        c.flow.on_frame_arrived(frame_len(bytes, fp, i) as u64);
+                        c.flow.on_acked(frame_len(bytes, fp, i) as u64);
                     }
                 }
                 let pid = c.src_pid;
@@ -1243,13 +1222,9 @@ impl NodeCore {
                     // do under the packet model.
                     return;
                 }
-                let frames = c.costs.frames_for(bytes);
-                c.unconsumed.insert(msg, (bytes, frames));
+                c.unconsumed.insert(msg);
                 c.stats.msgs_delivered += 1;
                 c.stats.bytes_delivered += bytes;
-                c.stats
-                    .latency_us
-                    .add(ctx.now().since(sent_at).as_micros_f64());
                 let delivered = c.stats.bytes_delivered;
                 ctx.probe_emit(|t| mbps_gauge(conn, delivered, t));
                 let delivery = Delivery {
@@ -1471,5 +1446,176 @@ mod tests {
                 );
             });
         }
+    }
+
+    /// Sends `count` messages of `bytes` on each connection at start and
+    /// counts the stream errors that come back.
+    struct Streamer {
+        net: Network,
+        conns: Vec<ConnId>,
+        bytes: u64,
+        count: u32,
+        errors: u32,
+    }
+    impl Process for Streamer {
+        fn name(&self) -> String {
+            "streamer".to_string()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for &conn in &self.conns {
+                for _ in 0..self.count {
+                    self.net.send(ctx, conn, self.bytes, Message::new(()));
+                }
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
+            msg.downcast::<StreamError>().expect("stream errors only");
+            self.errors += 1;
+        }
+    }
+
+    /// Once the queue drains after a run with dropped messages, every send
+    /// half is back at rest: all credits returned (credits model) or no
+    /// byte in flight (window model). Credits and acks of delivered frames
+    /// come back from the receiver; those of lost frames come back from
+    /// the `MsgLost` repair, so a leak or a double return on either path
+    /// fails here.
+    #[test]
+    fn flow_control_returns_to_rest_after_losses() {
+        let kinds = [
+            TransportKind::SocketVia,
+            TransportKind::KTcp,
+            TransportKind::SocketVia,
+            TransportKind::KTcp,
+        ];
+        let ends = [(0, 1), (1, 2), (2, 0), (0, 2)];
+        crate::netmodel::with_netmodel(NetModel::Packet, || {
+            crate::fault::with_spec("drop=0.2", || {
+                let mut sim = Sim::new(17);
+                let cluster = Cluster::build(&mut sim, 3);
+                let net = cluster.network();
+                // Multi-frame messages on both transports, so losses hit
+                // messages with several frames charged.
+                let sender = sim.add_process(Box::new(Streamer {
+                    net: net.clone(),
+                    conns: (0..ends.len()).map(ConnId).collect(),
+                    bytes: 150_000,
+                    count: 30,
+                    errors: 0,
+                }));
+                let drain = sim.add_process(Box::new(Drain { net: net.clone() }));
+                for (&(src, dst), &kind) in ends.iter().zip(&kinds) {
+                    net.connect(
+                        cluster.endpoint(NodeId(src), sender),
+                        cluster.endpoint(NodeId(dst), drain),
+                        kind,
+                    );
+                }
+                sim.run();
+                let s: &Streamer = sim.process(sender).unwrap();
+                assert!(s.errors > 0, "the drop filter lost no message");
+                let mut delivered = 0;
+                for (ci, &(src, dst)) in ends.iter().enumerate() {
+                    let tx_core: &NodeCore = sim.process(net.core_of(NodeId(src))).unwrap();
+                    let rx_core: &NodeCore = sim.process(net.core_of(NodeId(dst))).unwrap();
+                    delivered += rx_core.rx_stats(ConnId(ci)).unwrap().msgs_delivered;
+                    let slot = tx_core.route.get().unwrap().tx_slot[ci] as usize;
+                    let c = &tx_core.tx[slot];
+                    assert!(c.sendq.is_empty() && !c.dead, "conn {ci} drained");
+                    match c.flow {
+                        Flow::Credits { credits, pool } => {
+                            assert_eq!(credits, pool, "conn {ci} credits at rest")
+                        }
+                        Flow::Window { inflight, .. } => {
+                            assert_eq!(inflight, 0, "conn {ci} window at rest")
+                        }
+                    }
+                }
+                assert_eq!(
+                    delivered + s.errors as u64,
+                    ends.len() as u64 * 30,
+                    "every message was delivered or reported lost"
+                );
+            });
+        });
+    }
+
+    /// Sends `pre` messages, waits on `barrier` at 1 s of virtual time,
+    /// sends `post` more, and waits on `barrier` again at 2 s.
+    struct Phased {
+        net: Network,
+        pre: u32,
+        post: u32,
+        barrier: Arc<std::sync::Barrier>,
+        waits: u32,
+    }
+    impl Process for Phased {
+        fn name(&self) -> String {
+            "phased".to_string()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.pre {
+                self.net.send(ctx, ConnId(0), 1024, Message::new(()));
+            }
+            ctx.send_self_in(Dur::secs(1), Message::new(()));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
+            self.barrier.wait();
+            self.waits += 1;
+            if self.waits == 1 {
+                for _ in 0..self.post {
+                    self.net.send(ctx, ConnId(0), 1024, Message::new(()));
+                }
+                ctx.send_self_in(Dur::secs(1), Message::new(()));
+            }
+        }
+    }
+
+    /// Two flow-model runs on two threads, held in step by a barrier that
+    /// each waits on twice: once between its two batches of flows, once
+    /// after all of them. Each run's `run_report.json` counts only its own
+    /// flows, however the two runs interleave.
+    #[test]
+    fn concurrent_runs_report_their_own_flows() {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let run = |id: usize, pre: u32, post: u32| {
+            let dir =
+                std::env::temp_dir().join(format!("hpsock_run_flows_{}_{id}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            hpsock_sim::telemetry::with_telemetry_dir(Some(&dir), || {
+                crate::netmodel::with_netmodel(NetModel::Flow, || {
+                    let mut sim = Sim::new(id as u64);
+                    let cluster = Cluster::build(&mut sim, 2);
+                    let net = cluster.network();
+                    let sender = sim.add_process(Box::new(Phased {
+                        net: net.clone(),
+                        pre,
+                        post,
+                        barrier: Arc::clone(&barrier),
+                        waits: 0,
+                    }));
+                    let drain = sim.add_process(Box::new(Drain { net: net.clone() }));
+                    net.connect(
+                        cluster.endpoint(NodeId(0), sender),
+                        cluster.endpoint(NodeId(1), drain),
+                        TransportKind::SocketVia,
+                    );
+                    sim.run();
+                })
+            });
+            let report = std::fs::read_to_string(dir.join("run_report.json")).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            report
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("\"flows\": "))
+                .and_then(|v| v.trim_end_matches(',').parse::<u64>().ok())
+                .expect("flows field")
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(0, 1, 3));
+            let b = s.spawn(|| run(1, 2, 5));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a, b), (4, 7), "each report counts its own run's flows");
     }
 }

@@ -1,4 +1,4 @@
-//! Flow-control state machines.
+//! Flow-control state machines for the send half of a connection.
 //!
 //! Two regimes, matching the two stacks in the paper:
 //!
@@ -17,22 +17,21 @@
 //!   backpressure is the demand-driven window above, as in DataCutter.
 //!
 //! The state machines are pure (no simulator coupling) and are driven by
-//! the network engine.
+//! the network engine, which picks the receiver's reply (a credit return
+//! or a window ack) from the connection's [`FlowModel`].
 
 use crate::params::FlowModel;
-use crate::via::CreditRing;
 
-/// Per-connection flow-control state.
+/// Per-connection flow-control state, held by the sender.
 #[derive(Debug, Clone)]
 pub enum Flow {
-    /// Receiver-posted descriptor credits, backed by the VIA descriptor
-    /// ring model ([`crate::via::CreditRing`]).
+    /// Receiver-posted descriptor credits.
     Credits {
         /// The sender's view of the peer's posted descriptors (lags the
-        /// ring by the credit-update latency).
-        sender_credits: u32,
-        /// The receive-side descriptor ring.
-        ring: CreditRing,
+        /// receiver by the credit-update latency).
+        credits: u32,
+        /// Descriptors the receiver posts per connection (caps `credits`).
+        pool: u32,
     },
     /// Sliding byte window.
     Window {
@@ -44,15 +43,15 @@ pub enum Flow {
 }
 
 impl Flow {
-    /// Fresh state for a connection using `model`; `frame_capacity` sizes
-    /// the registered eager buffers behind each receive descriptor.
-    pub fn new(model: FlowModel, frame_capacity: u32) -> Flow {
+    /// Fresh state for a connection using `model`: every credit available,
+    /// nothing in flight.
+    pub fn new(model: FlowModel) -> Flow {
         match model {
             FlowModel::Credits { count } => Flow::Credits {
-                sender_credits: count,
-                ring: CreditRing::new(count, frame_capacity),
+                credits: count,
+                pool: count,
             },
-            FlowModel::Window { send_buf, .. } => Flow::Window {
+            FlowModel::Window { send_buf } => Flow::Window {
                 inflight: 0,
                 send_buf,
             },
@@ -62,19 +61,17 @@ impl Flow {
     /// May the sender emit the next frame of `frame_bytes` payload?
     pub fn can_send(&self, frame_bytes: u64) -> bool {
         match self {
-            Flow::Credits { sender_credits, .. } => *sender_credits > 0,
-            Flow::Window {
-                inflight, send_buf, ..
-            } => inflight + frame_bytes <= *send_buf,
+            Flow::Credits { credits, .. } => *credits > 0,
+            Flow::Window { inflight, send_buf } => inflight + frame_bytes <= *send_buf,
         }
     }
 
     /// Account for a frame entering the network.
     pub fn on_frame_sent(&mut self, frame_bytes: u64) {
         match self {
-            Flow::Credits { sender_credits, .. } => {
-                assert!(*sender_credits > 0, "sent a frame without a credit");
-                *sender_credits -= 1;
+            Flow::Credits { credits, .. } => {
+                assert!(*credits > 0, "sent a frame without a credit");
+                *credits -= 1;
             }
             Flow::Window { inflight, .. } => {
                 *inflight += frame_bytes;
@@ -82,67 +79,36 @@ impl Flow {
         }
     }
 
-    /// The receiver accepted a frame. Credits model: the sockets layer
-    /// copies the segment out and re-posts the descriptor — returns the
-    /// number of credits to ship back to the sender. Window model: the
-    /// kernel's ack frees the frame's in-flight bytes (call at
-    /// sender-learns-of-ack time).
-    pub fn on_frame_arrived(&mut self, frame_bytes: u64) -> u32 {
+    /// The kernel's ack for a frame of `frame_bytes` reached the sender
+    /// (window model): its in-flight bytes are freed.
+    pub fn on_acked(&mut self, frame_bytes: u64) {
         match self {
-            Flow::Credits { ring, .. } => {
-                // The frame lands in the oldest posted eager buffer; the
-                // sockets layer (whose receive is always posted) reaps the
-                // completion, copies the segment out, and re-posts.
-                ring.on_frame(frame_bytes as u32);
-                let c = ring.reap_and_repost().expect("completion just enqueued");
-                debug_assert_eq!(c.len as u64, frame_bytes);
-                1
-            }
             Flow::Window { inflight, .. } => {
                 assert!(*inflight >= frame_bytes, "acked more than in flight");
                 *inflight -= frame_bytes;
-                0
             }
+            Flow::Credits { .. } => panic!("window ack on a credits connection"),
         }
     }
 
-    /// Credits shipped by the receiver reached the sender.
+    /// `n` credits shipped by the receiver reached the sender (credits
+    /// model).
     pub fn on_credits_returned(&mut self, n: u32) {
         match self {
-            Flow::Credits {
-                sender_credits,
-                ring,
-            } => {
-                *sender_credits += n;
+            Flow::Credits { credits, pool } => {
+                *credits += n;
                 assert!(
-                    *sender_credits <= ring.pool(),
-                    "credits over-returned: {sender_credits} > {}",
-                    ring.pool()
+                    *credits <= *pool,
+                    "credits over-returned: {credits} > {pool}"
                 );
             }
             Flow::Window { .. } => panic!("credit return on a window connection"),
         }
     }
 
-    /// The receiving application consumed a delivered message. Bookkeeping
-    /// only: descriptors re-posted (credits) and the kernel buffer drained
-    /// (window) at arrival already.
-    pub fn on_consumed(&mut self, _bytes: u64) {}
-
     /// True for the credits regime.
     pub fn is_credits(&self) -> bool {
         matches!(self, Flow::Credits { .. })
-    }
-
-    /// Credits currently available (credits model) or free in-flight bytes
-    /// (window model); for observability.
-    pub fn headroom(&self) -> u64 {
-        match self {
-            Flow::Credits { sender_credits, .. } => *sender_credits as u64,
-            Flow::Window {
-                inflight, send_buf, ..
-            } => send_buf.saturating_sub(*inflight),
-        }
     }
 }
 
@@ -151,27 +117,32 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Credits available (credits model) or free in-flight bytes (window
+    /// model).
+    fn headroom(f: &Flow) -> u64 {
+        match f {
+            Flow::Credits { credits, .. } => *credits as u64,
+            Flow::Window { inflight, send_buf } => send_buf - inflight,
+        }
+    }
+
     #[test]
     fn credits_lifecycle() {
-        let mut f = Flow::new(FlowModel::Credits { count: 2 }, 65_536);
+        let mut f = Flow::new(FlowModel::Credits { count: 2 });
         assert!(f.is_credits());
         assert!(f.can_send(1_000));
         f.on_frame_sent(1_000);
         f.on_frame_sent(64_000);
         assert!(!f.can_send(1));
-        assert_eq!(f.on_frame_arrived(1_000), 1);
-        assert_eq!(f.on_frame_arrived(64_000), 1);
         f.on_credits_returned(2);
         assert!(f.can_send(1));
-        assert_eq!(f.headroom(), 2);
-        f.on_consumed(65_000); // no-op
-        assert_eq!(f.headroom(), 2);
+        assert_eq!(headroom(&f), 2);
     }
 
     #[test]
     #[should_panic]
     fn credits_cannot_go_negative() {
-        let mut f = Flow::new(FlowModel::Credits { count: 1 }, 65_536);
+        let mut f = Flow::new(FlowModel::Credits { count: 1 });
         f.on_frame_sent(10);
         f.on_frame_sent(10);
     }
@@ -179,25 +150,19 @@ mod tests {
     #[test]
     #[should_panic]
     fn credits_cannot_over_return() {
-        let mut f = Flow::new(FlowModel::Credits { count: 1 }, 65_536);
+        let mut f = Flow::new(FlowModel::Credits { count: 1 });
         f.on_credits_returned(1);
     }
 
     #[test]
     fn window_send_cap() {
-        let mut f = Flow::new(
-            FlowModel::Window {
-                send_buf: 3_000,
-                recv_buf: 3_000,
-            },
-            1_460,
-        );
+        let mut f = Flow::new(FlowModel::Window { send_buf: 3_000 });
         assert!(!f.is_credits());
         assert!(f.can_send(1_460));
         f.on_frame_sent(1_460);
         f.on_frame_sent(1_460);
         assert!(!f.can_send(1_460), "send buffer full");
-        assert_eq!(f.on_frame_arrived(1_460), 0);
+        f.on_acked(1_460);
         assert!(f.can_send(1_460), "ack frees send window");
     }
 
@@ -205,13 +170,7 @@ mod tests {
     fn window_large_message_streams_without_deadlock() {
         // A message far larger than the window streams fine because acks
         // free in-flight bytes frame by frame.
-        let mut f = Flow::new(
-            FlowModel::Window {
-                send_buf: 65_536,
-                recv_buf: 65_536,
-            },
-            1_460,
-        );
+        let mut f = Flow::new(FlowModel::Window { send_buf: 65_536 });
         let (mut sent, mut arrived) = (0u32, 0u32);
         while sent < 1_000 {
             if f.can_send(1_460) {
@@ -219,7 +178,7 @@ mod tests {
                 sent += 1;
             } else {
                 assert!(arrived < sent, "progress possible");
-                f.on_frame_arrived(1_460);
+                f.on_acked(1_460);
                 arrived += 1;
             }
         }
@@ -231,7 +190,7 @@ mod tests {
         // A message of many more frames than credits streams fine because
         // descriptors re-post per frame: simulate 256 frames with 32
         // credits and an in-order credit return.
-        let mut f = Flow::new(FlowModel::Credits { count: 32 }, 65_536);
+        let mut f = Flow::new(FlowModel::Credits { count: 32 });
         let mut sent = 0u32;
         let mut arrived = 0u32;
         while sent < 256 {
@@ -240,8 +199,7 @@ mod tests {
                 sent += 1;
             } else {
                 assert!(arrived < sent, "progress possible");
-                let n = f.on_frame_arrived(65_536);
-                f.on_credits_returned(n);
+                f.on_credits_returned(1);
                 arrived += 1;
             }
         }
@@ -254,7 +212,7 @@ mod tests {
         #[test]
         fn credits_invariant(ops in proptest::collection::vec(0u8..2, 1..200)) {
             let total = 8u32;
-            let mut f = Flow::new(FlowModel::Credits { count: total }, 4_096);
+            let mut f = Flow::new(FlowModel::Credits { count: total });
             let mut outstanding = 0u32;
             for op in ops {
                 match op {
@@ -266,14 +224,13 @@ mod tests {
                     }
                     _ => {
                         if outstanding > 0 {
-                            let n = f.on_frame_arrived(100);
-                            f.on_credits_returned(n);
+                            f.on_credits_returned(1);
                             outstanding -= 1;
                         }
                     }
                 }
-                prop_assert!(f.headroom() <= total as u64);
-                prop_assert_eq!(f.headroom() + outstanding as u64, total as u64);
+                prop_assert!(headroom(&f) <= total as u64);
+                prop_assert_eq!(headroom(&f) + outstanding as u64, total as u64);
             }
         }
 
@@ -282,7 +239,7 @@ mod tests {
         #[test]
         fn window_invariant(ops in proptest::collection::vec(0u8..2, 1..300)) {
             let sb = 4_000u64;
-            let mut f = Flow::new(FlowModel::Window { send_buf: sb, recv_buf: sb }, 1_000);
+            let mut f = Flow::new(FlowModel::Window { send_buf: sb });
             let mut inflight: Vec<u64> = vec![];
             for op in ops {
                 match op {
@@ -294,13 +251,13 @@ mod tests {
                     }
                     _ => {
                         if let Some(b) = inflight.pop() {
-                            f.on_frame_arrived(b);
+                            f.on_acked(b);
                         }
                     }
                 }
                 let infl: u64 = inflight.iter().sum();
                 prop_assert!(infl <= sb);
-                prop_assert_eq!(f.headroom() + infl, sb);
+                prop_assert_eq!(headroom(&f) + infl, sb);
             }
         }
     }

@@ -686,7 +686,7 @@ impl FluidCore {
             let (msg, bytes) = (f.msg, f.bytes);
             self.fail(ctx, conn, msg, bytes, StreamErrorKind::PeerDead);
         } else {
-            hpsock_sim::telemetry::count_flows(1);
+            ctx.count_flow();
             let d_rx = self.delivery_delay(conn, f.bytes) + f.extra;
             let c = &self.conns[conn];
             ctx.send_in(

@@ -25,7 +25,6 @@ pub mod fluid;
 pub mod frame;
 pub mod netmodel;
 pub mod params;
-pub mod via;
 
 pub use cluster::{configured_oversub, parse_oversub, Cluster, NodeSpec, Topology, INTER_RACK_HOP};
 pub use engine::{
@@ -37,7 +36,6 @@ pub use flow::Flow;
 pub use fluid::max_min_rates;
 pub use netmodel::{configured_netmodel, parse_netmodel, with_netmodel, NetModel};
 pub use params::{FlowModel, PathCosts, TransportKind};
-pub use via::{Completion, CreditRing, RecvDescriptor};
 
 #[cfg(test)]
 mod proptests;

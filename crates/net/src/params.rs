@@ -84,21 +84,19 @@ impl TransportKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowModel {
     /// Receiver-posted descriptor credits (VIA-style). A sender consumes one
-    /// credit per wire message (frame); credits return when the receiving
-    /// *application* consumes the data and the sockets layer re-posts the
-    /// descriptor (SocketVIA's design).
+    /// credit per wire message (frame); each credit returns once the frame
+    /// arrives and the sockets layer copies it out of its eager buffer and
+    /// re-posts the descriptor (SocketVIA's design).
     Credits {
         /// Receive descriptors pre-posted per connection.
         count: u32,
     },
-    /// Sliding byte window (kernel TCP). Bytes in flight are capped by the
-    /// send buffer; bytes delivered but unconsumed by the application are
-    /// additionally capped by the receive buffer.
+    /// Sliding byte window (kernel TCP). The window caps bytes in flight
+    /// (sent but not yet acknowledged) only; the receiving kernel buffer is
+    /// taken to drain as fast as frames arrive.
     Window {
         /// Socket send-buffer bytes (caps unacknowledged in-flight data).
         send_buf: u64,
-        /// Socket receive-buffer bytes (caps delivered-but-unconsumed data).
-        recv_buf: u64,
     },
 }
 
@@ -197,10 +195,7 @@ impl PathCosts {
                 per_frame_recv: Dur::nanos(14_750),
                 per_byte_recv_ns: 5.59,
                 per_msg_recv: Dur::nanos(13_150),
-                flow: FlowModel::Window {
-                    send_buf: 65_536,
-                    recv_buf: 65_536,
-                },
+                flow: FlowModel::Window { send_buf: 65_536 },
                 ack_latency: Dur::nanos(20_000),
             },
             TransportKind::Rdma => PathCosts {
@@ -237,10 +232,7 @@ impl PathCosts {
                 per_frame_recv: Dur::nanos(14_750),
                 per_byte_recv_ns: 5.59,
                 per_msg_recv: Dur::nanos(13_150),
-                flow: FlowModel::Window {
-                    send_buf: 65_536,
-                    recv_buf: 65_536,
-                },
+                flow: FlowModel::Window { send_buf: 65_536 },
                 ack_latency: Dur::nanos(60_000),
             },
         }

@@ -102,8 +102,6 @@ pub struct EventQueue {
     overflow: BinaryHeap<Event>,
     /// Largest time popped so far; the window floor.
     last_time: SimTime,
-    /// Total pushes since the last recycle (not an ordering input).
-    inserted: u64,
 }
 
 impl Default for EventQueue {
@@ -130,7 +128,6 @@ impl EventQueue {
             ring_len: 0,
             overflow: BinaryHeap::new(),
             last_time: SimTime::ZERO,
-            inserted: 0,
         }
     }
 
@@ -144,7 +141,6 @@ impl EventQueue {
             ring_len: 0,
             overflow: BinaryHeap::new(),
             last_time: SimTime::ZERO,
-            inserted: 0,
         }
     }
 
@@ -164,7 +160,6 @@ impl EventQueue {
     /// events (the kernel's per-source keys are never reused).
     #[inline]
     pub fn push(&mut self, time: SimTime, seq: u64, target: ProcessId, msg: Message) {
-        self.inserted += 1;
         // Decide placement from the key alone so the fast path constructs
         // the event directly in the register, with no intermediate move.
         match &self.next {
@@ -374,13 +369,8 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Total number of events ever inserted since the last recycle.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
     /// Empty the queue for reuse, keeping bucket allocations and the shape
-    /// the previous run's workload tuned; the insertion count restarts at 0.
+    /// the previous run's workload tuned.
     pub fn recycle(&mut self) {
         self.next = None;
         for q in &mut self.buckets {
@@ -389,7 +379,6 @@ impl EventQueue {
         self.overflow.clear();
         self.ring_len = 0;
         self.last_time = SimTime::ZERO;
-        self.inserted = 0;
     }
 }
 
@@ -434,10 +423,8 @@ mod tests {
         q.push(t(42), 0, ProcessId(1), Message::new(()));
         assert_eq!(q.peek_time(), Some(t(42)));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.inserted(), 1);
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.inserted(), 1);
     }
 
     #[test]
@@ -514,7 +501,6 @@ mod tests {
         q.pop();
         q.recycle();
         assert!(q.is_empty());
-        assert_eq!(q.inserted(), 0);
         assert_eq!(q.peek_time(), None);
         q.push(t(4), 0, ProcessId(0), Message::new(7u32));
         assert_eq!(q.peek_time(), Some(t(4)));

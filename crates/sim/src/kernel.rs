@@ -67,6 +67,9 @@ pub(crate) struct Core {
     pub(crate) next_pid: usize,
     pub(crate) stop_requested: bool,
     pub(crate) events_dispatched: u64,
+    /// Completed network flows, counted by the flow-level network engine
+    /// through [`Ctx::count_flow`]; stays 0 under the packet model.
+    pub(crate) flows_completed: u64,
     /// Per-source push counters backing the canonical event ordering key:
     /// slot 0 is the external [`Sim::schedule_at`] stream, slot `pid + 1`
     /// the stream of pushes made from that process's handlers. The key of
@@ -206,6 +209,7 @@ impl Sim {
                 next_pid: 0,
                 stop_requested: false,
                 events_dispatched: 0,
+                flows_completed: 0,
                 push_counts: vec![0],
                 probe: None,
                 route: None,
@@ -329,9 +333,6 @@ impl Sim {
     }
 
     fn run_inner(&mut self, limit: Option<SimTime>) -> SimTime {
-        // Per-run flow counter (flow-level network model): reset before
-        // the shard branch so both kernels report this run's flows.
-        crate::telemetry::reset_flows();
         if let Some(plan) = &self.shard_plan {
             if plan.shards > 1 {
                 let plan = plan.clone();
@@ -344,6 +345,7 @@ impl Sim {
         let tel_dir = crate::telemetry::configured_telemetry();
         let run_start = std::time::Instant::now();
         let events_before = self.core.events_dispatched;
+        let flows_before = self.core.flows_completed;
         // Flatten the optional limit into one compare on the hot path; an
         // unlimited run can never pass t > MAX.
         let horizon = limit.unwrap_or(SimTime::from_nanos(u64::MAX));
@@ -390,6 +392,7 @@ impl Sim {
                 &dir,
                 run_start.elapsed().as_nanos() as u64,
                 self.core.events_dispatched - events_before,
+                self.core.flows_completed - flows_before,
             );
         }
         end
@@ -602,6 +605,12 @@ impl<'a> Ctx<'a> {
     /// Halt the simulation after the current handler returns.
     pub fn stop(&mut self) {
         self.core.stop_requested = true;
+    }
+
+    /// Count one completed network flow towards this run's report (see
+    /// [`crate::telemetry::RunReport::flows`]).
+    pub fn count_flow(&mut self) {
+        self.core.flows_completed += 1;
     }
 
     /// Fold an application-level tag into the determinism trace digest.

@@ -14,7 +14,7 @@
 //! determinism test-suite).
 //!
 //! [`Recorder`] is the batteries-included sink: it buffers events, folds
-//! counters/gauges into a [`MetricRegistry`], and exports Chrome
+//! gauges into a [`MetricRegistry`], and exports Chrome
 //! trace-event JSON openable in Perfetto / `chrome://tracing`, with one
 //! track per simulated resource plus one per named span track. The span
 //! tracks also fold into flamegraph collapsed stacks ([`fold_spans`],
@@ -22,7 +22,7 @@
 
 use crate::kernel::ProcessId;
 use crate::resource::ResourceId;
-use crate::stats::{Histogram, Tally, TimeWeighted};
+use crate::stats::TimeWeighted;
 use crate::time::{Dur, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -117,39 +117,18 @@ pub trait Probe: Send {
     fn begin_dispatch(&mut self, _time: SimTime, _key: u64) {}
 }
 
-/// Named counters, gauges and histograms, keyed deterministically.
-///
-/// Thin registry over the existing collectors: counters are plain running
-/// sums, gauges are [`TimeWeighted`] signals, histograms are log-spaced
-/// [`Histogram`]s (1 µs – 100 s when values are in µs). `BTreeMap` keys
-/// make snapshot iteration order deterministic.
+/// Named gauges, keyed deterministically: each gauge is a
+/// [`TimeWeighted`] signal, and `BTreeMap` keys make snapshot iteration
+/// order deterministic.
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, TimeWeighted>,
-    hists: BTreeMap<String, Histogram>,
-    tallies: BTreeMap<String, Tally>,
 }
 
 impl MetricRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Add `delta` to counter `name` (created at zero on first touch).
-    pub fn counter_add(&mut self, name: &str, delta: f64) {
-        *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
-    }
-
-    /// Current value of counter `name` (0 if never touched).
-    pub fn counter(&self, name: &str) -> f64 {
-        self.counters.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Record that gauge `name` changed to `value` at `t`.
@@ -174,37 +153,12 @@ impl MetricRegistry {
     pub fn gauge_names(&self) -> impl Iterator<Item = &str> {
         self.gauges.keys().map(String::as_str)
     }
-
-    /// Record an observation into histogram `name` (µs-scale bins,
-    /// 1 µs – 100 s, created on first touch).
-    pub fn hist_add(&mut self, name: &str, x: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::log_spaced(1.0, 1e8, 160))
-            .add(x);
-        self.tallies.entry(name.to_string()).or_default().add(x);
-    }
-
-    /// The histogram named `name`, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Streaming moments for histogram `name`, if any.
-    pub fn tally(&self, name: &str) -> Option<&Tally> {
-        self.tallies.get(name)
-    }
 }
 
 struct RecorderInner {
     events: Vec<ProbeEvent>,
     dispatches: u64,
     metrics: MetricRegistry,
-    /// Bounded-memory mode: when set, counter and gauge events fold into
-    /// `metrics` (one slot per metric name) and are forwarded here —
-    /// typically a [`StreamingTraceWriter`] probe writing to disk —
-    /// instead of accumulating in `events`.
-    spill: Option<Box<dyn Probe>>,
 }
 
 /// Shared-handle buffering sink.
@@ -233,29 +187,6 @@ impl Recorder {
                 events: Vec::new(),
                 dispatches: 0,
                 metrics: MetricRegistry::new(),
-                spill: None,
-            })),
-        }
-    }
-
-    /// A bounded-memory recorder for long runs: counter and gauge events
-    /// still fold into the [`MetricRegistry`] — whose size is bounded by
-    /// the number of distinct metric *names*, not the run length — but
-    /// the per-change event stream spills to `sink` (typically a
-    /// [`StreamingTraceWriter`] probe streaming to disk) instead of
-    /// growing the in-memory buffer. Gauges and counters dominate event
-    /// volume on long runs (one event per frame/credit/queue change), so
-    /// this caps the recorder's footprint while losing nothing: exact
-    /// totals and time-weighted means stay queryable via
-    /// [`Recorder::with_metrics`], and the full change history lives in
-    /// the spilled trace.
-    pub fn spilling_metrics(sink: Box<dyn Probe>) -> Self {
-        Recorder {
-            inner: Arc::new(Mutex::new(RecorderInner {
-                events: Vec::new(),
-                dispatches: 0,
-                metrics: MetricRegistry::new(),
-                spill: Some(sink),
             })),
         }
     }
@@ -639,21 +570,8 @@ impl Probe for RecorderProbe {
                 inner.dispatches += 1;
                 return;
             }
-            ProbeEvent::Counter { name, delta, .. } => {
-                let (name, delta) = (name.clone(), *delta);
-                inner.metrics.counter_add(&name, delta);
-                if let Some(spill) = inner.spill.as_mut() {
-                    spill.record(ev);
-                    return;
-                }
-            }
             ProbeEvent::Gauge { name, time, value } => {
-                let (name, time, value) = (name.clone(), *time, *value);
-                inner.metrics.gauge_set(&name, time, value);
-                if let Some(spill) = inner.spill.as_mut() {
-                    spill.record(ev);
-                    return;
-                }
+                inner.metrics.gauge_set(name, *time, *value);
             }
             _ => {}
         }
@@ -791,18 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_accumulate() {
-        let mut m = MetricRegistry::new();
-        m.counter_add("net.frames", 1.0);
-        m.counter_add("net.frames", 2.0);
-        m.counter_add("dc.acks", 1.0);
-        assert_eq!(m.counter("net.frames"), 3.0);
-        assert_eq!(m.counter("missing"), 0.0);
-        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["dc.acks", "net.frames"], "BTreeMap order");
-    }
-
-    #[test]
     fn registry_gauges_time_weight() {
         let mut m = MetricRegistry::new();
         m.gauge_set("q", t(0), 2.0);
@@ -810,17 +716,6 @@ mod tests {
         assert!((m.gauge_mean("q", t(200)) - 3.0).abs() < 1e-12);
         assert_eq!(m.gauge_current("q"), 4.0);
         assert_eq!(m.gauge_mean("absent", t(100)), 0.0);
-    }
-
-    #[test]
-    fn registry_histograms_and_tallies() {
-        let mut m = MetricRegistry::new();
-        for x in [10.0, 20.0, 30.0] {
-            m.hist_add("lat", x);
-        }
-        assert_eq!(m.histogram("lat").unwrap().total(), 3);
-        assert!((m.tally("lat").unwrap().mean() - 20.0).abs() < 1e-12);
-        assert!(m.histogram("absent").is_none());
     }
 
     #[test]
@@ -838,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn recorder_folds_counters_and_gauges_into_metrics() {
+    fn recorder_folds_gauges_into_metrics() {
         let rec = Recorder::new();
         let mut p = rec.probe();
         p.record(ProbeEvent::Counter {
@@ -851,61 +746,10 @@ mod tests {
             time: t(0),
             value: 7.0,
         });
-        assert_eq!(rec.with_metrics(|m| m.counter("c")), 2.0);
         assert_eq!(rec.with_metrics(|m| m.gauge_current("g")), 7.0);
+        let names: Vec<String> = rec.with_metrics(|m| m.gauge_names().map(String::from).collect());
+        assert_eq!(names, vec!["g"], "only gauges fold into the registry");
         assert_eq!(rec.len(), 2, "counter/gauge events stay in the buffer");
-    }
-
-    /// Bounded-memory mode: counter/gauge events fold into the registry
-    /// and spill to the streaming writer, never touching the in-memory
-    /// buffer; everything else buffers as usual.
-    #[test]
-    fn spilling_recorder_keeps_metrics_but_not_metric_events() {
-        let writer = StreamingTraceWriter::new(Vec::new(), &[]);
-        let rec = Recorder::spilling_metrics(writer.probe());
-        let mut p = rec.probe();
-        for i in 0..1_000u64 {
-            p.record(ProbeEvent::Counter {
-                name: "net.frames".into(),
-                time: t(i),
-                delta: 1.0,
-            });
-            p.record(ProbeEvent::Gauge {
-                name: "q".into(),
-                time: t(i),
-                value: i as f64,
-            });
-        }
-        p.record(ProbeEvent::Dispatch {
-            time: t(5),
-            target: ProcessId(0),
-        });
-        p.record(ProbeEvent::SpanBegin {
-            track: "work".into(),
-            label: "x".into(),
-            time: t(0),
-            id: 1,
-        });
-        p.record(ProbeEvent::SpanEnd {
-            track: "work".into(),
-            time: t(10),
-            id: 1,
-        });
-        // 2000 metric events spilled; only the two span events buffer.
-        assert_eq!(rec.len(), 2, "metric events never reach the buffer");
-        assert_eq!(rec.dispatches(), 1);
-        assert_eq!(rec.with_metrics(|m| m.counter("net.frames")), 1_000.0);
-        assert_eq!(rec.with_metrics(|m| m.gauge_current("q")), 999.0);
-        assert_eq!(rec.folded_spans().get("work;x"), Some(&10));
-        drop(p);
-        drop(rec);
-        let json = String::from_utf8(writer.finish().unwrap()).unwrap();
-        assert_eq!(
-            json.matches("\"name\":\"net.frames\"").count(),
-            1_000,
-            "every counter change reached the spill sink"
-        );
-        assert!(json.contains("\"name\":\"q\""));
     }
 
     /// The streaming writer, fed the same events, produces the same JSON
@@ -1086,15 +930,15 @@ mod tests {
             time: t(1),
             target: ProcessId(0),
         });
-        tee.record(ProbeEvent::Counter {
-            name: "c".into(),
+        tee.record(ProbeEvent::Gauge {
+            name: "g".into(),
             time: t(2),
-            delta: 1.0,
+            value: 1.0,
         });
         for rec in [&a, &b] {
             assert_eq!(rec.dispatches(), 1);
             assert_eq!(rec.len(), 1);
-            assert_eq!(rec.with_metrics(|m| m.counter("c")), 1.0);
+            assert_eq!(rec.with_metrics(|m| m.gauge_current("g")), 1.0);
         }
     }
 

@@ -25,14 +25,8 @@ pub struct Resource {
     name: String,
     /// Instant at which each server next becomes idle.
     free_at: Vec<SimTime>,
-    /// Sum of all service demands ever scheduled (for utilization).
+    /// Sum of all service demands ever scheduled.
     busy: Dur,
-    /// Sum of all queueing delays (time between arrival and service start).
-    waited: Dur,
-    /// Number of jobs scheduled.
-    jobs: u64,
-    /// Latest completion instant ever handed out.
-    last_completion: SimTime,
     /// Latest arrival booked so far (FCFS needs non-decreasing arrivals).
     last_arrival: SimTime,
 }
@@ -45,9 +39,6 @@ impl Resource {
             name: name.into(),
             free_at: vec![SimTime::ZERO; servers],
             busy: Dur::ZERO,
-            waited: Dur::ZERO,
-            jobs: 0,
-            last_completion: SimTime::ZERO,
             last_arrival: SimTime::ZERO,
         }
     }
@@ -80,21 +71,7 @@ impl Resource {
         let completion = start + service;
         self.free_at[idx] = completion;
         self.busy += service;
-        self.waited += start.since(now);
-        self.jobs += 1;
-        self.last_completion = self.last_completion.max(completion);
         completion
-    }
-
-    /// The instant at which the earliest server becomes free (i.e. when a job
-    /// arriving now could start).
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        self.free_at
-            .iter()
-            .min()
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .max(now)
     }
 
     /// Number of servers.
@@ -108,38 +85,9 @@ impl Resource {
         self.free_at.iter().filter(|&&t| t > now).count()
     }
 
-    /// Jobs scheduled so far.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
     /// Total service demand scheduled so far.
     pub fn busy_time(&self) -> Dur {
         self.busy
-    }
-
-    /// Mean queueing delay experienced by jobs so far.
-    pub fn mean_wait(&self) -> Dur {
-        match self.waited.as_nanos().checked_div(self.jobs) {
-            None => Dur::ZERO,
-            Some(ns) => Dur::nanos(ns),
-        }
-    }
-
-    /// Utilization over `[0, horizon]`: busy time divided by total server
-    /// capacity. Clamped to 1.0.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        let cap = horizon.as_nanos().saturating_mul(self.servers() as u64);
-        if cap == 0 {
-            0.0
-        } else {
-            (self.busy.as_nanos() as f64 / cap as f64).min(1.0)
-        }
-    }
-
-    /// Latest completion instant handed out so far.
-    pub fn last_completion(&self) -> SimTime {
-        self.last_completion
     }
 
     /// Station name (for reports).
@@ -162,7 +110,6 @@ mod tests {
         assert_eq!(r.schedule(t(0), Dur::nanos(100)), t(100));
         assert_eq!(r.schedule(t(0), Dur::nanos(50)), t(150));
         assert_eq!(r.schedule(t(200), Dur::nanos(10)), t(210));
-        assert_eq!(r.jobs(), 3);
         assert_eq!(r.busy_time(), Dur::nanos(160));
     }
 
@@ -175,35 +122,21 @@ mod tests {
         assert_eq!(r.schedule(t(0), Dur::nanos(10)), t(110));
     }
 
+    /// A job arriving during a backlog starts when the server frees, not
+    /// at its arrival; one arriving after the backlog starts at once.
+    #[test]
+    fn earliest_start_reflects_backlog() {
+        let mut r = Resource::new("cpu", 1);
+        r.schedule(t(0), Dur::nanos(500));
+        assert_eq!(r.schedule(t(100), Dur::nanos(10)), t(510));
+        assert_eq!(r.schedule(t(700), Dur::nanos(10)), t(710));
+    }
+
     #[test]
     fn idle_gap_resets_start() {
         let mut r = Resource::new("link", 1);
         r.schedule(t(0), Dur::nanos(10));
         assert_eq!(r.schedule(t(1_000), Dur::nanos(10)), t(1_010));
-    }
-
-    #[test]
-    fn wait_accounting() {
-        let mut r = Resource::new("cpu", 1);
-        r.schedule(t(0), Dur::nanos(100)); // no wait
-        r.schedule(t(0), Dur::nanos(100)); // waits 100
-        assert_eq!(r.mean_wait(), Dur::nanos(50));
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut r = Resource::new("cpu", 2);
-        r.schedule(t(0), Dur::nanos(100));
-        assert!((r.utilization(t(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(Resource::new("idle", 1).utilization(t(0)), 0.0);
-    }
-
-    #[test]
-    fn earliest_start_reflects_backlog() {
-        let mut r = Resource::new("cpu", 1);
-        r.schedule(t(0), Dur::nanos(500));
-        assert_eq!(r.earliest_start(t(100)), t(500));
-        assert_eq!(r.earliest_start(t(700)), t(700));
     }
 
     /// The arrival-order check is a debug assertion, so it only exists in

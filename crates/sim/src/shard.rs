@@ -475,6 +475,7 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
                     next_pid: sim.core.next_pid,
                     stop_requested: false,
                     events_dispatched: 0,
+                    flows_completed: 0,
                     push_counts: sim.core.push_counts.clone(),
                     probe: probe_buf.clone().map(|buf| {
                         Box::new(BufferProbe {
@@ -592,9 +593,10 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
     if let Some(dir) = tel_dir {
         let wall_ns = run_start.elapsed().as_nanos() as u64;
         let run_events: u64 = workers.iter().map(|w| w.core.events_dispatched).sum();
+        let run_flows: u64 = workers.iter().map(|w| w.core.flows_completed).sum();
         let bufs: Vec<crate::telemetry::WorkerTelemetry> =
             workers.iter_mut().filter_map(|w| w.tel.take()).collect();
-        crate::telemetry::flush_sharded(&dir, wall_ns, run_events, &bufs);
+        crate::telemetry::flush_sharded(&dir, wall_ns, run_events, run_flows, &bufs);
     }
 
     // Final residual merge: any deposits the in-run cadence left behind,

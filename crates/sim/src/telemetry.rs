@@ -42,7 +42,6 @@ use crate::probe::{ProbeEvent, StreamingTraceWriter};
 use crate::stats::Histogram;
 use crate::time::SimTime;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -304,28 +303,6 @@ pub struct RunReport {
 /// — like the files — reflects whichever run completed last.
 static LAST_REPORT: Mutex<Option<RunReport>> = Mutex::new(None);
 
-/// Completed network flows this run, counted by the flow-level network
-/// engine (`HPSOCK_NETMODEL=flow`); stays 0 under the packet model. Like
-/// [`LAST_REPORT`] this is process-wide last-run-wins state: the kernel
-/// resets it when a run starts and the flush folds it into the report, so
-/// concurrent sweep runs interleave (and the single-run bench/CI flows
-/// figures are exact).
-static FLOWS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` completed flows for the current run (called by the
-/// flow-level network engine once per delivered flow).
-pub fn count_flows(n: u64) {
-    FLOWS.fetch_add(n, Ordering::Relaxed);
-}
-
-pub(crate) fn reset_flows() {
-    FLOWS.store(0, Ordering::Relaxed);
-}
-
-pub(crate) fn current_flows() -> u64 {
-    FLOWS.load(Ordering::Relaxed)
-}
-
 /// The [`RunReport`] of the most recently flushed run, if any run has
 /// flushed telemetry in this process. This is the in-memory twin of
 /// `run_report.json` — benches use it to print wall-clock events/sec
@@ -404,8 +381,7 @@ fn report_json(rep: &RunReport) -> String {
 /// Flush a sequential run's telemetry: `run_report.json` only (there are
 /// no rounds, mailboxes or barriers to itemize). The single worker entry
 /// covers the whole run.
-pub(crate) fn flush_sequential(dir: &Path, wall_ns: u64, events: u64) {
-    let flows = current_flows();
+pub(crate) fn flush_sequential(dir: &Path, wall_ns: u64, events: u64, flows: u64) {
     let rep = RunReport {
         mode: "sequential",
         shards: 1,
@@ -437,8 +413,14 @@ pub(crate) fn flush_sequential(dir: &Path, wall_ns: u64, events: u64) {
 /// Flush a sharded run's telemetry: `shard_rounds.csv`, the
 /// `shard_lanes.json` Chrome trace and `run_report.json`. `events` is the
 /// number of events dispatched by this run (the sum of the CSV's `events`
-/// column — pinned by tests).
-pub(crate) fn flush_sharded(dir: &Path, wall_ns: u64, events: u64, workers: &[WorkerTelemetry]) {
+/// column — pinned by tests) and `flows` the flows its workers completed.
+pub(crate) fn flush_sharded(
+    dir: &Path,
+    wall_ns: u64,
+    events: u64,
+    flows: u64,
+    workers: &[WorkerTelemetry],
+) {
     let rounds = workers.iter().map(|w| w.rounds.len()).max().unwrap_or(0);
 
     let mut csv =
@@ -491,7 +473,6 @@ pub(crate) fn flush_sharded(dir: &Path, wall_ns: u64, events: u64, workers: &[Wo
         .iter()
         .flat_map(|w| w.rounds.iter().map(|s| s.events as f64))
         .collect();
-    let flows = current_flows();
     let rep = RunReport {
         mode: "sharded",
         shards: workers.len(),

@@ -180,24 +180,17 @@ pub struct UowDone {
 pub struct VizLogic {
     compute: ComputeModel,
     driver: ProcessId,
-    /// Bytes composed per uow (sanity checking).
-    pub bytes_per_uow: FxHashMap<u32, u64>,
 }
 
 impl VizLogic {
     /// Visualization stage reporting completions to `driver`.
     pub fn new(compute: ComputeModel, driver: ProcessId) -> VizLogic {
-        VizLogic {
-            compute,
-            driver,
-            bytes_per_uow: FxHashMap::default(),
-        }
+        VizLogic { compute, driver }
     }
 }
 
 impl FilterLogic for VizLogic {
     fn on_buffer(&mut self, _fc: &mut FilterCtx<'_>, _port: usize, buf: DataBuffer) -> Action {
-        *self.bytes_per_uow.entry(buf.uow).or_insert(0) += buf.bytes;
         Action::compute(self.compute.cost(buf.bytes))
     }
 
