@@ -15,17 +15,26 @@
 //! emission; acknowledgments and credit returns travel back as delayed
 //! events with the transport's `ack_latency`.
 //!
-//! A frame costs four kernel events: `WireDone` (host_tx and nic_tx are
-//! booked back to back when the frame is pumped — the NIC's only feeder is
-//! the node's single-server host_tx, so its arrivals are exactly those
-//! completions, in order), its arrival at the receiver (`RxFirst` or
-//! `RxArrive`), `HostRxFrameDone`, and the credit or window-ack return
-//! (`CreditArrive` / `AckArrive`, when the flow model sends one). The last
+//! A frame on a fault-free connection costs three kernel events: its
+//! arrival at the receiver (`RxFirst` or `RxArrive`), `HostRxFrameDone`,
+//! and the credit or window-ack return (`CreditArrive` / `AckArrive`, when
+//! the flow model sends one). `pump` books host_tx and nic_tx back to back
+//! (the NIC's only feeder is the node's single-server host_tx, so its
+//! arrivals are exactly those completions, in order) and schedules the
+//! arrival at `wire done + switch + propagation` straight away. The last
 //! frame's `HostRxFrameDone` books the per-message receive work and
 //! schedules the [`Delivery`] at its completion. With the `Send` command
 //! and the application's `Consumed` reply, a single-frame SocketVIA
-//! message costs seven events end to end (a window-model transport adds
-//! the `FlowReturn` of the consumption update).
+//! message costs six events end to end (a window-model transport adds the
+//! `FlowReturn` of the consumption update, seven).
+//!
+//! A connection with a compiled fault filter (a drop or delay filter, or
+//! a crash of either endpoint) keeps one more event per frame, `WireDone`,
+//! when the frame leaves the NIC: the message's fate is drawn there, the
+//! doomed/delayed bookkeeping and the cut check run there, and only then
+//! is the arrival scheduled, through the same helper. Drawing fates when
+//! the frame is pumped instead would move them to other instants and
+//! change the results of faulted runs.
 //!
 //! Engine state is owned per node by a [`NodeCore`] process: the core of a
 //! connection's source node owns the send side (flow-control window, send
@@ -198,27 +207,19 @@ pub enum NetCmd {
 }
 
 /// Engine-internal frame/stage events. Frame length rides in the event so
-/// receive-side handlers never need the sender's per-message state.
+/// receive-side handlers never need the sender's per-message state. Every
+/// variant fits the kernel's inline payload buffer (checked below), so
+/// none of them costs a pooled slot; frame 0's arrival, which carries the
+/// message metadata and payload, is its own message type, [`RxFirst`].
 enum Ev {
-    /// A frame left the sender's NIC (host_tx and nic_tx were booked back
-    /// to back when the frame was pumped).
+    /// A frame of a faulted connection left the sender's NIC (host_tx and
+    /// nic_tx were booked back to back when the frame was pumped).
     WireDone {
         conn: ConnId,
         msg: u64,
-        frame: u32,
+        /// Frame 0 of its message.
+        first: bool,
         flen: u32,
-    },
-    /// Frame 0 arriving at the receiver, carrying the message metadata the
-    /// receive side needs (frames always traverse the FCFS stage chain in
-    /// order, so frame 0 arrives before any other frame of its message).
-    RxFirst {
-        conn: ConnId,
-        msg: u64,
-        flen: u32,
-        frames: u32,
-        bytes: u64,
-        sent_at: SimTime,
-        payload: Message,
     },
     /// A later frame (index ≥ 1) arriving at the receiver. Reassembly only
     /// counts frames, so the frame index does not travel.
@@ -243,6 +244,18 @@ enum Ev {
     /// fail-stops: fail everything queued or in flight and mark the send
     /// half dead.
     ConnCut { conn: ConnId },
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= hpsock_sim::payload::INLINE_BYTES);
+
+/// Frame 0 arriving at the receiver, carrying the message metadata the
+/// receive side needs (frames always traverse the FCFS stage chain in
+/// order, so frame 0 arrives before any other frame of its message).
+struct RxFirst {
+    conn: ConnId,
+    msg: u64,
+    flen: u32,
+    meta: MsgMeta,
 }
 
 /// Counters per connection. Send-side fields are filled
@@ -274,9 +287,9 @@ struct PendingMsg {
     frames: u32,
 }
 
-/// Send-side per-message metadata, held until frame 0 leaves the wire and
-/// carries it to the receiver inside [`Ev::RxFirst`].
-struct TxMsgMeta {
+/// Per-message metadata, held by the send half until frame 0 is put on
+/// its way to the receiver inside [`RxFirst`].
+struct MsgMeta {
     bytes: u64,
     frames: u32,
     sent_at: SimTime,
@@ -285,11 +298,8 @@ struct TxMsgMeta {
 
 /// Receive-side reassembly state for one in-flight message.
 struct RxMsgState {
-    bytes: u64,
-    frames: u32,
+    meta: MsgMeta,
     frames_arrived: u32,
-    sent_at: SimTime,
-    payload: Message,
 }
 
 /// Bookkeeping for a message the fault layer doomed at the wire: its
@@ -323,7 +333,7 @@ struct TxConn {
     costs: Arc<PathCosts>,
     flow: Flow,
     sendq: VecDeque<PendingMsg>,
-    pending_meta: FxHashMap<u64, TxMsgMeta>,
+    pending_meta: FxHashMap<u64, MsgMeta>,
     stats: ConnStats,
     /// When the sender last became credit-blocked with data queued.
     stall_since: Option<SimTime>,
@@ -750,7 +760,6 @@ impl NodeCore {
             c.flow.on_frame_sent(flen as u64);
             let first = head.next_frame == 0;
             let msg = head.msg;
-            let frame = head.next_frame;
             head.next_frame += 1;
             let finished = head.next_frame == head.frames;
             let mut service = c.costs.per_frame_send
@@ -777,16 +786,55 @@ impl NodeCore {
             let now = ctx.now();
             let tx_done = ctx.reserve_resource(host_tx, now, service);
             let wire_done = ctx.reserve_resource(nic_tx, tx_done, nic_service);
-            ctx.send_self_in(
-                wire_done.since(now),
-                Message::new(Ev::WireDone {
+            let on_wire = wire_done.since(now);
+            if c.faults.is_some() {
+                // The fault layer decides the frame's fate when it leaves
+                // the NIC.
+                let wire_done = Ev::WireDone {
                     conn,
                     msg,
-                    frame,
+                    first,
                     flen,
-                }),
-            );
+                };
+                ctx.send_self_in(on_wire, Message::new(wire_done));
+                continue;
+            }
+            // Fault-free: nothing is decided at wire time, so the arrival
+            // is scheduled now, for the instant the WireDone path gives it.
+            let meta = first.then(|| {
+                c.pending_meta
+                    .remove(&msg)
+                    .expect("first frame of unknown message")
+            });
+            let delay = on_wire + c.costs.switch_latency + c.costs.prop_delay;
+            self.send_arrival(ctx, delay, conn, msg, flen, meta);
         }
+    }
+
+    /// Schedule a frame's arrival at the receiver's core `delay` from now:
+    /// frame 0 travels as [`RxFirst`] with its message's metadata, later
+    /// frames as [`Ev::RxArrive`]. `delay` includes the switch and
+    /// propagation hop, which keeps the lookahead of a cross-shard
+    /// arrival positive.
+    fn send_arrival(
+        &self,
+        ctx: &mut Ctx<'_>,
+        delay: Dur,
+        conn: ConnId,
+        msg: u64,
+        flen: u32,
+        meta: Option<MsgMeta>,
+    ) {
+        let arrive = match meta {
+            Some(meta) => Message::new(RxFirst {
+                conn,
+                msg,
+                flen,
+                meta,
+            }),
+            None => Message::new(Ev::RxArrive { conn, msg, flen }),
+        };
+        ctx.send_in(delay, self.rx_core(conn), arrive);
     }
 
     fn on_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: NetCmd) {
@@ -838,7 +886,7 @@ impl NodeCore {
                 let frames = frame_count(bytes, c.costs.frame_payload);
                 c.pending_meta.insert(
                     msg_id,
-                    TxMsgMeta {
+                    MsgMeta {
                         bytes,
                         frames,
                         sent_at: ctx.now(),
@@ -896,12 +944,37 @@ impl NodeCore {
         );
     }
 
+    /// Frame 0 arriving: open the message's reassembly state, then
+    /// receive the frame.
+    fn on_rx_first(&mut self, ctx: &mut Ctx<'_>, first: RxFirst) {
+        let RxFirst {
+            conn,
+            msg,
+            flen,
+            meta,
+        } = first;
+        let c = self.rx_mut(conn);
+        if c.cut_at.is_some_and(|t| ctx.now() >= t) {
+            // This node fail-stopped: arriving frames fall on the floor,
+            // returning no acks and no credits.
+            return;
+        }
+        c.msgs.insert(
+            msg,
+            RxMsgState {
+                meta,
+                frames_arrived: 0,
+            },
+        );
+        self.on_rx_frame(ctx, conn, msg, flen);
+    }
+
     fn on_ev(&mut self, ctx: &mut Ctx<'_>, ev: Ev) {
         match ev {
             Ev::WireDone {
                 conn,
                 msg,
-                frame,
+                first,
                 flen,
             } => {
                 let c = self.tx_mut(conn);
@@ -919,7 +992,7 @@ impl NodeCore {
                     return;
                 }
                 let mut delay = c.costs.switch_latency + c.costs.prop_delay;
-                let arrive = if frame == 0 {
+                let meta = if first {
                     let meta = c
                         .pending_meta
                         .remove(&msg)
@@ -928,19 +1001,15 @@ impl NodeCore {
                     // frame enters the wire; frames always cross in order,
                     // so the verdict covers every later frame too.
                     let now = ctx.now();
-                    let fate = match &c.faults {
-                        Some(f) => {
-                            let kind = if f.cut_at.is_some_and(|t| now >= t) {
-                                StreamErrorKind::PeerDead
-                            } else {
-                                StreamErrorKind::Lost
-                            };
-                            Some((f.fate(now, ctx.rng()), kind, f.detect))
-                        }
-                        None => None,
+                    let f = c.faults.as_ref().expect("WireDone only on faulted links");
+                    let kind = if f.cut_at.is_some_and(|t| now >= t) {
+                        StreamErrorKind::PeerDead
+                    } else {
+                        StreamErrorKind::Lost
                     };
-                    match fate {
-                        Some((MsgFate::Drop, kind, detect)) => {
+                    let detect = f.detect;
+                    match f.fate(now, ctx.rng()) {
+                        MsgFate::Drop => {
                             // Unemitted frames leave the send queue; only
                             // frames already charged to flow control need
                             // repair when the loss is detected.
@@ -969,7 +1038,7 @@ impl NodeCore {
                             ctx.send_self_in(detect, Message::new(Ev::MsgLost { conn, msg }));
                             return;
                         }
-                        Some((MsgFate::Deliver { extra }, _, _)) if extra > Dur::ZERO => {
+                        MsgFate::Deliver { extra } if extra > Dur::ZERO => {
                             delay += extra;
                             if meta.frames > 1 {
                                 c.delayed.insert(
@@ -982,17 +1051,9 @@ impl NodeCore {
                                 );
                             }
                         }
-                        _ => {}
+                        MsgFate::Deliver { .. } => {}
                     }
-                    Ev::RxFirst {
-                        conn,
-                        msg,
-                        flen,
-                        frames: meta.frames,
-                        bytes: meta.bytes,
-                        sent_at: meta.sent_at,
-                        payload: meta.payload,
-                    }
+                    Some(meta)
                 } else {
                     if let Some(d) = c.delayed.get_mut(&msg) {
                         // Later frames of a delayed message get the same
@@ -1003,37 +1064,9 @@ impl NodeCore {
                             c.delayed.remove(&msg);
                         }
                     }
-                    Ev::RxArrive { conn, msg, flen }
+                    None
                 };
-                let rx_core = self.rx_core(conn);
-                ctx.send_in(delay, rx_core, Message::new(arrive));
-            }
-            Ev::RxFirst {
-                conn,
-                msg,
-                flen,
-                frames,
-                bytes,
-                sent_at,
-                payload,
-            } => {
-                let c = self.rx_mut(conn);
-                if c.cut_at.is_some_and(|t| ctx.now() >= t) {
-                    // This node fail-stopped: arriving frames fall on the
-                    // floor, returning no acks and no credits.
-                    return;
-                }
-                c.msgs.insert(
-                    msg,
-                    RxMsgState {
-                        bytes,
-                        frames,
-                        frames_arrived: 0,
-                        sent_at,
-                        payload,
-                    },
-                );
-                self.on_rx_frame(ctx, conn, msg, flen);
+                self.send_arrival(ctx, delay, conn, msg, flen, meta);
             }
             Ev::RxArrive { conn, msg, flen } => {
                 let c = self.rx_mut(conn);
@@ -1053,7 +1086,7 @@ impl NodeCore {
                     time: t,
                     delta: 1.0,
                 });
-                let last = st.frames_arrived == st.frames;
+                let last = st.frames_arrived == st.meta.frames;
                 let ack = c.costs.ack_latency;
                 let reply = match c.costs.flow {
                     // The sockets layer drains the eager buffer and
@@ -1072,13 +1105,18 @@ impl NodeCore {
                     // completion; the message counts as delivered (stats,
                     // latency, bandwidth gauge) as of that instant.
                     let c = self.rx_mut(conn);
-                    let st = c.msgs.remove(&msg).expect("state read above");
+                    let MsgMeta {
+                        bytes,
+                        sent_at,
+                        payload,
+                        ..
+                    } = c.msgs.remove(&msg).expect("state read above").meta;
                     let delivery = Delivery {
                         conn,
                         msg_id: msg,
-                        bytes: st.bytes,
-                        sent_at: st.sent_at,
-                        payload: st.payload,
+                        bytes,
+                        sent_at,
+                        payload,
                     };
                     let done = ctx.use_resource_for(
                         host_rx,
@@ -1088,7 +1126,7 @@ impl NodeCore {
                     );
                     c.unconsumed.insert(msg);
                     c.stats.msgs_delivered += 1;
-                    c.stats.bytes_delivered += st.bytes;
+                    c.stats.bytes_delivered += bytes;
                     // Cumulative achieved bandwidth of this connection so
                     // far (bits delivered / virtual time), per delivery.
                     ctx.probe_emit(|_| mbps_gauge(conn, c.stats.bytes_delivered, done));
@@ -1306,11 +1344,14 @@ impl Process for NodeCore {
         // several wire/host events), so try the common type first.
         match msg.downcast::<Ev>() {
             Ok(ev) => self.on_ev(ctx, ev),
-            Err(other) => match other.downcast::<NetCmd>() {
-                Ok(cmd) => self.on_cmd(ctx, cmd),
-                Err(other) => match other.downcast::<FluidEv>() {
-                    Ok(fev) => self.on_fluid(ctx, fev),
-                    Err(_) => panic!("net core received an unknown message type"),
+            Err(other) => match other.downcast::<RxFirst>() {
+                Ok(first) => self.on_rx_first(ctx, first),
+                Err(other) => match other.downcast::<NetCmd>() {
+                    Ok(cmd) => self.on_cmd(ctx, cmd),
+                    Err(other) => match other.downcast::<FluidEv>() {
+                        Ok(fev) => self.on_fluid(ctx, fev),
+                        Err(_) => panic!("net core received an unknown message type"),
+                    },
                 },
             },
         }
@@ -1356,15 +1397,22 @@ mod tests {
 
     /// Kernel events one single-frame message costs under the packet
     /// model, from the `Send` command to the `Consumed` reply: `Send`,
-    /// `WireDone`, `RxFirst`, `HostRxFrameDone`, the credit or window-ack
-    /// return, the `Delivery` and `Consumed`, plus the window model's
-    /// `FlowReturn`. A stage hop that comes back as its own event (a
-    /// `HostTxDone` between host_tx and the NIC, or a `MsgReady` between
-    /// the last frame's receive work and the delivery) fails this pin.
+    /// `RxFirst`, `HostRxFrameDone`, the credit or window-ack return, the
+    /// `Delivery` and `Consumed`, plus the window model's `FlowReturn`.
+    /// Under a fault plan (`drop=0` compiles a filter that never fires)
+    /// the frame also dispatches its `WireDone`. A stage hop that comes
+    /// back as its own event (a `HostTxDone` between host_tx and the NIC,
+    /// a `WireDone` on a fault-free link, or a `MsgReady` between the last
+    /// frame's receive work and the delivery) fails this pin.
     #[test]
     fn single_frame_message_event_counts_are_pinned() {
-        for (kind, events) in [(TransportKind::SocketVia, 7), (TransportKind::KTcp, 8)] {
-            crate::netmodel::with_netmodel(NetModel::Packet, || {
+        for (faults, kind, events) in [
+            ("", TransportKind::SocketVia, 6),
+            ("", TransportKind::KTcp, 7),
+            ("drop=0", TransportKind::SocketVia, 7),
+            ("drop=0", TransportKind::KTcp, 8),
+        ] {
+            let run = || {
                 let mut sim = Sim::new(3);
                 let cluster = Cluster::build(&mut sim, 2);
                 let net = cluster.network();
@@ -1382,7 +1430,10 @@ mod tests {
                 let core: &NodeCore = sim.process(net.core_of(NodeId(1))).unwrap();
                 let rx = core.rx_stats(ConnId(0)).unwrap();
                 assert_eq!((rx.msgs_delivered, rx.rx_interrupts), (1, 1), "{kind:?}");
-                assert_eq!(sim.events_dispatched(), events, "{kind:?}");
+                assert_eq!(sim.events_dispatched(), events, "{faults:?} {kind:?}");
+            };
+            crate::netmodel::with_netmodel(NetModel::Packet, || {
+                crate::fault::with_spec(faults, run)
             });
         }
     }

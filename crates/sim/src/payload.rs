@@ -5,12 +5,16 @@
 //! traffic on the hot path:
 //!
 //! * values of at most [`INLINE_BYTES`] bytes (alignment ≤ 8) are stored
-//!   **inline** — no allocation at all. This covers every kernel-level
-//!   message in the workspace (`NetCmd::Consumed`, the network engine's
-//!   internal `Ev` variants, filter control messages, unit payloads);
+//!   **inline** — no allocation at all. This covers the network engine's
+//!   per-frame events (its internal `Ev` enum, whose size a compile-time
+//!   assertion in `hpsock_net::engine` holds to this bound), filter
+//!   control messages and unit payloads;
 //! * larger values up to [`SLOT_BYTES`] bytes (alignment ≤ 16) go into a
 //!   **pooled slot** recycled through a thread-local free list, so steady
-//!   state costs no allocator calls either (`Delivery`, `ComputeDone`);
+//!   state costs no allocator calls either. Every engine value that
+//!   carries an application `Message` lands here — `NetCmd` (56 B, so its
+//!   `Consumed` variant too), the frame-0 arrival `RxFirst`, `Delivery` —
+//!   as does the DataCutter `ComputeDone`;
 //! * anything bigger falls back to a plain `Box`, preserving generality.
 //!
 //! The layout is two words beyond the inline buffer-less minimum: a

@@ -13,7 +13,8 @@
 //! past its last outcome.
 
 use hpsock_net::{
-    fault, with_netmodel, Cluster, ConnId, Delivery, NetModel, NodeId, StreamError, TransportKind,
+    fault, with_netmodel, Cluster, ConnId, Delivery, NetModel, NodeCore, NodeId, StreamError,
+    TransportKind,
 };
 use hpsock_sim::{Ctx, Dur, Message, Process, Sim};
 use std::sync::{Arc, Mutex};
@@ -91,6 +92,8 @@ struct Run {
     msgs: u64,
     events: u64,
     end_ns: u64,
+    /// Wire frames the send halves submitted (0 under the flow model).
+    frames_tx: u64,
 }
 
 /// `nodes` nodes in racks of 16 under `model` (oversubscription 4): the
@@ -128,11 +131,19 @@ fn run_racks(model: NetModel, nodes: usize, clients: usize, msgs: u32, faults: &
         }
         let end = sim.run();
         let log = std::mem::take(&mut *log.lock().unwrap());
+        // Connection `c` is sourced at node `c / clients`.
+        let frames_tx = (0..conn)
+            .map(|c| {
+                let core: &NodeCore = sim.process(net.core_of(NodeId(c / clients))).unwrap();
+                core.tx_stats(ConnId(c)).map_or(0, |s| s.frames_tx)
+            })
+            .sum();
         Run {
             log,
             msgs: conn as u64 * msgs as u64,
             events: sim.events_dispatched(),
             end_ns: end.as_nanos(),
+            frames_tx,
         }
     };
     with_netmodel(model, || {
@@ -205,6 +216,26 @@ fn outcome_logs_are_pinned() {
 fn packet_outcome_logs_are_pinned() {
     let got = pinned_outcomes(NetModel::Packet, &PINNED_PACKET);
     assert_eq!(got, PINNED_PACKET, "packet outcome logs moved");
+}
+
+/// A fault plan that never fires (`drop=0`) still sends every packet-model
+/// frame through the `WireDone` event at which fates are drawn, while a
+/// fault-free connection schedules each frame's arrival when it is pumped.
+/// The fault-free pinned scenario must give the same outcome log and end
+/// time either way, with exactly one more dispatched event per frame.
+#[test]
+fn idle_fault_plan_costs_one_event_per_frame_and_nothing_else() {
+    let free = run_racks(NetModel::Packet, 32, 4, 5, PINNED_PACKET[0].0);
+    let idle = run_racks(NetModel::Packet, 32, 4, 5, "drop=0");
+    assert_eq!(log_hash(&idle.log), log_hash(&free.log), "outcome log");
+    assert_eq!(idle.end_ns, free.end_ns, "end of run");
+    assert!(free.frames_tx > 0, "frames were counted");
+    assert_eq!(idle.frames_tx, free.frames_tx, "frames submitted");
+    assert_eq!(
+        idle.events,
+        free.events + free.frames_tx,
+        "one WireDone per frame"
+    );
 }
 
 /// A flow costs O(1) kernel events — the send, its arrival at the fluid
