@@ -1,5 +1,6 @@
-//! Engine micro-benchmarks: raw event-dispatch throughput, FCFS resource
-//! scheduling, scheduler decisions, and transport message throughput.
+//! Engine micro-benchmarks: raw event-dispatch throughput, the event queue
+//! under a deep pending set, FCFS resource scheduling, scheduler decisions,
+//! and transport message throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hpsock_datacutter::{Policy, Scheduler};
@@ -49,6 +50,80 @@ fn bench_event_dispatch(c: &mut Criterion) {
                 remaining: EVENTS - 1,
             }));
             black_box(sim.run())
+        })
+    });
+    g.finish();
+}
+
+/// The event queue alone under the hold model: 16 384 pending events,
+/// and each step pops the earliest and pushes it back at its time plus a
+/// random increment. Three increments in four are µs-scale (under 8 µs,
+/// inside the ring's ≈262 µs window), one in four ms-scale (under 4 ms,
+/// mostly beyond it), so the sorted ring buckets, the overflow heap and
+/// `migrate` all carry load. `event_dispatch_100k` never holds more than
+/// one pending event, so it only exercises the queue's min-register.
+fn bench_event_queue_hold(c: &mut Criterion) {
+    use hpsock_sim::event::EventQueue;
+    use hpsock_sim::ProcessId;
+
+    const PENDING: u64 = 16_384;
+    const HOLDS: u64 = 100_000;
+
+    struct Hold {
+        q: EventQueue,
+        rng: u64,
+        seq: u64,
+    }
+    impl Hold {
+        /// Schedule `msg` a random increment after `at` (xorshift64 draw).
+        fn push(&mut self, at: SimTime, target: ProcessId, msg: Message) {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            let r = self.rng >> 2;
+            let dt = if self.rng & 3 == 0 {
+                r % 4_000_000
+            } else {
+                r % 8_000
+            };
+            self.q.push(at + Dur::nanos(dt), self.seq, target, msg);
+            self.seq += 1;
+        }
+        /// One hold step; returns the popped time.
+        fn step(&mut self) -> SimTime {
+            let (t, target, msg) = self.q.pop_parts().expect("hold keeps the queue full");
+            self.push(t, target, msg);
+            t
+        }
+    }
+
+    let mut h = Hold {
+        q: EventQueue::new(),
+        rng: 0x9E37_79B9_7F4A_7C15,
+        seq: 0,
+    };
+    for _ in 0..PENDING {
+        h.push(SimTime::ZERO, ProcessId(0), Message::new(()));
+    }
+    // Warm up to the steady state (untimed), checking that pops never go
+    // back in time and the pending set keeps its size.
+    let mut last = SimTime::ZERO;
+    for _ in 0..8 * PENDING {
+        let t = h.step();
+        assert!(t >= last, "hold popped {t:?} after {last:?}");
+        last = t;
+    }
+    assert_eq!(h.q.len() as u64, PENDING);
+
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(HOLDS));
+    g.bench_function("event_queue_hold", |b| {
+        b.iter(|| {
+            for _ in 0..HOLDS {
+                black_box(h.step());
+            }
+            h.q.peek_time()
         })
     });
     g.finish();
@@ -379,6 +454,7 @@ fn bench_flow_rack_shared(c: &mut Criterion) {
 criterion_group!(
     engine,
     bench_event_dispatch,
+    bench_event_queue_hold,
     bench_resource_schedule,
     bench_scheduler_pick,
     bench_transport_messages,

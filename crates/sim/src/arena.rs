@@ -1,20 +1,20 @@
 //! Cross-run reuse of kernel allocations.
 //!
 //! A parameter sweep runs thousands of short simulations per worker
-//! thread; building each [`crate::Sim`] from nothing means re-growing the
-//! event-queue ring, the process table and the RNG table every time. The
-//! arena is a thread-local parking spot for those buffers: dropping a
-//! `Sim` returns its (emptied) structures here, and the next `Sim::new`
-//! on the same thread adopts them, so steady-state sweep workers stop
-//! touching the allocator between points. Together with the thread-local
-//! payload slot pool ([`crate::payload`]) this makes whole sweep points
-//! allocation-free after warm-up.
+//! thread; building each [`crate::Sim`] from nothing means reallocating
+//! the event-queue buckets, the process table and the RNG table every
+//! time. The arena is a thread-local parking spot for those buffers:
+//! dropping a `Sim` returns its (emptied) structures here, and the next
+//! `Sim::new` on the same thread adopts them, so steady-state sweep
+//! workers stop touching the allocator between points. Together with the
+//! thread-local payload slot pool ([`crate::payload`]) this makes whole
+//! sweep points allocation-free after warm-up.
 //!
 //! Reuse is invisible to the simulation: the queue is recycled to an
-//! empty, sequence-zero state (its ring *shape* may stay tuned from the
-//! previous run, which cannot affect pop order), and tables come back
-//! empty. Digest determinism across fresh/recycled sims is pinned by
-//! `recycled_sim_runs_identically` in the kernel tests.
+//! empty, time-zero state (its ring has one fixed shape, so a recycled
+//! queue differs from a new one only in the capacity its buckets keep),
+//! and tables come back empty. Digest determinism across fresh/recycled
+//! sims is pinned by `recycled_sim_runs_identically` in the kernel tests.
 //!
 //! The arena also fixes the process's allocator policy once, on the first
 //! `Sim` (see `pin_heap_thresholds`): buffers built by the caller before

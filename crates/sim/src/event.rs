@@ -9,17 +9,24 @@
 //! exactly. The whole simulation stays a deterministic function of the
 //! initial seed and process construction order.
 //!
-//! Internally this is a **calendar queue** tuned to the kernel's dominant
-//! pattern — short-delta `send_self_in` relative to the current time: a ring
-//! of power-of-two time buckets (width `1 << shift` ns) covering a sliding
-//! window starting at the bucket of the last popped event, with a binary-heap
-//! overflow for events beyond the window. Near-term events cost O(1)
-//! amortized push/pop; far-future events degrade gracefully to heap behavior
-//! and migrate into the ring as the window advances. The structure only
-//! changes *when* work is done, never *what order* events come out in: pops
-//! always return the global `(time, seq)` minimum, so `TraceDigest` is
-//! bit-identical to the previous `BinaryHeap` implementation (pinned by the
-//! model-based property test in `tests/queue_model.rs`).
+//! Internally this is a **calendar queue** (Brown, CACM 1988) tuned to the
+//! kernel's dominant pattern — short-delta `send_self_in` relative to the
+//! current time: a ring of `BUCKETS` = 128 time buckets, each
+//! `1 << SHIFT` = 2 048 ns wide, covering a ≈262 µs window that starts at
+//! the bucket of the last popped event, with a binary-heap overflow for
+//! events beyond the window. Near-term events cost O(1) amortized
+//! push/pop; far-future events degrade gracefully to heap behavior and
+//! migrate into the ring as the window advances.
+//!
+//! The shape is fixed, without Brown's resize step. A ring that grew when
+//! buckets filled and widened when events piled up in the overflow never
+//! shrank back, and the arena carried the grown ring into every later run
+//! on the thread, where it cost more time and memory than the in-bucket
+//! shifting it saved. The structure only changes *when* work is done,
+//! never *what order* events come out in: pops always return the global
+//! `(time, seq)` minimum, so `TraceDigest` is bit-identical to a plain
+//! `BinaryHeap` (pinned by the model-based property test in
+//! `tests/queue_model.rs`).
 
 use crate::kernel::{Message, ProcessId};
 use crate::time::SimTime;
@@ -70,15 +77,13 @@ impl Ord for Event {
     }
 }
 
-/// Initial bucket width: `1 << 11` ns ≈ 2 µs, matching per-frame service
-/// times on the simulated gigabit paths.
-const DEFAULT_SHIFT: u32 = 11;
-const DEFAULT_BUCKETS: usize = 128;
-const MAX_BUCKETS: usize = 1 << 16;
-/// Grow the ring when average bucket occupancy exceeds this.
-const GROW_FACTOR: usize = 8;
-/// Widest bucket considered: `1 << 40` ns ≈ 18 min of virtual time.
-const MAX_SHIFT: u32 = 40;
+/// Bucket width: `1 << 11` ns ≈ 2 µs, matching per-frame service times on
+/// the simulated gigabit paths.
+const SHIFT: u32 = 11;
+/// Ring size: a window of `BUCKETS << SHIFT` ns ≈ 262 µs.
+const BUCKETS: usize = 128;
+/// Ring slot of absolute bucket `b`: `b & MASK`.
+const MASK: u64 = BUCKETS as u64 - 1;
 
 /// Sentinel location meaning "overflow heap" rather than a ring slot.
 const OVERFLOW: usize = usize::MAX;
@@ -94,8 +99,6 @@ pub struct EventQueue {
     /// Ring of time buckets; each holds the events of exactly one absolute
     /// bucket index, sorted ascending by `(time, seq)`.
     buckets: Vec<VecDeque<Event>>,
-    mask: u64,
-    shift: u32,
     /// Events currently in the ring (the rest are in `overflow`).
     ring_len: usize,
     /// Events beyond the ring's window, earliest on top.
@@ -113,7 +116,10 @@ impl Default for EventQueue {
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
-        Self::with_shape(DEFAULT_BUCKETS, DEFAULT_SHIFT)
+        EventQueue {
+            buckets: (0..BUCKETS).map(|_| VecDeque::new()).collect(),
+            ..Self::hollow()
+        }
     }
 
     /// A bucketless shell left behind when a queue is moved into the
@@ -123,21 +129,6 @@ impl EventQueue {
         EventQueue {
             next: None,
             buckets: Vec::new(),
-            mask: 0,
-            shift: DEFAULT_SHIFT,
-            ring_len: 0,
-            overflow: BinaryHeap::new(),
-            last_time: SimTime::ZERO,
-        }
-    }
-
-    fn with_shape(nbuckets: usize, shift: u32) -> Self {
-        debug_assert!(nbuckets.is_power_of_two());
-        EventQueue {
-            next: None,
-            buckets: (0..nbuckets).map(|_| VecDeque::new()).collect(),
-            mask: nbuckets as u64 - 1,
-            shift,
             ring_len: 0,
             overflow: BinaryHeap::new(),
             last_time: SimTime::ZERO,
@@ -145,14 +136,14 @@ impl EventQueue {
     }
 
     #[inline]
-    fn bucket_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() >> self.shift
+    fn bucket_of(t: SimTime) -> u64 {
+        t.as_nanos() >> SHIFT
     }
 
     /// The window floor: the bucket of the last popped event.
     #[inline]
     fn cur_bucket(&self) -> u64 {
-        self.last_time.as_nanos() >> self.shift
+        Self::bucket_of(self.last_time)
     }
 
     /// Insert a delivery of `msg` to `target` at `time`, tie-broken by
@@ -182,9 +173,9 @@ impl EventQueue {
                         msg,
                     })
                     .expect("register full");
-                self.demote(old);
+                self.place(old);
             }
-            Some(_) => self.demote(Event {
+            Some(_) => self.place(Event {
                 time,
                 seq,
                 target,
@@ -193,25 +184,18 @@ impl EventQueue {
         }
     }
 
-    /// Insert into the calendar proper (resize check + placement).
-    fn demote(&mut self, ev: Event) {
-        self.maybe_resize();
-        self.place(ev);
-    }
-
     /// Put `ev` in its ring slot (sorted) or the overflow heap.
-    /// Never resizes.
     fn place(&mut self, ev: Event) {
         let cur = self.cur_bucket();
         // Defensive: an event scheduled before the last popped time (the
         // kernel never does this) is treated as due now; sorted insertion
         // by key still pops it first.
-        let b = self.bucket_of(ev.time).max(cur);
+        let b = Self::bucket_of(ev.time).max(cur);
         if b - cur >= self.buckets.len() as u64 {
             self.overflow.push(ev);
             return;
         }
-        let slot = (b & self.mask) as usize;
+        let slot = (b & MASK) as usize;
         let q = &mut self.buckets[slot];
         if q.back().map_or(true, |last| last.key() < ev.key()) {
             q.push_back(ev);
@@ -242,7 +226,7 @@ impl EventQueue {
             // floor, and each slot holds one absolute bucket, so the first
             // non-empty slot in window order holds the earliest bucket.
             for i in 0..self.buckets.len() as u64 {
-                let slot = ((cur + i) & self.mask) as usize;
+                let slot = ((cur + i) & MASK) as usize;
                 if let Some(e) = self.buckets[slot].front() {
                     best = Some((e.time, e.seq, slot));
                     break;
@@ -315,40 +299,9 @@ impl EventQueue {
         while self
             .overflow
             .peek()
-            .is_some_and(|top| self.bucket_of(top.time) - cur < n)
+            .is_some_and(|top| Self::bucket_of(top.time) - cur < n)
         {
             let ev = self.overflow.pop().expect("peeked overflow event exists");
-            self.place(ev);
-        }
-    }
-
-    /// Adapt the ring to the workload: more buckets when occupancy is
-    /// high, wider buckets when most events sit beyond the window.
-    fn maybe_resize(&mut self) {
-        let n = self.buckets.len();
-        if self.len() > n * GROW_FACTOR && n < MAX_BUCKETS {
-            self.rebuild(n * 2, self.shift);
-        } else if self.overflow.len() > 64
-            && self.overflow.len() > self.ring_len * 4
-            && self.shift < MAX_SHIFT
-        {
-            self.rebuild(n, self.shift + 2);
-        }
-    }
-
-    fn rebuild(&mut self, nbuckets: usize, shift: u32) {
-        let mut pending: Vec<Event> = Vec::with_capacity(self.len());
-        for q in &mut self.buckets {
-            pending.extend(q.drain(..));
-        }
-        pending.extend(self.overflow.drain());
-        if nbuckets > self.buckets.len() {
-            self.buckets.resize_with(nbuckets, VecDeque::new);
-        }
-        self.mask = nbuckets as u64 - 1;
-        self.shift = shift;
-        self.ring_len = 0;
-        for ev in pending {
             self.place(ev);
         }
     }
@@ -369,8 +322,8 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Empty the queue for reuse, keeping bucket allocations and the shape
-    /// the previous run's workload tuned.
+    /// Empty the queue for reuse, keeping the bucket and overflow
+    /// allocations.
     pub fn recycle(&mut self) {
         self.next = None;
         for q in &mut self.buckets {
@@ -447,7 +400,7 @@ mod tests {
     #[test]
     fn far_future_events_order_with_near_ones() {
         let mut q = EventQueue::new();
-        let horizon = (DEFAULT_BUCKETS as u64) << DEFAULT_SHIFT;
+        let horizon = (BUCKETS as u64) << SHIFT;
         q.push(t(10 * horizon), 0, ProcessId(0), Message::new(4u32));
         q.push(t(3), 1, ProcessId(0), Message::new(1u32));
         q.push(t(2 * horizon), 2, ProcessId(0), Message::new(3u32));
@@ -463,7 +416,7 @@ mod tests {
     #[test]
     fn fifo_survives_overflow_migration() {
         let mut q = EventQueue::new();
-        let far = (DEFAULT_BUCKETS as u64) << (DEFAULT_SHIFT + 1);
+        let far = (BUCKETS as u64) << (SHIFT + 1);
         q.push(t(far), 0, ProcessId(0), Message::new(0u32)); // overflow
         q.push(t(1), 1, ProcessId(1), Message::new(99u32));
         assert_eq!(q.pop().unwrap().msg.downcast::<u32>().unwrap(), 99);
@@ -476,16 +429,23 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2]);
     }
 
-    /// Pushing far more events than buckets triggers ring growth without
-    /// disturbing the order.
+    /// A pending set far above the ring's capacity: 16 windows' worth of
+    /// events, two per bucket, pushed latest first. Everything past the
+    /// first window rides the overflow heap and reaches the ring through
+    /// `migrate` as popping advances the window. In each ring bucket the
+    /// second push lands before the first (sorted insertion).
     #[test]
-    fn growth_preserves_order() {
+    fn deep_pending_set_pops_in_order() {
         let mut q = EventQueue::new();
-        let n = (DEFAULT_BUCKETS * GROW_FACTOR * 2) as u64;
-        // Reverse time order, all within a few buckets.
+        let n = (BUCKETS * 32) as u64;
+        let step = 1u64 << (SHIFT - 1);
         for i in 0..n {
-            q.push(t(n - i), i, ProcessId(0), Message::new(n - i));
+            q.push(t((n - i) * step), i, ProcessId(0), Message::new(n - i));
         }
+        assert!(
+            q.overflow.len() > q.ring_len,
+            "most events start in overflow"
+        );
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.msg.downcast::<u64>().unwrap())
             .collect();
