@@ -65,7 +65,6 @@ pub(crate) struct Core {
     pub(crate) pending_spawns: Vec<Box<dyn Process>>,
     /// Next pid, counting both live and pending processes.
     pub(crate) next_pid: usize,
-    pub(crate) stop_requested: bool,
     pub(crate) events_dispatched: u64,
     /// Completed network flows, counted by the flow-level network engine
     /// through [`Ctx::count_flow`]; stays 0 under the packet model.
@@ -95,9 +94,9 @@ pub(crate) const KEY_COUNT_BITS: u32 = 40;
 /// The canonical ordering key for the next push from `slot`, advancing
 /// its counter.
 ///
-/// Keys must stay unique — `EventQueue::push` and the sharded probe merge
-/// both rely on it — so debug builds fail loudly if either field would
-/// overflow its bit range and silently collide.
+/// Keys must stay unique — `EventQueue::push` relies on it — so debug
+/// builds fail loudly if either field would overflow its bit range and
+/// silently collide.
 #[inline]
 pub(crate) fn next_key(push_counts: &mut [u64], slot: usize) -> u64 {
     debug_assert!(
@@ -182,10 +181,9 @@ pub struct Sim {
     pub(crate) procs: Vec<Option<Box<dyn Process>>>,
     /// Number of processes whose `on_start` has already run.
     pub(crate) started: usize,
-    /// Safety valve against runaway simulations.
-    pub(crate) max_events: u64,
-    /// When set (and `shards > 1`), `run` executes under the sharded
-    /// conservative-parallel protocol (see [`crate::shard`]).
+    /// When set (with `shards > 1` and no probe attached), `run` executes
+    /// under the sharded conservative-parallel protocol (see
+    /// [`crate::shard`]).
     pub(crate) shard_plan: Option<ShardPlan>,
 }
 
@@ -207,7 +205,6 @@ impl Sim {
                 master_seed: seed,
                 pending_spawns: Vec::new(),
                 next_pid: 0,
-                stop_requested: false,
                 events_dispatched: 0,
                 flows_completed: 0,
                 push_counts: vec![0],
@@ -216,16 +213,16 @@ impl Sim {
             },
             procs: parts.procs,
             started: 0,
-            max_events: u64::MAX,
             shard_plan: None,
         }
     }
 
-    /// Attach a shard plan: subsequent `run`/`run_until` calls execute the
-    /// simulation across `plan.shards` worker threads under the
-    /// conservative window protocol of [`crate::shard`], producing the
-    /// same trace digest and results as the sequential kernel. A plan with
-    /// `shards == 1` is ignored (the run stays on the sequential path).
+    /// Attach a shard plan: subsequent `run` calls execute the simulation
+    /// across `plan.shards` worker threads under the conservative window
+    /// protocol of [`crate::shard`], producing the same trace digest and
+    /// results as the sequential kernel. A plan with `shards == 1` is
+    /// ignored, and so is any plan while a probe is attached: both runs
+    /// stay on the sequential path.
     pub fn set_shard_plan(&mut self, plan: ShardPlan) {
         assert!(plan.shards >= 1, "a shard plan needs at least one shard");
         assert_eq!(
@@ -249,12 +246,6 @@ impl Sim {
             }
         }
         self.shard_plan = Some(plan);
-    }
-
-    /// Cap the number of dispatched events; the run stops (without panicking)
-    /// when the cap is hit. Useful in tests against runaway loops.
-    pub fn set_max_events(&mut self, cap: u64) {
-        self.max_events = cap;
     }
 
     /// Register a process; returns its id. `on_start` runs when the
@@ -305,6 +296,7 @@ impl Sim {
 
     /// Attach an observability sink (see [`crate::probe`]). Probes are
     /// purely observational: attaching one never changes the trace digest.
+    /// A probed run ignores its shard plan and runs sequentially.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.core.probe = Some(probe);
     }
@@ -319,24 +311,16 @@ impl Sim {
             .collect()
     }
 
-    /// Run until the event queue drains (or `stop`/event cap). Returns the
-    /// final virtual time.
+    /// Run until the event queue drains. Returns the final virtual time.
+    ///
+    /// Under a shard plan with more than one shard the run executes sharded
+    /// (see [`crate::shard`]) unless a probe is attached; a probed run takes
+    /// the sequential loop, whose probe stream is the canonical one.
     pub fn run(&mut self) -> SimTime {
-        self.run_inner(None)
-    }
-
-    /// Run until the event queue drains or virtual time would exceed
-    /// `limit`; events after `limit` stay queued. Returns the final time
-    /// (≤ `limit`).
-    pub fn run_until(&mut self, limit: SimTime) -> SimTime {
-        self.run_inner(Some(limit))
-    }
-
-    fn run_inner(&mut self, limit: Option<SimTime>) -> SimTime {
-        if let Some(plan) = &self.shard_plan {
-            if plan.shards > 1 {
+        if let Some(plan) = self.shard_plan.as_ref().filter(|p| p.shards > 1) {
+            if self.core.probe.is_none() {
                 let plan = plan.clone();
-                return crate::shard::run_sharded(self, &plan, limit);
+                return crate::shard::run_sharded(self, &plan);
             }
         }
         self.start_new_processes();
@@ -346,47 +330,22 @@ impl Sim {
         let run_start = std::time::Instant::now();
         let events_before = self.core.events_dispatched;
         let flows_before = self.core.flows_completed;
-        // Flatten the optional limit into one compare on the hot path; an
-        // unlimited run can never pass t > MAX.
-        let horizon = limit.unwrap_or(SimTime::from_nanos(u64::MAX));
-        let end = 'run: {
-            // `stop` can only flip inside a handler, so it is re-checked
-            // after dispatch (below) rather than on every loop entry.
-            if self.core.stop_requested {
-                break 'run self.core.now;
+        while let Some((time, target, msg)) = self.core.queue.pop_parts() {
+            debug_assert!(time >= self.core.now, "time must not run backwards");
+            self.core.now = time;
+            self.core.events_dispatched += 1;
+            self.core.trace.record(time, target);
+            if let Some(probe) = self.core.probe.as_mut() {
+                probe.record(ProbeEvent::Dispatch { time, target });
             }
-            while let Some(t) = self.core.queue.peek_time() {
-                if t > horizon {
-                    self.core.now = horizon;
-                    break 'run self.core.now;
-                }
-                if self.core.events_dispatched >= self.max_events {
-                    break;
-                }
-                // SAFETY: peek_time just returned Some and nothing between the
-                // peek and here touches the queue. Skipping the unwrap branch
-                // lets the event be popped straight into this frame.
-                let (time, target, msg) = unsafe { self.core.queue.pop_parts().unwrap_unchecked() };
-                debug_assert!(time >= self.core.now, "time must not run backwards");
-                self.core.now = time;
-                self.core.events_dispatched += 1;
-                self.core.trace.record(time, target);
-                if let Some(probe) = self.core.probe.as_mut() {
-                    probe.record(ProbeEvent::Dispatch { time, target });
-                }
-                self.dispatch(target, msg);
-                // Mid-run the table only grows through `Ctx::spawn`, which
-                // stages into `pending_spawns`; anything added before the run
-                // was started by the `start_new_processes` call at entry.
-                if !self.core.pending_spawns.is_empty() {
-                    self.start_new_processes();
-                }
-                if self.core.stop_requested {
-                    break;
-                }
+            self.dispatch(target, msg);
+            // Mid-run the table only grows through `Ctx::spawn`, which
+            // stages into `pending_spawns`; anything added before the run
+            // was started by the `start_new_processes` call at entry.
+            if !self.core.pending_spawns.is_empty() {
+                self.start_new_processes();
             }
-            self.core.now
-        };
+        }
         if let Some(dir) = tel_dir {
             crate::telemetry::flush_sequential(
                 &dir,
@@ -395,7 +354,7 @@ impl Sim {
                 self.core.flows_completed - flows_before,
             );
         }
-        end
+        self.core.now
     }
 
     fn dispatch(&mut self, target: ProcessId, msg: Message) {
@@ -602,11 +561,6 @@ impl<'a> Ctx<'a> {
         pid
     }
 
-    /// Halt the simulation after the current handler returns.
-    pub fn stop(&mut self) {
-        self.core.stop_requested = true;
-    }
-
     /// Count one completed network flow towards this run's report (see
     /// [`crate::telemetry::RunReport::flows`]).
     pub fn count_flow(&mut self) {
@@ -681,24 +635,30 @@ mod tests {
         assert_eq!(a_ref.heard, vec![1]);
     }
 
-    struct Starter;
+    struct Starter {
+        heard: Vec<(u64, u64)>,
+    }
     impl Process for Starter {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.send_self_in(Dur::nanos(7), Message::new(1u64));
         }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
-            ctx.stop();
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            self.heard
+                .push((ctx.now().as_nanos(), msg.downcast::<u64>().unwrap()));
         }
     }
 
     #[test]
-    fn on_start_runs_and_stop_halts() {
+    fn on_start_runs_before_the_first_event() {
         let mut sim = Sim::new(0);
-        let p = sim.add_process(Box::new(Starter));
+        let p = sim.add_process(Box::new(Starter { heard: vec![] }));
         sim.schedule_at(SimTime::from_nanos(100), p, Message::new(2u64));
         let end = sim.run();
-        assert_eq!(end.as_nanos(), 7); // stopped before the t=100 event
-        assert_eq!(sim.events_dispatched(), 1);
+        assert_eq!(end.as_nanos(), 100);
+        assert_eq!(sim.events_dispatched(), 2);
+        // The self-send queued by on_start is delivered first, at t=7.
+        let s: &Starter = sim.process(p).unwrap();
+        assert_eq!(s.heard, vec![(7, 1), (100, 2)]);
     }
 
     struct Spawner {
@@ -730,23 +690,6 @@ mod tests {
         let child_pid = spawner.child_heard.unwrap();
         let child: &Child = sim.process(child_pid).unwrap();
         assert_eq!(child.heard, 1);
-    }
-
-    #[test]
-    fn run_until_leaves_future_events_queued() {
-        let mut sim = Sim::new(0);
-        let p = sim.add_process(Box::new(Echo {
-            heard: vec![],
-            peer: None,
-            bounces: 0,
-        }));
-        sim.schedule_at(SimTime::from_nanos(50), p, Message::new(1u64));
-        sim.schedule_at(SimTime::from_nanos(150), p, Message::new(2u64));
-        let t = sim.run_until(SimTime::from_nanos(100));
-        assert_eq!(t.as_nanos(), 100);
-        assert_eq!(sim.events_dispatched(), 1);
-        sim.run();
-        assert_eq!(sim.events_dispatched(), 2);
     }
 
     #[test]
@@ -891,21 +834,5 @@ mod tests {
         let ra: &R = sim.process(a).unwrap();
         let rb: &R = sim.process(b).unwrap();
         assert_ne!(ra.v, rb.v);
-    }
-
-    #[test]
-    fn max_events_caps_runaway() {
-        struct Loopy;
-        impl Process for Loopy {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _m: Message) {
-                ctx.send_self_in(Dur::nanos(1), Message::new(()));
-            }
-        }
-        let mut sim = Sim::new(0);
-        let p = sim.add_process(Box::new(Loopy));
-        sim.schedule_at(SimTime::ZERO, p, Message::new(()));
-        sim.set_max_events(1000);
-        sim.run();
-        assert_eq!(sim.events_dispatched(), 1000);
     }
 }

@@ -104,17 +104,12 @@ pub enum ProbeEvent {
 }
 
 /// A sink for [`ProbeEvent`]s. Implementations must not interact with the
-/// simulation (no RNG draws, no event insertion) — observation only.
+/// simulation (no RNG draws, no event insertion) — observation only. A
+/// probed run ignores its shard plan, so events arrive in the sequential
+/// kernel's dispatch order, on the thread that called [`crate::Sim::run`].
 pub trait Probe: Send {
     /// Receive one event.
     fn record(&mut self, ev: ProbeEvent);
-
-    /// The kernel is about to dispatch the event with ordering key
-    /// `(time, key)`; every `record` until the next call belongs to that
-    /// dispatch. Only the sharded executor's buffering probe uses this (to
-    /// replay per-shard streams in the sequential order); ordinary sinks
-    /// can ignore it.
-    fn begin_dispatch(&mut self, _time: SimTime, _key: u64) {}
 }
 
 /// Named gauges, keyed deterministically: each gauge is a

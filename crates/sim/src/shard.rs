@@ -10,12 +10,12 @@
 //!
 //! 1. After the barrier, every worker reads the state its peers published
 //!    at the end of the *previous* round: per-shard earliest pending
-//!    times, the minima of cross-shard batches still in flight, stop
-//!    flags and event counts. Publishes are parity-indexed (round `k`
-//!    reads slot `k & 1`, writes slot `(k + 1) & 1`), so writes for the
-//!    next round never race reads for the current one — the barrier
-//!    provides the happens-before edge. From the same values every
-//!    worker derives the same exit decision and its own *ragged* window
+//!    times and the minima of cross-shard batches still in flight.
+//!    Publishes are parity-indexed (round `k` reads slot `k & 1`, writes
+//!    slot `(k + 1) & 1`), so writes for the next round never race reads
+//!    for the current one — the barrier provides the happens-before edge. From the same values every
+//!    worker derives the same exit decision (every queue and in-flight
+//!    batch is empty: the run has drained) and its own *ragged* window
 //!    `W(d) = min over s of (next(s) + reach(s, d))`, where `reach` is
 //!    the all-pairs min-plus closure of the lookahead matrix (including
 //!    `s = d`, whose entry is the cheapest cycle back into `d`).
@@ -25,10 +25,10 @@
 //!    *staged* into worker-local buffers — no locks on the dispatch path.
 //! 3. It publishes next-round state and flushes each non-empty staged
 //!    batch into its pair slot: one uncontended lock per pair per round,
-//!    not one per event. Trace buckets and probe events are deposited
-//!    only every [`FLUSH_EVERY`] rounds; worker 0 merges deposits behind
-//!    a time cutoff at the same cadence, so the per-round protocol has
-//!    no merge step and no second barrier at all.
+//!    not one per event. Trace buckets are deposited only every
+//!    [`FLUSH_EVERY`] rounds; worker 0 merges deposits behind a time
+//!    cutoff at the same cadence, so the per-round protocol has no merge
+//!    step and no second barrier at all.
 //!
 //! **Safety.** Any event a shard `s` may still produce is at or after
 //! `next(s)` (its effective earliest pending time, in-flight batches
@@ -49,20 +49,19 @@
 //! **Determinism.** Event ordering keys are per-*source*
 //! (`kernel::next_key`), so an event's key does not depend on which
 //! worker executed the source, and the trace digest folds per-instant
-//! commutative buckets ([`TraceDigest::absorb`]). Deposited bucket/probe
+//! commutative buckets ([`TraceDigest::absorb`]). Deposited bucket
 //! streams are per-shard time-ordered; the cutoff merge folds strictly
 //! finalized prefixes (everything below the global minimum cannot gain
-//! new entries) and holds the rest back, so the master digest and probe
-//! stream come out bit-for-bit equal to the sequential kernel's. The
-//! only visible differences are coarser `stop`/`max_events` granularity
-//! (checked at round boundaries) and that [`Ctx::spawn`](crate::Ctx::spawn)
-//! panics mid-run (see the kernel; worker process tables cannot grow
-//! deterministically).
+//! new entries) and holds the rest back, so the master digest comes out
+//! bit-for-bit equal to the sequential kernel's. A run with a probe
+//! attached never gets here: [`Sim::run`] takes the sequential kernel,
+//! whose probe stream is the canonical one. The only visible difference
+//! is that [`Ctx::spawn`](crate::Ctx::spawn) panics mid-run (see the
+//! kernel; worker process tables cannot grow deterministically).
 
 use crate::event::EventQueue;
 use crate::kernel::{Core, Ctx, Message, Process, ProcessId, Sim};
 use crate::knob::{self, Knob};
-use crate::probe::{Probe, ProbeEvent};
 use crate::resource::ResourceId;
 use crate::time::SimTime;
 use crate::trace::{Bucket, TraceDigest};
@@ -127,10 +126,10 @@ pub fn clamp_shards(requested: usize, max: usize, what: &str) -> usize {
     }
 }
 
-/// How many rounds between digest/probe deposits (and worker-0 cutoff
-/// merges). One merge per round was a measurable per-round tax; once
-/// every 256 rounds it vanishes from the profile while the held-back
-/// buffers stay small (a round's output is bounded by its window).
+/// How many rounds between digest deposits (and worker-0 cutoff merges).
+/// One merge per round was a measurable per-round tax; once every 256
+/// rounds it vanishes from the profile while the held-back buffers stay
+/// small (a round's output is bounded by its window).
 const FLUSH_EVERY: u64 = 256;
 
 /// A cross-shard event in flight: the exact `(time, key, target, msg)`
@@ -199,33 +198,6 @@ impl ShardRoute {
                 promised,
             );
         }
-    }
-}
-
-/// One worker's probe buffer: every emission tagged with the `(time, key)`
-/// of the dispatch that produced it.
-type ProbeBuf = Arc<Mutex<Vec<(SimTime, u64, ProbeEvent)>>>;
-
-/// Probe shim installed in each worker core: tags every emission with the
-/// `(time, key)` of the dispatch that produced it, so the merge step can
-/// interleave the per-shard streams back into exact sequential order.
-struct BufferProbe {
-    buf: ProbeBuf,
-    time: SimTime,
-    key: u64,
-}
-
-impl Probe for BufferProbe {
-    fn record(&mut self, ev: ProbeEvent) {
-        self.buf
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((self.time, self.key, ev));
-    }
-
-    fn begin_dispatch(&mut self, time: SimTime, key: u64) {
-        self.time = time;
-        self.key = key;
     }
 }
 
@@ -355,20 +327,11 @@ fn reach_closure(lookahead: &[Vec<u64>]) -> Vec<Vec<u64>> {
     d
 }
 
-/// A shard's accumulated mergeable output: trace-digest buckets and probe
-/// events deposited every [`FLUSH_EVERY`] rounds, each stream in
-/// nondecreasing time order.
-#[derive(Default)]
-struct Deposit {
-    buckets: Vec<Bucket>,
-    probes: Vec<(SimTime, u64, ProbeEvent)>,
-}
-
-/// State shared by all workers for one sharded run. The `next`,
-/// `sent_min`, `stop` and `events` arrays are double-buffered by round
-/// parity: round `k` reads index `k & 1` and writes index `(k + 1) & 1`,
-/// and the barrier orders one round's writes before the next round's
-/// reads, so `Relaxed` atomics suffice (see [`SpinBarrier::wait`]).
+/// State shared by all workers for one sharded run. The `next` and
+/// `sent_min` arrays are double-buffered by round parity: round `k` reads
+/// index `k & 1` and writes index `(k + 1) & 1`, and the barrier orders
+/// one round's writes before the next round's reads, so `Relaxed` atomics
+/// suffice (see [`SpinBarrier::wait`]).
 struct Shared {
     barrier: SpinBarrier,
     /// Per-shard earliest pending local time, in ns (`u64::MAX` = drained).
@@ -377,29 +340,20 @@ struct Shared {
     /// src flushed toward dst last round (`u64::MAX` = none) — the bound
     /// on in-flight arrivals that keeps early/late slot pickup invisible.
     sent_min: [Vec<AtomicU64>; 2],
-    /// Per-shard stop flags (a worker publishes its own core's flag).
-    stop: [Vec<AtomicBool>; 2],
-    /// Per-shard cumulative dispatched-event counts.
-    events: [Vec<AtomicU64>; 2],
-    deposits: Vec<Mutex<Deposit>>,
+    /// Per-shard trace-digest buckets deposited every [`FLUSH_EVERY`]
+    /// rounds, each in nondecreasing time order.
+    deposits: Vec<Mutex<Vec<Bucket>>>,
     /// Min-plus closure of the plan's lookahead matrix.
     reach: Vec<Vec<u64>>,
-    /// Events dispatched before this run began (`max_events` is a total).
-    base_events: u64,
-    /// Run limit in ns (`u64::MAX` when unbounded).
-    horizon: u64,
-    max_events: u64,
 }
 
-/// The master digest and probe plus the per-shard held-back streams:
-/// deposited entries at or above the last merge cutoff wait here, in
+/// The master digest plus the per-shard held-back bucket streams:
+/// deposited buckets at or above the last merge cutoff wait here, in
 /// time order, until a later cutoff (or the end of the run) finalizes
 /// them. Owned by worker 0 during the run.
 struct Sink {
     trace: TraceDigest,
-    probe: Option<Box<dyn Probe>>,
     held_buckets: Vec<Vec<Bucket>>,
-    held_probes: Vec<Vec<(SimTime, u64, ProbeEvent)>>,
 }
 
 /// One worker thread's simulator slice: a full-width [`Core`] (foreign
@@ -409,20 +363,16 @@ struct Worker {
     my: usize,
     core: Core,
     procs: Vec<Option<Box<dyn Process>>>,
-    probe_buf: Option<ProbeBuf>,
     sink: Option<Sink>,
     /// Wall-clock round samples, worker-local (see [`crate::telemetry`]);
     /// `None` unless `HPSOCK_TELEMETRY` (or its scoped override) is set.
     tel: Option<crate::telemetry::WorkerTelemetry>,
 }
 
-/// Execute `sim` across `plan.shards` worker threads; semantics of
-/// [`Sim::run`] / [`Sim::run_until`] (with `limit`), same results.
-pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime>) -> SimTime {
+/// Execute `sim` across `plan.shards` worker threads until every queue
+/// drains; semantics of [`Sim::run`], same results. `sim` has no probe.
+pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan) -> SimTime {
     sim.start_new_processes();
-    if sim.core.stop_requested {
-        return sim.core.now;
-    }
     let shards = plan.shards;
     let n_procs = sim.procs.len();
     let n_res = sim.core.resources.len();
@@ -452,7 +402,6 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
     );
     let pairs: Arc<Vec<PairSlot>> =
         Arc::new((0..shards * shards).map(|_| PairSlot::default()).collect());
-    let probing = sim.core.probe.is_some();
     // Telemetry is resolved once per run; when enabled, each worker gets a
     // private sample buffer stamped against a common epoch so the flush
     // can lay every lane on one wall-clock timeline.
@@ -460,49 +409,38 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
     let run_start = std::time::Instant::now();
 
     let mut workers: Vec<Worker> = (0..shards)
-        .map(|s| {
-            let probe_buf = probing.then(|| Arc::new(Mutex::new(Vec::new())));
-            Worker {
-                my: s,
-                core: Core {
-                    now: sim.core.now,
-                    queue: EventQueue::new(),
-                    resources: sim.core.resources.clone(),
-                    rngs: sim.core.rngs.clone(),
-                    trace: TraceDigest::new_logged(),
-                    master_seed: sim.core.master_seed,
-                    pending_spawns: Vec::new(),
-                    next_pid: sim.core.next_pid,
-                    stop_requested: false,
-                    events_dispatched: 0,
-                    flows_completed: 0,
-                    push_counts: sim.core.push_counts.clone(),
-                    probe: probe_buf.clone().map(|buf| {
-                        Box::new(BufferProbe {
-                            buf,
-                            time: SimTime::ZERO,
-                            key: 0,
-                        }) as Box<dyn Probe>
-                    }),
-                    route: Some(Box::new(ShardRoute {
-                        shard: s,
-                        owner_pid: owner_pid.clone(),
-                        owner_rid: owner_rid.clone(),
-                        lookahead: plan.lookahead.clone(),
-                        describe: plan.describe_link.clone(),
-                        pairs: pairs.clone(),
-                        staged: (0..shards).map(|_| Vec::new()).collect(),
-                        staged_min: vec![u64::MAX; shards],
-                        sent: 0,
-                    })),
-                },
-                procs: (0..n_procs).map(|_| None).collect(),
-                probe_buf,
-                sink: None,
-                tel: tel_dir
-                    .as_ref()
-                    .map(|_| crate::telemetry::WorkerTelemetry::new(s, run_start)),
-            }
+        .map(|s| Worker {
+            my: s,
+            core: Core {
+                now: sim.core.now,
+                queue: EventQueue::new(),
+                resources: sim.core.resources.clone(),
+                rngs: sim.core.rngs.clone(),
+                trace: TraceDigest::new_logged(),
+                master_seed: sim.core.master_seed,
+                pending_spawns: Vec::new(),
+                next_pid: sim.core.next_pid,
+                events_dispatched: 0,
+                flows_completed: 0,
+                push_counts: sim.core.push_counts.clone(),
+                probe: None,
+                route: Some(Box::new(ShardRoute {
+                    shard: s,
+                    owner_pid: owner_pid.clone(),
+                    owner_rid: owner_rid.clone(),
+                    lookahead: plan.lookahead.clone(),
+                    describe: plan.describe_link.clone(),
+                    pairs: pairs.clone(),
+                    staged: (0..shards).map(|_| Vec::new()).collect(),
+                    staged_min: vec![u64::MAX; shards],
+                    sent: 0,
+                })),
+            },
+            procs: (0..n_procs).map(|_| None).collect(),
+            sink: None,
+            tel: tel_dir
+                .as_ref()
+                .map(|_| crate::telemetry::WorkerTelemetry::new(s, run_start)),
         })
         .collect();
 
@@ -515,12 +453,10 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
                 .expect("process checked in between runs"),
         );
     }
-    // Worker 0 merges deposit flushes into the real digest/probe.
+    // Worker 0 merges deposit flushes into the real digest.
     workers[0].sink = Some(Sink {
         trace: std::mem::take(&mut sim.core.trace),
-        probe: sim.core.probe.take(),
         held_buckets: (0..shards).map(|_| Vec::new()).collect(),
-        held_probes: (0..shards).map(|_| Vec::new()).collect(),
     });
     // Distribute the pending global queue by event target, keys intact.
     while let Some(ev) = sim.core.queue.pop() {
@@ -539,18 +475,8 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
             au64(shards * shards, u64::MAX),
             au64(shards * shards, u64::MAX),
         ],
-        stop: [
-            (0..shards).map(|_| AtomicBool::new(false)).collect(),
-            (0..shards).map(|_| AtomicBool::new(false)).collect(),
-        ],
-        events: [au64(shards, 0), au64(shards, 0)],
-        deposits: (0..shards)
-            .map(|_| Mutex::new(Deposit::default()))
-            .collect(),
+        deposits: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         reach: reach_closure(&plan.lookahead),
-        base_events: sim.core.events_dispatched,
-        horizon: limit.map_or(u64::MAX, |t| t.as_nanos()),
-        max_events: sim.max_events,
     };
     // Round 0 reads parity 0: seed it with the distributed queues' state.
     for (s, w) in workers.iter().enumerate() {
@@ -600,36 +526,32 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
     }
 
     // Final residual merge: any deposits the in-run cadence left behind,
-    // plus each worker's buckets/probes since its last deposit, merged
-    // with an unbounded cutoff.
+    // plus each worker's buckets since its last deposit, merged with an
+    // unbounded cutoff.
     let mut sink = workers[0].sink.take().expect("worker 0 owns the sink");
     for (s, w) in workers.iter_mut().enumerate() {
-        {
-            let mut d = shared.deposits[s]
+        sink.held_buckets[s].append(
+            &mut shared.deposits[s]
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            sink.held_buckets[s].append(&mut d.buckets);
-            sink.held_probes[s].append(&mut d.probes);
-        }
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         sink.held_buckets[s].extend(w.core.trace.take_log());
-        if let Some(buf) = &w.probe_buf {
-            sink.held_probes[s].append(&mut buf.lock().unwrap_or_else(PoisonError::into_inner));
-        }
     }
     merge_held(&mut sink, u64::MAX);
     sim.core.trace = sink.trace;
-    sim.core.probe = sink.probe;
 
-    // Reassemble the master simulator from the worker slices.
-    let mut stop = false;
-    let mut events = sim.core.events_dispatched;
-    let mut end = sim.core.now;
-    for w in workers.iter() {
-        end = end.max(w.core.now);
-    }
+    // Reassemble the master simulator from the worker slices. The workers
+    // left on a round that found every queue and in-flight batch empty.
+    debug_assert!(
+        workers.iter().all(|w| w.core.queue.is_empty())
+            && pairs
+                .iter()
+                .all(|slot| slot.0.lock().is_ok_and(|v| v.is_empty())),
+        "a sharded run ended with events still pending"
+    );
     for mut w in workers {
-        stop |= w.core.stop_requested;
-        events += w.core.events_dispatched;
+        sim.core.now = sim.core.now.max(w.core.now);
+        sim.core.events_dispatched += w.core.events_dispatched;
         // Defensive: mid-run spawn panics under sharding, but if a worker
         // core ever advanced its pid counter, don't hand out stale ids.
         sim.core.next_pid = sim.core.next_pid.max(w.core.next_pid);
@@ -645,35 +567,12 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan, limit: Option<SimTime
                 std::mem::swap(&mut sim.core.resources[j], &mut w.core.resources[j]);
             }
         }
-        // Events beyond the horizon stay pending, back on the global queue.
-        while let Some(ev) = w.core.queue.pop() {
-            sim.core.queue.push(ev.time, ev.seq, ev.target, ev.msg);
-        }
     }
-    // In-flight pair batches nobody drained before exit stay pending too.
-    for slot in pairs.iter() {
-        let mut v = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
-        for ev in v.drain(..) {
-            sim.core.queue.push(ev.time, ev.key, ev.target, ev.msg);
-        }
-    }
-    sim.core.stop_requested = stop;
-    sim.core.events_dispatched = events;
-    // Mirror the sequential return-time rules: a horizon break reports the
-    // horizon; `stop` and the event cap report the last dispatched instant.
-    if !stop {
-        if let Some(t) = sim.core.queue.peek_time() {
-            if t.as_nanos() > shared.horizon {
-                end = SimTime::from_nanos(shared.horizon);
-            }
-        }
-    }
-    sim.core.now = end;
     sim.core.now
 }
 
-/// One worker's round loop; returns when the run is globally finished or
-/// the barrier is poisoned by a panicking peer.
+/// One worker's round loop; returns when the run has drained on every
+/// shard or the barrier is poisoned by a panicking peer.
 fn worker_loop(w: &mut Worker, sh: &Shared) {
     let shards = sh.deposits.len();
     let my = w.my;
@@ -703,8 +602,6 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
         // through `reach` — a deterministic window, regardless of
         // whether any in-flight batch was already picked up.
         let mut min_next = u64::MAX;
-        let mut stop = false;
-        let mut total = sh.base_events;
         for (d, buf) in next_buf.iter_mut().enumerate() {
             let mut n = sh.next[p][d].load(Ordering::Relaxed);
             for s in 0..shards {
@@ -712,13 +609,12 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
             }
             *buf = n;
             min_next = min_next.min(n);
-            stop |= sh.stop[p][d].load(Ordering::Relaxed);
-            total += sh.events[p][d].load(Ordering::Relaxed);
         }
-        // Every worker leaves on the same round; the exit round itself
-        // is not logged (telemetry) and not merged (the caller's final
-        // merge picks up the remainder).
-        if stop || total >= sh.max_events || min_next == u64::MAX || min_next > sh.horizon {
+        // Nothing pending anywhere, in a queue or in flight: the run has
+        // drained. Every worker leaves on the same round; the exit round
+        // itself is not logged (telemetry) and not merged (the caller's
+        // final merge picks up the remainder).
+        if min_next == u64::MAX {
             return;
         }
         // Worker 0 folds the deposits of the last FLUSH_EVERY rounds
@@ -741,7 +637,6 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
         for (s, &n) in next_buf.iter().enumerate() {
             w_end = w_end.min(n.saturating_add(sh.reach[s][my]));
         }
-        w_end = w_end.min(sh.horizon.saturating_add(1));
         // Drain the batches peers flushed toward this shard.
         let mut recv = 0u64;
         {
@@ -775,13 +670,6 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
             w.core.now = ev.time;
             w.core.events_dispatched += 1;
             w.core.trace.record(ev.time, ev.target);
-            if let Some(probe) = w.core.probe.as_mut() {
-                probe.begin_dispatch(ev.time, ev.seq);
-                probe.record(ProbeEvent::Dispatch {
-                    time: ev.time,
-                    target: ev.target,
-                });
-            }
             let proc = w
                 .procs
                 .get_mut(ev.target.0)
@@ -793,9 +681,6 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
                 pid: ev.target,
             };
             proc.on_message(&mut ctx, ev.msg);
-            if w.core.stop_requested {
-                break;
-            }
         }
         if let Some(c) = clock.as_mut() {
             c.dispatched();
@@ -806,8 +691,6 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
         let q = p ^ 1;
         let next = w.core.queue.peek_time().map_or(u64::MAX, |t| t.as_nanos());
         sh.next[q][my].store(next, Ordering::Relaxed);
-        sh.stop[q][my].store(w.core.stop_requested, Ordering::Relaxed);
-        sh.events[q][my].store(w.core.events_dispatched, Ordering::Relaxed);
         {
             let route = w.core.route.as_mut().expect("sharded core has a route");
             for d in 0..shards {
@@ -825,17 +708,13 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
                 }
             }
         }
-        // Deposit the accumulated digest buckets and probe stream on the
-        // flush cadence; worker 0 merges them behind the next cutoff.
+        // Deposit the accumulated digest buckets on the flush cadence;
+        // worker 0 merges them behind the next cutoff.
         if (round + 1) % FLUSH_EVERY == 0 {
-            let mut d = sh.deposits[my]
+            sh.deposits[my]
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            d.buckets.extend(w.core.trace.take_log());
-            if let Some(buf) = &w.probe_buf {
-                d.probes
-                    .append(&mut buf.lock().unwrap_or_else(PoisonError::into_inner));
-            }
+                .unwrap_or_else(PoisonError::into_inner)
+                .extend(w.core.trace.take_log());
         }
         if let Some(c) = clock.take() {
             let sent_now = w.core.route.as_ref().map_or(0, |r| r.sent);
@@ -857,21 +736,19 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
 }
 
 /// Drain every shard's deposit into the held-back streams, then merge
-/// everything strictly below `cutoff` into the master digest/probe.
+/// everything strictly below `cutoff` into the master digest.
 fn merge_deposits(sh: &Shared, sink: &mut Sink, cutoff: u64) {
     for (s, dep) in sh.deposits.iter().enumerate() {
-        let mut d = dep.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.held_buckets[s].append(&mut d.buckets);
-        sink.held_probes[s].append(&mut d.probes);
+        sink.held_buckets[s].append(&mut dep.lock().unwrap_or_else(PoisonError::into_inner));
     }
     merge_held(sink, cutoff);
 }
 
 /// Merge the held per-shard streams' prefixes below `cutoff` (exclusive)
-/// into the master digest and probe, keeping the remainders held. Each
-/// held stream is nondecreasing in time, successive cutoffs are
-/// nondecreasing, and everything merged is final — no later dispatch can
-/// produce an entry below a cutoff that was once a global minimum — so
+/// into the master digest, keeping the remainders held. Each held stream
+/// is nondecreasing in time, successive cutoffs are nondecreasing, and
+/// everything merged is final — no later dispatch can produce an entry
+/// below a cutoff that was once a global minimum — so
 /// `absorb`'s nondecreasing-time requirement holds across calls.
 fn merge_held(sink: &mut Sink, cutoff: u64) {
     let shards = sink.held_buckets.len();
@@ -899,39 +776,6 @@ fn merge_held(sink: &mut Sink, cutoff: u64) {
             if logs[s].get(idx[s]).is_some_and(|b| b.time == t) {
                 sink.trace.absorb(&logs[s][idx[s]]);
                 idx[s] += 1;
-            }
-        }
-    }
-    // Probe stream: k-way merge by dispatch key `(time, seq)` — globally
-    // unique and equal to the sequential dispatch order — so the master
-    // probe sees the exact event stream a sequential run would produce.
-    if let Some(probe) = sink.probe.as_mut() {
-        let mut fronts: Vec<Vec<(SimTime, u64, ProbeEvent)>> = Vec::with_capacity(shards);
-        for held in sink.held_probes.iter_mut() {
-            let at = held.partition_point(|(t, _, _)| t.as_nanos() < cutoff);
-            let rest = held.split_off(at);
-            fronts.push(std::mem::replace(held, rest));
-        }
-        let mut streams: Vec<_> = fronts
-            .into_iter()
-            .map(|v| v.into_iter().peekable())
-            .collect();
-        loop {
-            let mut best: Option<(SimTime, u64, usize)> = None;
-            for (s, stream) in streams.iter_mut().enumerate() {
-                if let Some((t, k, _)) = stream.peek() {
-                    if best.map_or(true, |(bt, bk, _)| (*t, *k) < (bt, bk)) {
-                        best = Some((*t, *k, s));
-                    }
-                }
-            }
-            let Some((t, k, s)) = best else { break };
-            while streams[s]
-                .peek()
-                .is_some_and(|(et, ek, _)| (*et, *ek) == (t, k))
-            {
-                let (_, _, ev) = streams[s].next().expect("peeked entry exists");
-                probe.record(ev);
             }
         }
     }
@@ -1279,16 +1123,22 @@ mod tests {
         assert_eq!(stats(2), stats(1));
     }
 
-    /// Every probe event, rendered to text, must come back in the exact
-    /// sequential order.
+    /// A probed run ignores its shard plan: every probe event, rendered to
+    /// text with the thread that recorded it, comes back exactly as the
+    /// sequential run records it, on the calling thread.
     #[test]
-    fn sharded_probe_stream_is_byte_identical() {
+    fn probed_run_stays_on_the_sequential_path() {
+        use crate::probe::{Probe, ProbeEvent};
         struct TextProbe {
             lines: Arc<Mutex<Vec<String>>>,
         }
         impl Probe for TextProbe {
             fn record(&mut self, ev: ProbeEvent) {
-                self.lines.lock().unwrap().push(format!("{ev:?}"));
+                let thread = std::thread::current().id();
+                self.lines
+                    .lock()
+                    .unwrap()
+                    .push(format!("{thread:?} {ev:?}"));
             }
         }
         let run = |shards: usize| {
@@ -1323,43 +1173,6 @@ mod tests {
         assert!(!seq.is_empty());
         assert_eq!(run(2), seq);
         assert_eq!(run(4), seq);
-    }
-
-    #[test]
-    fn run_until_resumes_across_sharded_rounds() {
-        let run = |shards: usize| {
-            let mut sim = Sim::new(11);
-            let cpus: Vec<ResourceId> = (0..2)
-                .map(|i| sim.add_resource(format!("cpu{i}"), 1))
-                .collect();
-            for (i, &cpu) in cpus.iter().enumerate() {
-                sim.add_process(Box::new(RingHop {
-                    nextp: ProcessId((i + 1) % 2),
-                    cpu,
-                    hops_left: 20,
-                    heard: Vec::new(),
-                }));
-            }
-            if shards > 1 {
-                let mut p = plan(2, 10_000, |pid| pid % 2);
-                p.resolve_rid = Arc::new(|rid: ResourceId| rid.0 % 2);
-                sim.set_shard_plan(p);
-            }
-            sim.schedule_at(SimTime::ZERO, ProcessId(0), Message::new(1u64));
-            let mid = sim.run_until(SimTime::from_nanos(55_000));
-            let mid_events = sim.events_dispatched();
-            let end = sim.run();
-            (
-                mid.as_nanos(),
-                mid_events,
-                end.as_nanos(),
-                sim.trace_digest(),
-                sim.events_dispatched(),
-            )
-        };
-        let seq = run(1);
-        assert_eq!(seq.0, 55_000, "run_until reports the horizon");
-        assert_eq!(run(2), seq);
     }
 
     #[test]
@@ -1469,104 +1282,6 @@ mod tests {
             (sim.trace_digest(), sim.events_dispatched())
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn stop_halts_a_sharded_run() {
-        struct Stopper {
-            at: u32,
-            seen: u32,
-        }
-        impl Process for Stopper {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
-                self.seen += 1;
-                if self.seen >= self.at {
-                    ctx.stop();
-                } else {
-                    ctx.send_self_in(Dur::micros(20), Message::new(()));
-                }
-            }
-        }
-        struct Chatter;
-        impl Process for Chatter {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
-                ctx.send_self_in(Dur::micros(20), Message::new(()));
-            }
-        }
-        let mut sim = Sim::new(0);
-        sim.add_process(Box::new(Stopper { at: 5, seen: 0 }));
-        sim.add_process(Box::new(Chatter));
-        sim.set_shard_plan(plan(2, 10_000, |pid| pid % 2));
-        sim.schedule_at(SimTime::ZERO, ProcessId(0), Message::new(()));
-        sim.schedule_at(SimTime::ZERO, ProcessId(1), Message::new(()));
-        sim.run();
-        // Stop lands at round granularity: the run halted (Chatter would
-        // otherwise loop forever) shortly after the stopper's 5th message.
-        let s: &Stopper = sim.process(ProcessId(0)).unwrap();
-        assert_eq!(s.seen, 5);
-    }
-
-    /// `stop()` fired mid-round on a shard other than 0 pins full digest
-    /// identity across 1/2/4 shards: the stopper always queues its next
-    /// beat *before* deciding to stop, so a pending self-send exists at
-    /// stop time and the digest proves it was never dispatched — on any
-    /// shard count — while the stop propagates from shard 1 to everyone.
-    #[test]
-    fn mid_round_stop_on_nonzero_shard_keeps_digest_identity() {
-        struct EagerStopper {
-            at: u32,
-            seen: u32,
-        }
-        impl Process for EagerStopper {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
-                self.seen += 1;
-                ctx.trace_tag(0x5704 + u64::from(self.seen));
-                // Queue the next beat first; the stop must strand it.
-                ctx.send_self_in(Dur::micros(20), Message::new(()));
-                if self.seen >= self.at {
-                    ctx.stop();
-                }
-            }
-        }
-        struct Pinger {
-            left: u32,
-        }
-        impl Process for Pinger {
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
-                ctx.trace_tag(0x9100 + u64::from(self.left));
-                if self.left > 0 {
-                    self.left -= 1;
-                    ctx.send_self_in(Dur::micros(15), Message::new(()));
-                }
-            }
-        }
-        let run = |shards: usize| {
-            let mut sim = Sim::new(9);
-            // pid 1 is the stopper: on shard 1 (≠ 0) for both pid % 2
-            // and pid % 4 partitions. The pingers go quiet at 60 µs,
-            // before the stop lands at 80 µs.
-            for pid in 0..4 {
-                if pid == 1 {
-                    sim.add_process(Box::new(EagerStopper { at: 5, seen: 0 }));
-                } else {
-                    sim.add_process(Box::new(Pinger { left: 4 }));
-                }
-            }
-            if shards > 1 {
-                let k = shards;
-                sim.set_shard_plan(plan(k, 10_000, move |pid| pid % k));
-            }
-            for pid in 0..4 {
-                sim.schedule_at(SimTime::ZERO, ProcessId(pid), Message::new(()));
-            }
-            let end = sim.run();
-            let s: &EagerStopper = sim.process(ProcessId(1)).unwrap();
-            assert_eq!(s.seen, 5, "stop fired on the 5th beat");
-            (end.as_nanos(), sim.trace_digest(), sim.events_dispatched())
-        };
-        let seq = run(1);
-        assert_eq!(run(2), seq, "stop from shard 1 of 2 replays sequential");
-        assert_eq!(run(4), seq, "stop from shard 1 of 4 replays sequential");
     }
 
     #[test]

@@ -31,6 +31,11 @@ impl ModelQueue {
     }
 }
 
+/// The ring's bucket width in ns: `1 << SHIFT` in `crates/sim/src/event.rs`.
+const BUCKET_NS: u64 = 2_048;
+/// The ring's window in ns: `BUCKETS << SHIFT` in `crates/sim/src/event.rs`.
+const WINDOW_NS: u64 = 262_144;
+
 /// One scripted operation, decoded from two raw generator words.
 enum Op {
     /// Push at `last popped time + dt`.
@@ -41,8 +46,10 @@ enum Op {
     Pop,
 }
 
-fn decode(sel: u64, raw: u64) -> Op {
-    match sel % 10 {
+/// Decode one operation; `now` is the last popped time, which is the
+/// queue's window floor once rounded down to a bucket.
+fn decode(sel: u64, raw: u64, now: SimTime) -> Op {
+    match sel % 11 {
         // Mostly pushes, with time deltas drawn from three scales:
         // near-zero (equal-time ties), in-window, and far beyond the
         // default ring window (overflow heap + migration).
@@ -58,6 +65,17 @@ fn decode(sel: u64, raw: u64) -> Op {
             dt: raw % (1 << 26),
             target: (raw / 7) as usize % 5,
         },
+        // Exactly `k` windows past the window floor, off by -1, 0 or +1
+        // ns: both sides of the ring's window test.
+        7 => {
+            let floor = now.as_nanos() / BUCKET_NS * BUCKET_NS;
+            let k = 1 + raw % 3;
+            let at = floor + k * WINDOW_NS + (raw / 3) % 3 - 1;
+            Op::Push {
+                dt: at - now.as_nanos(),
+                target: (raw / 7) as usize % 5,
+            }
+        }
         _ => Op::Pop,
     }
 }
@@ -71,7 +89,7 @@ fn check_script(script: Vec<(u64, u64)>) {
     // kernel schedules (never before "now").
     let mut now = SimTime::ZERO;
     for (sel, raw) in script {
-        match decode(sel, raw) {
+        match decode(sel, raw, now) {
             Op::Push { dt, target } => {
                 let t = now + hpsock_sim::Dur::nanos(dt);
                 // The payload carries the model's expected seq so payload
