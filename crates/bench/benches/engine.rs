@@ -261,14 +261,6 @@ fn bench_sharded_cluster(c: &mut Criterion) {
         sim.run()
     };
 
-    // The variants must agree on the trace before their timings mean
-    // anything; run each once up-front and compare (outside the timing).
-    {
-        let end = run(1);
-        assert_eq!(end, run(2), "2-shard run diverged from sequential");
-        assert_eq!(end, run(4), "4-shard run diverged from sequential");
-    }
-
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
@@ -276,34 +268,18 @@ fn bench_sharded_cluster(c: &mut Criterion) {
         u64::from(MSGS_PER_CONN) * CONNS as u64,
     ));
     for shards in [1usize, 2, 4] {
-        g.bench_function(format!("sharded_cluster_{shards}"), |b| {
-            b.iter(|| black_box(run(shards)))
+        let label = format!("sharded_cluster_{shards}");
+        g.bench_function(&label, |b| {
+            // A sharded variant must replay the sequential trace before
+            // its timing means anything (checked untimed).
+            if shards > 1 {
+                assert_eq!(run(shards), run(1), "{label} diverged from sequential");
+            }
+            b.iter(|| black_box(run(shards)));
+            print_run_report(&label, || run(shards));
         });
     }
     g.finish();
-
-    // Wall-clock companion to the criterion numbers: one telemetered run
-    // per variant, reporting the kernel's own events/sec and utilization
-    // from `run_report.json` (criterion times the whole closure, the
-    // report isolates the dispatch loop).
-    let tel_dir = std::env::temp_dir().join(format!("hpsock_bench_tel_{}", std::process::id()));
-    for shards in [1usize, 2, 4] {
-        hpsock_sim::telemetry::with_telemetry_dir(Some(&tel_dir), || run(shards));
-        match hpsock_sim::telemetry::last_report() {
-            Some(r) => println!(
-                "run_report.json: sharded_cluster_{shards} ({} mode, {} shards): \
-                 {} events in {:.2} ms wall = {:.0} events/sec, {} rounds",
-                r.mode,
-                r.shards,
-                r.events,
-                r.wall_ns as f64 / 1e6,
-                r.events_per_sec,
-                r.rounds,
-            ),
-            None => println!("run_report.json: no telemetry report for {shards} shards"),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&tel_dir);
 }
 
 /// The sharded kernel on the big rack topology (8 racks × 16 nodes, 64
@@ -317,14 +293,6 @@ fn bench_sharded_big(c: &mut Criterion) {
     const MSGS_PER_CONN: u32 = 40;
     let run = |shards: usize| hpsock_experiments::bigtopo::run_big(shards, MSGS_PER_CONN);
 
-    // The variants must agree on the trace before their timings mean
-    // anything; run each once up-front and compare (outside the timing).
-    {
-        let seq = run(1);
-        assert_eq!(seq, run(2), "2-shard big run diverged from sequential");
-        assert_eq!(seq, run(4), "4-shard big run diverged from sequential");
-    }
-
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
@@ -332,31 +300,16 @@ fn bench_sharded_big(c: &mut Criterion) {
         u64::from(MSGS_PER_CONN) * hpsock_experiments::bigtopo::CONNS as u64,
     ));
     for shards in [1usize, 2, 4] {
-        g.bench_function(format!("sharded_big_{shards}"), |b| {
-            b.iter(|| black_box(run(shards)))
+        let label = format!("sharded_big_{shards}");
+        g.bench_function(&label, |b| {
+            if shards > 1 {
+                assert_eq!(run(shards), run(1), "{label} diverged from sequential");
+            }
+            b.iter(|| black_box(run(shards)));
+            print_run_report(&label, || run(shards));
         });
     }
     g.finish();
-
-    // Wall-clock companion: the kernel's own events/sec per variant.
-    let tel_dir = std::env::temp_dir().join(format!("hpsock_bench_bigtel_{}", std::process::id()));
-    for shards in [1usize, 2, 4] {
-        hpsock_sim::telemetry::with_telemetry_dir(Some(&tel_dir), || run(shards));
-        match hpsock_sim::telemetry::last_report() {
-            Some(r) => println!(
-                "run_report.json: sharded_big_{shards} ({} mode, {} shards): \
-                 {} events in {:.2} ms wall = {:.0} events/sec, {} rounds",
-                r.mode,
-                r.shards,
-                r.events,
-                r.wall_ns as f64 / 1e6,
-                r.events_per_sec,
-                r.rounds,
-            ),
-            None => println!("run_report.json: no telemetry report for {shards} shards"),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&tel_dir);
 }
 
 /// The big rack topology on the flow-vs-packet gate workload (64 TCP
@@ -377,52 +330,53 @@ fn bench_flow_big(c: &mut Criterion) {
         })
     };
 
-    // The fast path must actually be fast before its timing means
-    // anything: assert the event reduction once up-front (untimed).
-    {
-        let (_, _, ev_packet) = run(NetModel::Packet);
-        let (_, _, ev_flow) = run(NetModel::Flow);
-        assert!(
-            ev_packet >= 10 * ev_flow,
-            "flow model dispatched {ev_flow} events vs packet {ev_packet}: < 10x reduction"
-        );
-    }
-
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
     g.throughput(Throughput::Elements(
         u64::from(MSGS_PER_CONN) * bigtopo::CONNS as u64,
     ));
-    for (label, model) in [
-        ("flow_big_packet", NetModel::Packet),
-        ("flow_big_fluid", NetModel::Flow),
-    ] {
-        g.bench_function(label, |b| b.iter(|| black_box(run(model))));
-    }
+    g.bench_function("flow_big_packet", |b| {
+        b.iter(|| black_box(run(NetModel::Packet)));
+        print_run_report("flow_big_packet", || run(NetModel::Packet));
+    });
+    g.bench_function("flow_big_fluid", |b| {
+        // The fast path must actually be fast before its timing means
+        // anything: assert the event reduction (untimed).
+        let (_, _, ev_packet) = run(NetModel::Packet);
+        let (_, _, ev_flow) = run(NetModel::Flow);
+        assert!(
+            ev_packet >= 10 * ev_flow,
+            "flow model dispatched {ev_flow} events vs packet {ev_packet}: < 10x reduction"
+        );
+        b.iter(|| black_box(run(NetModel::Flow)));
+        print_run_report("flow_big_fluid", || run(NetModel::Flow));
+    });
     g.finish();
+}
 
-    // Wall-clock companion: under the fluid model the kernel's own report
-    // carries flows/sec next to events/sec, so the two engines compare
-    // like with like (a fluid "event" is a whole flow state change).
-    let tel_dir = std::env::temp_dir().join(format!("hpsock_bench_flowtel_{}", std::process::id()));
-    for (label, model) in [
-        ("flow_big_packet", NetModel::Packet),
-        ("flow_big_fluid", NetModel::Flow),
-    ] {
-        hpsock_sim::telemetry::with_telemetry_dir(Some(&tel_dir), || run(model));
-        match hpsock_sim::telemetry::last_report() {
-            Some(r) => println!(
-                "run_report.json: {label}: {} events in {:.2} ms wall = {:.0} events/sec, \
-                 {} flows = {:.0} flows/sec",
-                r.events,
-                r.wall_ns as f64 / 1e6,
-                r.events_per_sec,
-                r.flows,
-                r.flows_per_sec,
-            ),
-            None => println!("run_report.json: no telemetry report for {label}"),
-        }
+/// Wall-clock companion to a criterion row, run inside the row's closure
+/// so the name filter skips it with the row: one telemetered run, printing
+/// the kernel's own events/sec (and flows/sec, for the fluid model's
+/// like-for-like rate) from `run_report.json`. Criterion times the whole
+/// closure; the report isolates the dispatch loop.
+fn print_run_report<T>(label: &str, run: impl FnOnce() -> T) {
+    let tel_dir = std::env::temp_dir().join(format!("hpsock_bench_tel_{}", std::process::id()));
+    hpsock_sim::telemetry::with_telemetry_dir(Some(&tel_dir), run);
+    match hpsock_sim::telemetry::last_report() {
+        Some(r) => println!(
+            "run_report.json: {label} ({} mode, {} shards): {} events in {:.2} ms wall \
+             = {:.0} events/sec, {} rounds, {} flows = {:.0} flows/sec",
+            r.mode,
+            r.shards,
+            r.events,
+            r.wall_ns as f64 / 1e6,
+            r.events_per_sec,
+            r.rounds,
+            r.flows,
+            r.flows_per_sec,
+        ),
+        None => println!("run_report.json: no telemetry report for {label}"),
     }
     let _ = std::fs::remove_dir_all(&tel_dir);
 }

@@ -4,14 +4,15 @@
 //! [`RACKS`] racks of [`PER_RACK`] nodes (128 total). The senders live in
 //! the first half of the racks, the receivers in the second half, and
 //! connection `i` streams [`BYTES`]-byte messages from node `i` to node
-//! `64 + i` over SocketVIA. All streams are unidirectional, so the
-//! cross-shard lookahead under a rack partition
-//! ([`Cluster::rack_shard_plan`]) is the ~600 ns data path one way and
-//! the 9.5 µs credit/ack path the other — wide enough windows, with 64
-//! concurrent flow-controlled streams inside them, that 2–4 shards
-//! amortize the round protocol and beat the sequential kernel on
-//! multi-core hosts. The `engine/sharded_big_{1,2,4}` criterion benches
-//! and the CI shard-smoke speedup gate both drive [`run_big`].
+//! `64 + i` over SocketVIA, so rack `r` streams only to rack `r + 4`.
+//! The traffic-following rack partition ([`Cluster::rack_shard_plan`])
+//! puts each such rack pair on one shard: no stream crosses shards, every
+//! cross-shard lookahead is unbounded, and a run takes a single round of
+//! the window protocol, its 64 flow-controlled streams split evenly by
+//! event weight. The `engine/sharded_big_{1,2,4}` criterion benches and
+//! the CI shard-smoke speedup gate both drive [`run_big`]; the shard
+//! invariance test here also runs the streams under a rack-index split,
+//! where every one of them crosses shards.
 //!
 //! [`run_big_custom`] parameterizes the same topology by transport and
 //! message size. The flow-vs-packet speed gate uses TCP at
@@ -21,7 +22,7 @@
 //! the workload where the fast path must show its ≥10× event reduction.
 
 use hpsock_net::{Cluster, ConnId, Delivery, NodeId, TransportKind};
-use hpsock_sim::{Ctx, Message, Process, Sim, SimTime};
+use hpsock_sim::{Ctx, Message, Process, ShardPlan, Sim, SimTime};
 
 /// Racks in the big topology.
 pub const RACKS: usize = 8;
@@ -87,6 +88,19 @@ pub fn run_big_custom(
     kind: TransportKind,
     bytes: u64,
 ) -> (SimTime, u64, u64) {
+    run_big_planned(msgs_per_conn, kind, bytes, |cluster| {
+        (shards > 1).then(|| cluster.rack_shard_plan(shards, PER_RACK))
+    })
+}
+
+/// [`run_big_custom`] under the shard plan `plan` builds from the wired
+/// cluster (`None`: the sequential kernel).
+fn run_big_planned(
+    msgs_per_conn: u32,
+    kind: TransportKind,
+    bytes: u64,
+    plan: impl FnOnce(&Cluster) -> Option<ShardPlan>,
+) -> (SimTime, u64, u64) {
     let mut sim = Sim::new(0xB16);
     let cluster = Cluster::build_racks(&mut sim, RACKS, PER_RACK);
     let net = cluster.network();
@@ -104,8 +118,8 @@ pub fn run_big_custom(
             kind,
         );
     }
-    if shards > 1 {
-        sim.set_shard_plan(cluster.rack_shard_plan(shards, PER_RACK));
+    if let Some(plan) = plan(&cluster) {
+        sim.set_shard_plan(plan);
     }
     let end = sim.run();
     (end, sim.trace_digest(), sim.events_dispatched())
@@ -125,6 +139,31 @@ mod tests {
         assert!(seq.2 > 0, "the run dispatches events");
         assert_eq!(run_big(2, 3), seq, "2 shards replay sequential");
         assert_eq!(run_big(4, 3), seq, "4 shards replay sequential");
+    }
+
+    /// Cross-shard coverage on the big topology: a rack-index split puts
+    /// all senders' racks ahead of all receivers' racks, so every stream
+    /// crosses shards, and the run still replays the sequential one.
+    #[test]
+    fn big_topology_streams_crossing_shards_replay_sequential() {
+        let seq = run_big(1, 3);
+        for shards in [2, 4] {
+            let crossing = run_big_planned(3, TransportKind::SocketVia, BYTES, |cluster| {
+                let node_to_shard = (0..cluster.len())
+                    .map(|node| node / PER_RACK * shards / RACKS)
+                    .collect();
+                let plan = cluster.shard_plan(shards, node_to_shard, vec![]);
+                for src in 0..shards / 2 {
+                    let dst = src + shards / 2;
+                    assert!(
+                        plan.lookahead[src][dst] < u64::MAX,
+                        "streams cross from shard {src} to shard {dst}"
+                    );
+                }
+                Some(plan)
+            });
+            assert_eq!(crossing, seq, "{shards} crossing shards replay sequential");
+        }
     }
 
     /// The fluid fast path dispatches ≥10× fewer events than the packet

@@ -403,10 +403,30 @@ impl Cluster {
         self.net.registry.lock().expect("registry lock").topology
     }
 
-    /// [`Cluster::shard_plan`] that splits *whole racks* across shards:
-    /// nodes of one rack always land on the same shard, and racks are
-    /// assigned contiguously in near-equal groups. `shards` is clamped to
-    /// the rack count. Same caveat as [`Cluster::even_shard_plan`]: all
+    /// [`Cluster::shard_plan`] that splits *whole racks* across shards,
+    /// following the registered connections so that producer→consumer
+    /// rack pairs share a shard and their streams never cross one:
+    ///
+    /// 1. **Group.** Racks that share a connection join one component
+    ///    (union-find over the connections). Racks are ordered by (their
+    ///    component's smallest rack, rack), so a component's racks are
+    ///    adjacent.
+    /// 2. **Weight.** A rack weighs the kernel events its connection
+    ///    halves dispatch: 2 per receive half, 1 per send half. The 2:1
+    ///    ratio is structural. Per frame the receive core handles the
+    ///    arrival and `HostRxFrameDone`, the send core the credit or ack
+    ///    return; per message the receive side adds `Consumed` and the
+    ///    application's `Delivery`, the send side the `Send`.
+    /// 3. **Cut.** Rack `r` goes to shard `⌊(2·before + w_r)·shards /
+    ///    (2·total)⌋`, where `before` is the weight of the racks ahead of
+    ///    it in the order: a rack lands where the midpoint of its weight
+    ///    falls on an equal-weight cut of the whole. One connected
+    ///    component thus becomes a contiguous split balanced by weight.
+    ///
+    /// Without connections the racks split by index into contiguous
+    /// near-equal groups. A shard may stay empty when a few racks outweigh
+    /// the rest. `shards` is clamped to the rack count. Same caveats as
+    /// [`Cluster::shard_plan`]: call after every `connect`, and all
     /// cross-node traffic must be connection-borne.
     pub fn rack_shard_plan(&self, shards: usize, per_rack: usize) -> ShardPlan {
         let n = self.nodes.len();
@@ -416,7 +436,15 @@ impl Cluster {
         );
         let racks = n / per_rack;
         let shards = shards.min(racks).max(1);
-        let node_to_shard = (0..n).map(|i| (i / per_rack) * shards / racks).collect();
+        let links: Vec<(usize, usize)> = {
+            let reg = self.net.registry.lock().expect("registry lock");
+            reg.conns
+                .iter()
+                .map(|c| (c.src.node.0 / per_rack, c.dst.node.0 / per_rack))
+                .collect()
+        };
+        let rack_to_shard = rack_partition(racks, shards, &links);
+        let node_to_shard = (0..n).map(|i| rack_to_shard[i / per_rack]).collect();
         self.shard_plan(shards, node_to_shard, vec![])
     }
 
@@ -436,6 +464,49 @@ impl Cluster {
             sim.set_shard_plan(self.even_shard_plan(shards));
         }
     }
+}
+
+/// Kernel-event weight of a connection's receive half and send half in
+/// [`Cluster::rack_shard_plan`].
+const RX_WEIGHT: u64 = 2;
+const TX_WEIGHT: u64 = 1;
+
+/// The rack-to-shard map of [`Cluster::rack_shard_plan`], from the
+/// `(src rack, dst rack)` pair of every connection in `links`.
+fn rack_partition(racks: usize, shards: usize, links: &[(usize, usize)]) -> Vec<usize> {
+    if links.is_empty() {
+        return (0..racks).map(|r| r * shards / racks).collect();
+    }
+    // Union-find whose root is always the component's smallest rack: the
+    // larger root is hung under the smaller one.
+    fn find(parent: &mut [usize], mut r: usize) -> usize {
+        while parent[r] != r {
+            parent[r] = parent[parent[r]];
+            r = parent[r];
+        }
+        r
+    }
+    let mut parent: Vec<usize> = (0..racks).collect();
+    let mut weight = vec![0u64; racks];
+    for &(src, dst) in links {
+        weight[src] += TX_WEIGHT;
+        weight[dst] += RX_WEIGHT;
+        let (a, b) = (find(&mut parent, src), find(&mut parent, dst));
+        parent[a.max(b)] = a.min(b);
+    }
+    let mut order: Vec<(usize, usize)> = (0..racks).map(|r| (find(&mut parent, r), r)).collect();
+    order.sort_unstable();
+    let total: u64 = weight.iter().sum();
+    let last = shards as u64 - 1;
+    let mut before = 0u64;
+    let mut rack_to_shard = vec![0; racks];
+    for (_, r) in order {
+        // A weightless rack behind all the weight would land on `shards`.
+        let cut = ((2 * before + weight[r]) * shards as u64 / (2 * total)).min(last);
+        rack_to_shard[r] = cut as usize;
+        before += weight[r];
+    }
+    rack_to_shard
 }
 
 #[cfg(test)]
@@ -698,6 +769,9 @@ mod tests {
             if shards > 1 {
                 let plan = cluster.rack_shard_plan(shards, 2);
                 assert_eq!(plan.shards, 2, "clamped to the rack count");
+                // The receivers' rack weighs twice the senders': one
+                // component cut at equal weight still splits the pair.
+                assert_eq!(plan_racks(&cluster, &plan, 2), [0, 1]);
                 sim.set_shard_plan(plan);
             }
             let end = sim.run();
@@ -707,6 +781,87 @@ mod tests {
         assert_eq!(run(2), seq);
         // Requesting more shards than racks clamps to whole racks.
         assert_eq!(run(4), seq);
+    }
+
+    /// The shard of every rack under `plan`, read through its resource
+    /// resolver (process ids resolve only once a run has started).
+    fn plan_racks(cluster: &Cluster, plan: &ShardPlan, per_rack: usize) -> Vec<usize> {
+        (0..cluster.len())
+            .step_by(per_rack)
+            .map(|node| (plan.resolve_rid)(cluster.cpu(NodeId(node))))
+            .collect()
+    }
+
+    /// A `racks × per_rack` cluster with one SocketVIA connection per
+    /// `(src node, dst node)` pair. The endpoints' pids are placeholders:
+    /// these clusters only build plans, they never run.
+    fn wired_racks(racks: usize, per_rack: usize, pairs: &[(usize, usize)]) -> Cluster {
+        let mut sim = hpsock_sim::Sim::new(1);
+        let cluster = Cluster::build_racks(&mut sim, racks, per_rack);
+        let net = cluster.network();
+        for (i, &(src, dst)) in pairs.iter().enumerate() {
+            net.connect(
+                cluster.endpoint(NodeId(src), ProcessId(2 * i)),
+                cluster.endpoint(NodeId(dst), ProcessId(2 * i + 1)),
+                TransportKind::SocketVia,
+            );
+        }
+        cluster
+    }
+
+    /// The big-topology shape (8 racks × 16, node `i` streams to node
+    /// `64 + i`): each sender rack shares a shard with its receiver rack,
+    /// so no connection crosses shards and every off-diagonal lookahead
+    /// is unbounded.
+    #[test]
+    fn rack_plan_keeps_stream_rack_pairs_on_one_shard() {
+        let pairs: Vec<(usize, usize)> = (0..64).map(|i| (i, 64 + i)).collect();
+        let cluster = wired_racks(8, 16, &pairs);
+        for (shards, want) in [(2, [0, 0, 1, 1, 0, 0, 1, 1]), (4, [0, 1, 2, 3, 0, 1, 2, 3])] {
+            let plan = cluster.rack_shard_plan(shards, 16);
+            assert_eq!(plan_racks(&cluster, &plan, 16), want, "{shards} shards");
+            for a in 0..shards {
+                for b in (0..shards).filter(|&b| b != a) {
+                    assert_eq!(
+                        plan.lookahead[a][b],
+                        u64::MAX,
+                        "{shards} shards: {a} -> {b} is {}",
+                        (plan.describe_link)(a, b)
+                    );
+                }
+            }
+        }
+    }
+
+    /// One connected component becomes a contiguous split at equal event
+    /// weight (2 per receive half, 1 per send half), not at equal rack
+    /// count: in the chain 0 → 1 → 2 ⇉ 3 (four streams on the last hop)
+    /// racks weigh 1, 3, 6 and 8, so rack 3 alone outweighs the first two.
+    #[test]
+    fn rack_plan_cuts_one_component_at_equal_weight() {
+        let mut pairs = vec![(0, 1), (1, 2)];
+        pairs.extend([(2, 3); 4]);
+        let cluster = wired_racks(4, 1, &pairs);
+        let plan = cluster.rack_shard_plan(2, 1);
+        assert_eq!(plan_racks(&cluster, &plan, 1), [0, 0, 0, 1]);
+        // The cut crosses the heavy hop: its data path bounds 0 -> 1.
+        assert!(plan.lookahead[0][1] < u64::MAX);
+        // A weightless rack behind all the weight stays on the last shard.
+        assert_eq!(rack_partition(3, 2, &[(0, 1)]), [0, 1, 1]);
+    }
+
+    /// Without connections the plan falls back to the index split.
+    #[test]
+    fn rack_plan_without_connections_splits_by_index() {
+        let cluster = wired_racks(8, 2, &[]);
+        for (shards, want) in [
+            (2, [0, 0, 0, 0, 1, 1, 1, 1]),
+            (3, [0, 0, 0, 1, 1, 1, 2, 2]),
+            (4, [0, 0, 1, 1, 2, 2, 3, 3]),
+        ] {
+            let plan = cluster.rack_shard_plan(shards, 2);
+            assert_eq!(plan_racks(&cluster, &plan, 2), want, "{shards} shards");
+        }
     }
 
     /// Using the network before `Sim::run` reports a typed [`NetError`]

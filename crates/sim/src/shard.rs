@@ -201,6 +201,18 @@ impl ShardRoute {
     }
 }
 
+/// Shard workers live in this process, summed over every sharded run in
+/// progress. Two concurrent 2-shard runs on a 2-core host put four
+/// workers on two cores; a spinning waiter would then burn the slice of
+/// the very peer it waits for, so barriers spin only while this count
+/// fits the host (see [`SpinBarrier::wait`]). `run_sharded` raises it
+/// around its thread scope. `Relaxed` throughout: the count publishes no
+/// other data, it only steers spinning.
+static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Spin iterations a waiter tries before parking.
+const SPIN_LIMIT: u32 = 1 << 14;
+
 /// A sense-reversing barrier that spins briefly before parking, and whose
 /// waiters can be released by a panicking peer (`poison`). The rounds of a
 /// well-balanced sharded run arrive within microseconds of each other, so
@@ -211,10 +223,10 @@ impl ShardRoute {
 /// panicked (say, on a lookahead violation).
 struct SpinBarrier {
     n: usize,
-    /// Spin iterations before parking; 0 when the host cannot run all
-    /// workers at once (then spinning only steals cycles from the peer
-    /// being waited for).
-    spin_limit: u32,
+    /// Cores the host can run at once: waiters spin only while the
+    /// process's [`LIVE_WORKERS`] fit in them (otherwise spinning only
+    /// steals cycles from the peer being waited for).
+    cores: usize,
     arrived: AtomicUsize,
     generation: AtomicU64,
     poisoned: AtomicBool,
@@ -224,10 +236,9 @@ struct SpinBarrier {
 
 impl SpinBarrier {
     fn new(n: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         SpinBarrier {
             n,
-            spin_limit: if cores >= n { 1 << 14 } else { 0 },
+            cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
@@ -264,12 +275,17 @@ impl SpinBarrier {
             self.cv.notify_all();
             return true;
         }
+        let spin_limit = if LIVE_WORKERS.load(Ordering::Relaxed) <= self.cores {
+            SPIN_LIMIT
+        } else {
+            0
+        };
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
             if self.poisoned.load(Ordering::Acquire) {
                 return false;
             }
-            if spins < self.spin_limit {
+            if spins < spin_limit {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
@@ -487,6 +503,8 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan) -> SimTime {
     // Run the round protocol. A panic in any worker poisons the barrier so
     // the others unwind instead of deadlocking, then resurfaces here.
     let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    // Workers catch their own panics, so the scope always returns here.
+    LIVE_WORKERS.fetch_add(shards, Ordering::Relaxed);
     std::thread::scope(|scope| {
         for w in workers.iter_mut() {
             let shared = &shared;
@@ -506,6 +524,7 @@ pub(crate) fn run_sharded(sim: &mut Sim, plan: &ShardPlan) -> SimTime {
             });
         }
     });
+    LIVE_WORKERS.fetch_sub(shards, Ordering::Relaxed);
     if let Some(payload) = panic_slot
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -719,7 +738,7 @@ fn worker_loop(w: &mut Worker, sh: &Shared) {
         if let Some(c) = clock.take() {
             let sent_now = w.core.route.as_ref().map_or(0, |r| r.sent);
             let sample = c.finish(
-                w_end.saturating_sub(min_next),
+                (w_end != u64::MAX).then(|| w_end - min_next),
                 w.core.events_dispatched - before,
                 sent_now - sent_before,
                 recv,
@@ -1092,6 +1111,50 @@ mod tests {
         assert_eq!(json_u64(&seq_rep, "rounds"), 0);
         assert!(json_u64(&two_rep, "rounds") > 0);
         assert!(json_u64(&four_rep, "rounds") > 0);
+    }
+
+    /// A plan with no cross-shard links gives every worker an unbounded
+    /// window: the run takes one round, the CSV leaves those window cells
+    /// empty, and the report counts them instead of summarizing
+    /// `u64::MAX − min_next` as a width.
+    #[test]
+    fn telemetry_counts_unbounded_windows_apart() {
+        let run = |shards: usize| {
+            let mut sim = Sim::new(42);
+            for i in 0..2 {
+                let cpu = sim.add_resource(format!("cpu{i}"), 1);
+                let pid = sim.add_process(Box::new(RingHop {
+                    nextp: ProcessId(i),
+                    cpu,
+                    hops_left: 8,
+                    heard: Vec::new(),
+                }));
+                sim.schedule_at(SimTime::ZERO, pid, Message::new(1u64));
+            }
+            if shards > 1 {
+                let mut p = plan(2, u64::MAX, |pid| pid);
+                p.resolve_rid = Arc::new(|rid: ResourceId| rid.0);
+                sim.set_shard_plan(p);
+            }
+            sim.run();
+            (sim.trace_digest(), sim.events_dispatched())
+        };
+        let tel = TelDir::new("unbounded");
+        let sharded = crate::telemetry::with_telemetry_dir(Some(&tel.0), || run(2));
+        assert_eq!(sharded, run(1), "the unlinked plan replays sequential");
+        let csv = tel.read("shard_rounds.csv");
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), 2, "one round per worker: {csv}");
+        for row in rows {
+            assert_eq!(row.split(',').nth(2), Some(""), "empty window cell: {row}");
+        }
+        let report = tel.read("run_report.json");
+        assert_eq!(json_u64(&report, "rounds"), 1);
+        assert_eq!(json_u64(&report, "unbounded_windows"), 2);
+        assert!(
+            report.contains("\"window_ns\": {\"min\": 0, \"p50\": 0, \"p99\": 0, \"p999\": 0, \"max\": 0, \"n\": 0}"),
+            "no width is summarized: {report}"
+        );
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //!   the report of its final simulation): mode, wall time, events/sec,
 //!   per-shard utilization, and log-spaced-histogram quantile summaries
 //!   ([`Histogram::summarize`]) of safe-window widths and per-round event
-//!   counts. Written for sequential and sharded runs alike.
+//!   counts. A worker whose shard no cross-shard link reaches has an
+//!   unbounded window; those are counted in `unbounded_windows` and left
+//!   out of the width summary. Written for sequential and sharded runs
+//!   alike.
 //! * `shard_rounds.csv` — one row per (round, worker) of a sharded run:
-//!   safe-window width, events dispatched, cross-shard messages
-//!   routed/received, barrier-wait nanoseconds, busy nanoseconds and the
-//!   idle fraction.
+//!   safe-window width (empty when unbounded), events dispatched,
+//!   cross-shard messages routed/received, barrier-wait nanoseconds, busy
+//!   nanoseconds and the idle fraction.
 //! * `shard_lanes.json` — per-worker Chrome-trace lanes (one `shard N`
 //!   track each, reusing [`StreamingTraceWriter`]) with barrier / merge /
 //!   drain / dispatch spans on the wall-clock timeline; load it in
@@ -75,7 +78,9 @@ pub struct RoundSample {
     /// Width of the safe window actually dispatched (`w_end − min_next`),
     /// in *simulated* nanoseconds — the one virtual-time column here,
     /// kept because tiny windows are the usual reason sharding loses.
-    pub window_ns: u64,
+    /// `None` when the window is unbounded: no chain of cross-shard links
+    /// leads into this worker's shard, so it dispatched everything it had.
+    pub window_ns: Option<u64>,
     /// Events this worker dispatched this round.
     pub events: u64,
     /// Cross-shard messages this worker routed into peer mailboxes.
@@ -188,7 +193,7 @@ impl RoundClock {
 
     pub(crate) fn finish(
         mut self,
-        window_ns: u64,
+        window_ns: Option<u64>,
         events: u64,
         sent: u64,
         recv: u64,
@@ -292,8 +297,11 @@ pub struct RunReport {
     pub rounds: u64,
     /// Per-shard totals (one entry, the whole run, for sequential runs).
     pub workers: Vec<WorkerSummary>,
-    /// Distribution of per-round safe-window widths (simulated ns).
+    /// Distribution of per-round bounded safe-window widths (simulated ns).
     pub window_ns: TailSummary,
+    /// Per-(round, worker) windows that were unbounded, left out of
+    /// `window_ns`.
+    pub unbounded_windows: u64,
     /// Distribution of per-(round, worker) dispatched-event counts.
     pub round_events: TailSummary,
 }
@@ -369,6 +377,10 @@ fn report_json(rep: &RunReport) -> String {
         ));
     }
     s.push_str("  ],\n");
+    s.push_str(&format!(
+        "  \"unbounded_windows\": {},\n",
+        rep.unbounded_windows
+    ));
     s.push_str(&format!("  \"window_ns\": {},\n", rep.window_ns.to_json()));
     s.push_str(&format!(
         "  \"round_events\": {}\n",
@@ -402,6 +414,7 @@ pub(crate) fn flush_sequential(dir: &Path, wall_ns: u64, events: u64, flows: u64
             utilization: 1.0,
         }],
         window_ns: TailSummary::default(),
+        unbounded_windows: 0,
         round_events: TailSummary::default(),
     };
     let mut last = LAST_REPORT.lock().unwrap_or_else(PoisonError::into_inner);
@@ -428,11 +441,13 @@ pub(crate) fn flush_sharded(
     for r in 0..rounds {
         for w in workers {
             let Some(s) = w.rounds.get(r) else { continue };
+            // An unbounded window leaves its cell empty.
+            let window = s.window_ns.map_or(String::new(), |ns| ns.to_string());
             csv.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{:.6}\n",
                 r,
                 w.worker,
-                s.window_ns,
+                window,
                 s.events,
                 s.sent,
                 s.recv,
@@ -464,11 +479,14 @@ pub(crate) fn flush_sharded(
         })
         .collect();
     // Windows are ragged per destination shard, so every worker's view is
-    // a distinct observation.
-    let window_vals: Vec<f64> = workers
-        .iter()
-        .flat_map(|w| w.rounds.iter().map(|s| s.window_ns as f64))
-        .collect();
+    // a distinct observation; unbounded ones are only counted.
+    let windows = || {
+        workers
+            .iter()
+            .flat_map(|w| w.rounds.iter().map(|s| s.window_ns))
+    };
+    let window_vals: Vec<f64> = windows().flatten().map(|ns| ns as f64).collect();
+    let unbounded_windows = windows().filter(Option::is_none).count() as u64;
     let round_event_vals: Vec<f64> = workers
         .iter()
         .flat_map(|w| w.rounds.iter().map(|s| s.events as f64))
@@ -484,6 +502,7 @@ pub(crate) fn flush_sharded(
         rounds: rounds as u64,
         workers: summaries,
         window_ns: TailSummary::of(&window_vals),
+        unbounded_windows,
         round_events: TailSummary::of(&round_event_vals),
     };
 
@@ -661,6 +680,7 @@ mod tests {
                 },
             ],
             window_ns: TailSummary::of(&[10_000.0, 12_000.0, 9_000.0]),
+            unbounded_windows: 0,
             round_events: TailSummary::of(&[30.0, 40.0, 0.0]),
         };
         let js = report_json(&rep);
@@ -711,6 +731,7 @@ mod tests {
                 utilization: 0.0,
             }],
             window_ns: TailSummary::of(&[0.0]),
+            unbounded_windows: 0,
             round_events: TailSummary::of(&[]),
         };
         let js = report_json(&rep);
