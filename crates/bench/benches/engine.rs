@@ -405,6 +405,26 @@ fn bench_flow_rack_shared(c: &mut Criterion) {
     g.finish();
 }
 
+/// The same fabric at 512 nodes (32 racks × 16), 256 sender nodes × 16
+/// clients × 3 messages: 4,096 concurrent flows, the fluid core's target
+/// size. Flows of one size behind a shared uplink finish in lockstep, so
+/// this row times the batched completions of a wake.
+fn bench_flow_rack_4096(c: &mut Criterion) {
+    use hpsock_experiments::fig_scale::run_scale_point;
+    use hpsock_net::NetModel;
+
+    let run = || run_scale_point(NetModel::Flow, 512, 16, 3);
+
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.measurement_time(Duration::from_secs(3));
+    g.bench_function("flow_rack_4096", |b| {
+        assert_eq!(run().clients, 4_096, "one flow per client connection");
+        b.iter(|| black_box(run().events))
+    });
+    g.finish();
+}
+
 criterion_group!(
     engine,
     bench_event_dispatch,
@@ -416,5 +436,6 @@ criterion_group!(
     bench_sharded_big,
     bench_flow_big,
     bench_flow_rack_shared,
+    bench_flow_rack_4096,
 );
 criterion_main!(engine);

@@ -4,12 +4,15 @@
 //! pipeline, each in-flight application message becomes one *flow* over a
 //! path of capacitated links, and the only events are flow arrivals and
 //! departures. Active flows share link capacity max-min fairly; on every
-//! arrival or departure the allocator recomputes bottleneck fair shares
-//! for the affected connected component only and reschedules the changed
-//! flows' completions — O(flows) work per state change regardless of
-//! message size. Completions live in a lazily pruned min-heap behind a
-//! single wake-up timer, so a flow costs O(1) kernel events however often
-//! its rate changes.
+//! arrival the allocator recomputes bottleneck fair shares for the
+//! affected connected component only and reschedules the changed flows'
+//! completions — O(flows) work per state change regardless of message
+//! size. Departures come in batches: a wake first completes every flow
+//! due at that instant and then reallocates each component the batch
+//! touched once, so flows that finish in lockstep behind a shared uplink
+//! cost one reallocation, not one each. Completions live in a lazily
+//! pruned min-heap behind a single wake-up timer, so a flow costs O(1)
+//! kernel events however often its rate changes.
 //!
 //! ## Calibration
 //!
@@ -304,8 +307,8 @@ impl FluidConn {
 /// instead of being collected into hash sets.
 #[derive(Default)]
 struct Scratch {
-    /// Stamp of the current reallocation: a connection or link belongs to
-    /// the component being built iff its mark equals it.
+    /// Stamp of the current reallocation: a connection or link was reached
+    /// by one of its components iff its mark equals it.
     stamp: u32,
     conn_mark: Vec<u32>,
     link_mark: Vec<u32>,
@@ -319,7 +322,7 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Start a new component: every mark becomes stale at once.
+    /// Start a new reallocation: every mark becomes stale at once.
     fn begin(&mut self) {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
@@ -327,6 +330,11 @@ impl Scratch {
             self.link_mark.fill(0);
             self.stamp = 1;
         }
+    }
+
+    /// Start a new component of the current reallocation. Marks stay, so
+    /// what an earlier component reached is not searched again.
+    fn begin_component(&mut self) {
         self.pending.clear();
         self.comp.clear();
         self.fill.clear();
@@ -443,6 +451,8 @@ pub(crate) struct FluidCore {
     /// is only armed ahead of the earliest one, so pushing at the front
     /// keeps the order.
     wakes: VecDeque<SimTime>,
+    /// The connections one wake completes together, reused across wakes.
+    batch: Vec<usize>,
     scratch: Scratch,
 }
 
@@ -456,6 +466,7 @@ impl FluidCore {
             link_users: Vec::new(),
             due: DueHeap::default(),
             wakes: VecDeque::new(),
+            batch: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -528,35 +539,59 @@ impl FluidCore {
                 self.fail(ctx, conn, msg, bytes, StreamErrorKind::PeerDead);
                 continue;
             }
-            let (path, hops) = self.flow_path(conn, q.bytes);
-            for &(l, _) in &path[..hops] {
-                let lu = &mut self.link_users[l];
-                if let Err(i) = lu.binary_search(&conn) {
-                    lu.insert(i, conn);
-                }
-            }
-            self.conns[conn].active = Some(ActiveFlow {
-                msg: q.msg,
-                bytes: q.bytes,
-                sent_at: q.sent_at,
-                payload: Some(q.payload),
-                extra: q.extra,
-                remaining: q.bytes.max(1) as f64,
-                rate: 0.0,
-                updated: ctx.now(),
-                path,
-                hops,
-            });
+            self.activate(ctx.now(), conn, q);
             return true;
         }
     }
 
-    /// Recompute max-min fair shares for the connected component of the
-    /// flow–link sharing graph around `seed_conn`, and reschedule the
-    /// completion of every flow whose rate changed. Flows outside the
-    /// component share no link (transitively) with the changed connection,
-    /// so their rates — and their scheduled completions — stand.
-    fn reallocate(&mut self, now: SimTime, seed_conn: usize) {
+    /// Make `q` the connection's active flow, unrated until the next
+    /// reallocation, and add it to the sharing graph.
+    fn activate(&mut self, now: SimTime, conn: usize, q: QueuedMsg) {
+        let (path, hops) = self.flow_path(conn, q.bytes);
+        for &(l, _) in &path[..hops] {
+            let lu = &mut self.link_users[l];
+            if let Err(i) = lu.binary_search(&conn) {
+                lu.insert(i, conn);
+            }
+        }
+        self.conns[conn].active = Some(ActiveFlow {
+            msg: q.msg,
+            bytes: q.bytes,
+            sent_at: q.sent_at,
+            payload: Some(q.payload),
+            extra: q.extra,
+            remaining: q.bytes.max(1) as f64,
+            rate: 0.0,
+            updated: now,
+            path,
+            hops,
+        });
+    }
+
+    /// Take the connection's active flow out of the sharing graph.
+    fn deactivate(&mut self, conn: usize) -> ActiveFlow {
+        let f = self.conns[conn]
+            .active
+            .take()
+            .expect("due flows are active");
+        for &(l, _) in f.path() {
+            let lu = &mut self.link_users[l];
+            if let Ok(i) = lu.binary_search(&conn) {
+                lu.remove(i);
+            }
+        }
+        f
+    }
+
+    /// Recompute max-min fair shares for the connected components of the
+    /// flow–link sharing graph around the links of the `seeds`, and
+    /// reschedule the completion of every flow whose rate changed. Each
+    /// component is solved once, with the first seed that reaches it: a
+    /// seed whose links were all reached by an earlier seed's component
+    /// adds nothing. Flows outside these components share no link
+    /// (transitively) with the changed connections, so their rates — and
+    /// their scheduled completions — stand.
+    fn reallocate(&mut self, now: SimTime, seeds: &[usize]) {
         let FluidCore {
             conns,
             caps,
@@ -566,41 +601,44 @@ impl FluidCore {
             ..
         } = self;
         sc.begin();
-        for l in conns[seed_conn].links() {
-            sc.mark_link(l, caps[l]);
-        }
-        while let Some(l) = sc.pending.pop() {
-            for &ci in &link_users[l] {
-                if sc.conn_mark[ci] != sc.stamp {
-                    sc.conn_mark[ci] = sc.stamp;
-                    sc.comp.push(ci);
-                    for &(l2, _) in conns[ci].active.as_ref().expect("in sync").path() {
-                        sc.mark_link(l2, caps[l2]);
+        for &seed in seeds {
+            sc.begin_component();
+            for l in conns[seed].links() {
+                sc.mark_link(l, caps[l]);
+            }
+            while let Some(l) = sc.pending.pop() {
+                for &ci in &link_users[l] {
+                    if sc.conn_mark[ci] != sc.stamp {
+                        sc.conn_mark[ci] = sc.stamp;
+                        sc.comp.push(ci);
+                        for &(l2, _) in conns[ci].active.as_ref().expect("in sync").path() {
+                            sc.mark_link(l2, caps[l2]);
+                        }
                     }
                 }
             }
-        }
-        if sc.comp.is_empty() {
-            return;
-        }
-        // Float accumulation order must be a pure function of the
-        // component, not of the order the search found it in.
-        sc.comp.sort_unstable();
-        for &ci in &sc.comp {
-            let f = conns[ci].active.as_ref().expect("in sync");
-            let local = f.path().iter().map(|&(l, w)| (sc.link_local[l], w));
-            sc.fill.pairs.extend(local);
-            sc.fill.offsets.push(sc.fill.pairs.len());
-        }
-        sc.fill.run();
-        for (&ci, &rate) in sc.comp.iter().zip(&sc.fill.rate) {
-            let f = conns[ci].active.as_mut().expect("in sync");
-            Self::advance_flow(f, now);
-            if rate != f.rate {
-                // An unchanged rate keeps its scheduled completion: the
-                // residual shrank by exactly rate·dt since scheduling.
-                f.rate = rate;
-                due.schedule(ci, now + Dur::nanos((f.remaining / f.rate).ceil() as u64));
+            if sc.comp.is_empty() {
+                continue;
+            }
+            // Float accumulation order must be a pure function of the
+            // component, not of the order the search found it in.
+            sc.comp.sort_unstable();
+            for &ci in &sc.comp {
+                let f = conns[ci].active.as_ref().expect("in sync");
+                let local = f.path().iter().map(|&(l, w)| (sc.link_local[l], w));
+                sc.fill.pairs.extend(local);
+                sc.fill.offsets.push(sc.fill.pairs.len());
+            }
+            sc.fill.run();
+            for (&ci, &rate) in sc.comp.iter().zip(&sc.fill.rate) {
+                let f = conns[ci].active.as_mut().expect("in sync");
+                Self::advance_flow(f, now);
+                if rate != f.rate {
+                    // An unchanged rate keeps its scheduled completion: the
+                    // residual shrank by exactly rate·dt since scheduling.
+                    f.rate = rate;
+                    due.schedule(ci, now + Dur::nanos((f.remaining / f.rate).ceil() as u64));
+                }
             }
         }
     }
@@ -653,34 +691,45 @@ impl FluidCore {
                     extra,
                 });
                 if c.active.is_none() && self.start_next(ctx, conn) {
-                    self.reallocate(ctx.now(), conn);
+                    self.reallocate(ctx.now(), &[conn]);
                 }
             }
         }
     }
 
-    /// Complete every flow due by now, in `(finish, order)` order —
-    /// including flows a completion in this loop reschedules to now.
+    /// Complete every flow due by now, in batches. A batch is every flow
+    /// due at this instant, popped in `(finish, order)` order as keyed when
+    /// the batch begins. All of them complete first; then one reallocation
+    /// covers each component they touched. If that leaves flows due now (a
+    /// residual that rounds to no time left), they form the next batch.
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         debug_assert_eq!(self.wakes.front(), Some(&now), "wake out of order");
         self.wakes.pop_front();
-        while let Some((_, conn)) = self.due.pop_due(now) {
-            self.complete(ctx, conn);
+        let mut batch = std::mem::take(&mut self.batch);
+        loop {
+            batch.clear();
+            while let Some((_, conn)) = self.due.pop_due(now) {
+                batch.push(conn);
+            }
+            if batch.is_empty() {
+                break;
+            }
+            for &conn in &batch {
+                self.complete(ctx, conn);
+            }
+            self.reallocate(now, &batch);
         }
+        self.batch = batch;
     }
 
+    /// Deliver or fail the connection's due flow and promote its next
+    /// queued message. Rates are left alone: the wake reallocates once for
+    /// its whole batch.
     fn complete(&mut self, ctx: &mut Ctx<'_>, conn: usize) {
-        let c = &mut self.conns[conn];
-        let mut f = c.active.take().expect("due flows are active");
-        for &(l, _) in f.path() {
-            let lu = &mut self.link_users[l];
-            if let Ok(i) = lu.binary_search(&conn) {
-                lu.remove(i);
-            }
-        }
+        let mut f = self.deactivate(conn);
         let payload = f.payload.take().expect("payload present until delivery");
-        if c.cut_at.is_some_and(|t| ctx.now() >= t) {
+        if self.conns[conn].cut_at.is_some_and(|t| ctx.now() >= t) {
             // The endpoint died mid-transfer: the flow fails instead of
             // delivering.
             let (msg, bytes) = (f.msg, f.bytes);
@@ -702,8 +751,6 @@ impl FluidCore {
             );
         }
         self.start_next(ctx, conn);
-        // One recompute covers both the departure and any promotion.
-        self.reallocate(ctx.now(), conn);
     }
 }
 
@@ -963,6 +1010,124 @@ mod tests {
                 }
             }
             assert_eq!(heap.live, 0, "seed {seed}: live count after the drain");
+        }
+    }
+
+    /// A fluid core with no kernel around it: `nodes` nodes in racks of
+    /// `per_rack` behind fabric links of capacity `up`, and one kernel-TCP
+    /// connection per `(src, dst)` pair, wired as `on_start` wires them.
+    fn bare_core(nodes: usize, per_rack: usize, up: f64, pairs: &[(usize, usize)]) -> FluidCore {
+        use crate::params::{PathCosts, TransportKind};
+        let mut core = FluidCore::new(Arc::default(), Arc::default());
+        core.caps = vec![1.0; 3 * nodes];
+        core.caps.resize(3 * nodes + 2 * (nodes / per_rack), up);
+        core.link_users = vec![Vec::new(); core.caps.len()];
+        let costs = Arc::new(PathCosts::for_kind(TransportKind::KTcp));
+        let fabric = |src: usize, dst: usize| {
+            let (sr, dr) = (src / per_rack, dst / per_rack);
+            (sr != dr).then_some((3 * nodes + 2 * sr, 3 * nodes + 2 * dr + 1))
+        };
+        core.conns = pairs
+            .iter()
+            .map(|&(src, dst)| FluidConn {
+                costs: Arc::clone(&costs),
+                tx_core: ProcessId(0),
+                rx_core: ProcessId(0),
+                stage_links: [3 * src, 3 * src + 1, 3 * dst + 2],
+                fabric: fabric(src, dst),
+                min_drx: Dur::nanos(1),
+                faults: None,
+                cut_at: None,
+                detect: Dur::nanos(1),
+                queue: VecDeque::new(),
+                active: None,
+            })
+            .collect();
+        core.due = DueHeap::new(pairs.len());
+        core.scratch.conn_mark = vec![0; pairs.len()];
+        core.scratch.link_mark = vec![0; core.caps.len()];
+        core.scratch.link_local = vec![0; core.caps.len()];
+        core
+    }
+
+    /// One scripted step at `now`, as a wake would take it: complete the
+    /// flows due by now, start new ones on some idle connections, then
+    /// reallocate with every touched connection as a seed — several per
+    /// component, so the batch skips seeds an earlier seed's component
+    /// already reached. Returns the number of completed flows.
+    fn churn(core: &mut FluidCore, step: usize, now: SimTime) -> usize {
+        let mut seeds = Vec::new();
+        while let Some((_, c)) = core.due.pop_due(now) {
+            core.deactivate(c);
+            seeds.push(c);
+        }
+        let done = seeds.len();
+        for c in 0..core.conns.len() {
+            if core.conns[c].active.is_none() && (c * 7 + step) % 4 != 0 {
+                let bytes = 4_096 << ((c + step) % 4);
+                let q = QueuedMsg {
+                    msg: step as u64,
+                    bytes,
+                    sent_at: now,
+                    payload: Message::new(()),
+                    extra: Dur::ZERO,
+                };
+                core.activate(now, c, q);
+                seeds.push(c);
+            }
+        }
+        core.reallocate(now, &seeds);
+        done
+    }
+
+    /// One connection's allocation: its flow's rate and residual (as bits)
+    /// and its completion key.
+    type Allocation = (Option<(u64, u64)>, Option<(SimTime, u64)>);
+
+    /// The allocation a reallocation left, per connection.
+    fn allocation(core: &FluidCore) -> Vec<Allocation> {
+        let rates = core.conns.iter().map(|c| {
+            let f = c.active.as_ref()?;
+            Some((f.rate.to_bits(), f.remaining.to_bits()))
+        });
+        rates.zip(core.due.keys.iter().copied()).collect()
+    }
+
+    #[test]
+    fn reallocation_survives_the_stamp_wrapping() {
+        // Two racks of four senders, each sending to its mirror node two
+        // racks up and to a neighbour in its own rack, and the eight
+        // receivers sending round a ring, two hops of it across racks:
+        // uplink-shared components that intra-rack flows join by host.
+        let pairs: Vec<(usize, usize)> = (0..8)
+            .flat_map(|n| [(n, n + 8), (n, n ^ 1), (n + 8, (n + 1) % 8 + 8)])
+            .collect();
+        // The wrap comes 1, 2 or 3 reallocations after the jump.
+        for before_wrap in 0..3 {
+            let mut fresh = bare_core(16, 4, 0.1, &pairs);
+            let mut wrapping = bare_core(16, 4, 0.1, &pairs);
+            let mut now = SimTime::ZERO;
+            for step in 0..10 {
+                let what = format!("{before_wrap} before the wrap, step {step}");
+                let done = churn(&mut fresh, step, now);
+                assert_eq!(churn(&mut wrapping, step, now), done, "{what}");
+                assert!(step == 0 || done > 0, "{what}: no flow completed");
+                if step == 0 {
+                    // Marks equal to 1 are now on record, and the stamp
+                    // after the wrap is 1 again.
+                    wrapping.scratch.stamp = u32::MAX - before_wrap;
+                }
+                let got = allocation(&wrapping);
+                assert_eq!(got, allocation(&fresh), "{what}");
+                assert!(
+                    got.iter()
+                        .any(|(rate, _)| rate.is_some_and(|(r, _)| r != 0)),
+                    "{what}: nothing was allocated"
+                );
+                // Like a wake: on to the earliest completion.
+                (now, _) = fresh.due.first_due().expect("flows are scheduled");
+            }
+            assert_eq!(wrapping.scratch.stamp, 9 - before_wrap, "the stamp wrapped");
         }
     }
 

@@ -8,9 +8,11 @@
 //! connection, message id and virtual nanosecond. `outcome_logs_are_pinned`
 //! (fluid model) and `packet_outcome_logs_are_pinned` (packet model) hash
 //! that log for three small rack scenarios (fault-free, lossy + delayed,
-//! node crash) against golden values; the other tests bound the events a
-//! flow costs and check that no superseded completion stretches the run
-//! past its last outcome.
+//! node crash) against golden values. `lockstep_outcomes_are_pinned` does
+//! the same for larger scenarios in which many flows finish at one
+//! nanosecond, where only the order within an instant may change. The
+//! other tests bound the events a flow costs and check that no superseded
+//! completion stretches the run past its last outcome.
 
 use hpsock_net::{
     fault, with_netmodel, Cluster, ConnId, Delivery, NetModel, NodeCore, NodeId, StreamError,
@@ -216,6 +218,49 @@ fn outcome_logs_are_pinned() {
 fn packet_outcome_logs_are_pinned() {
     let got = pinned_outcomes(NetModel::Packet, &PINNED_PACKET);
     assert_eq!(got, PINNED_PACKET, "packet outcome logs moved");
+}
+
+/// FNV-1a over the log sorted by `(ns, conn, msg, what)`: what the
+/// applications observe, with no say in the order of outcomes that land at
+/// one virtual nanosecond.
+fn sorted_log_hash(log: &[Outcome]) -> u64 {
+    let mut sorted = log.to_vec();
+    sorted.sort_by(|a, b| (a.2, a.0, a.1, &a.3).cmp(&(b.2, b.0, b.1, &b.3)));
+    log_hash(&sorted)
+}
+
+/// Lockstep rack scenarios — many same-sized flows behind each shared
+/// uplink, so completions pile up at one nanosecond — run under the fluid
+/// model: `(nodes, clients, msgs, fault spec)`.
+const LOCKSTEP: [(usize, usize, u32, &str); 4] = [
+    (128, 16, 3, PINNED[0].0),
+    (64, 8, 4, PINNED[0].0),
+    (64, 8, 4, PINNED[1].0),
+    (64, 8, 4, PINNED[2].0),
+];
+
+/// Golden `(end ns, events, sorted log hash)` per [`LOCKSTEP`] scenario,
+/// computed with the one-reallocation-per-completion fluid core.
+const PINNED_LOCKSTEP: [(u64, u64, u64); 4] = [
+    (33032076, 18481, 13001679257232747249),
+    (22035288, 6209, 12730856138837506759),
+    (21077313, 6275, 17651579309592225604),
+    (22035288, 6232, 7547428517582877370),
+];
+
+#[test]
+fn lockstep_outcomes_are_pinned() {
+    for ((nodes, clients, msgs, faults), want) in LOCKSTEP.into_iter().zip(PINNED_LOCKSTEP) {
+        let what = format!("{nodes}x{clients}x{msgs} {faults:?}");
+        let run = run_racks(NetModel::Flow, nodes, clients, msgs, faults);
+        assert_eq!(
+            run.log.len() as u64,
+            run.msgs,
+            "{what}: one outcome per message"
+        );
+        let got = (run.end_ns, run.events, sorted_log_hash(&run.log));
+        assert_eq!(got, want, "{what}: lockstep outcomes moved");
+    }
 }
 
 /// A fault plan that never fires (`drop=0`) still sends every packet-model
