@@ -196,14 +196,17 @@ pub enum NetCmd {
         /// Opaque payload delivered to the peer.
         payload: Message,
     },
-    /// The application consumed a delivered message: frees receive-side
-    /// buffer space / returns descriptor credits.
-    Consumed {
-        /// Connection the message arrived on.
-        conn: ConnId,
-        /// The id from the corresponding [`Delivery`].
-        msg_id: u64,
-    },
+}
+
+/// The application consumed a delivered message: frees receive-side
+/// buffer space / returns descriptor credits. Its own type rather than a
+/// [`NetCmd`] variant, so it fits the kernel's inline payload buffer
+/// instead of taking a pooled slot sized for `Send`.
+struct Consumed {
+    /// Connection the message arrived on.
+    conn: ConnId,
+    /// The id from the corresponding [`Delivery`].
+    msg_id: u64,
 }
 
 /// Engine-internal frame/stage events. Frame length rides in the event so
@@ -518,7 +521,7 @@ impl Network {
     pub fn consumed(&self, ctx: &mut Ctx<'_>, conn: ConnId, msg_id: u64) {
         ctx.send(
             self.route("consumed", Some(conn)).rx_core[conn.0],
-            Message::new(NetCmd::Consumed { conn, msg_id }),
+            Message::new(Consumed { conn, msg_id }),
         );
     }
 
@@ -609,13 +612,19 @@ impl Process for NetSwitch {
             })
             .collect();
         // The fluid core spawns after the node cores so their pids (and
-        // RNG streams) are identical under either model.
+        // RNG streams) are identical under either model. Its pid above
+        // theirs also makes its events sort after theirs at one instant,
+        // so a fluid wake at `t` sees every `Arrive` at `t`.
         let fluid_core = (reg.model == NetModel::Flow).then(|| {
             ctx.spawn(Box::new(FluidCore::new(
                 Arc::clone(&self.registry),
                 Arc::clone(&self.route),
             )))
         });
+        debug_assert!(
+            fluid_core.map_or(true, |f| core_of_node.iter().all(|c| c.0 < f.0)),
+            "the fluid core must sort after every node core"
+        );
         let route = Route {
             tx_core: reg
                 .conns
@@ -837,90 +846,89 @@ impl NodeCore {
         ctx.send_in(delay, self.rx_core(conn), arrive);
     }
 
-    fn on_cmd(&mut self, ctx: &mut Ctx<'_>, cmd: NetCmd) {
+    fn on_send(&mut self, ctx: &mut Ctx<'_>, cmd: NetCmd) {
+        let NetCmd::Send {
+            conn,
+            msg_id,
+            bytes,
+            payload,
+        } = cmd;
         let fluid = self.model == NetModel::Flow;
-        match cmd {
-            NetCmd::Send {
-                conn,
-                msg_id,
-                bytes,
-                payload,
-            } => {
-                let c = self.tx_mut(conn);
-                if c.dead {
-                    // The connection was cut before this send arrived:
-                    // fail it immediately instead of queueing forever.
-                    let pid = c.src_pid;
-                    ctx.send(
-                        pid,
-                        Message::new(StreamError {
-                            conn,
-                            msg_id,
-                            bytes,
-                            kind: StreamErrorKind::NotConnected,
-                        }),
-                    );
-                    return;
-                }
-                if fluid {
-                    // Fluid fast path: account the send and hand the whole
-                    // message to the fluid core after the switch hop. Fault
-                    // fates (including crash cuts) are decided there, at
-                    // flow granularity.
-                    c.stats.msgs_sent += 1;
-                    let d_tx = c.costs.switch_latency + c.costs.prop_delay;
-                    let fluid_core = self.fluid_core();
-                    ctx.send_in(
-                        d_tx,
-                        fluid_core,
-                        Message::new(FluidEv::Arrive {
-                            conn,
-                            msg: msg_id,
-                            bytes,
-                            sent_at: ctx.now(),
-                            payload,
-                        }),
-                    );
-                    return;
-                }
-                let frames = frame_count(bytes, c.costs.frame_payload);
-                c.pending_meta.insert(
+        let c = self.tx_mut(conn);
+        if c.dead {
+            // The connection was cut before this send arrived:
+            // fail it immediately instead of queueing forever.
+            let pid = c.src_pid;
+            ctx.send(
+                pid,
+                Message::new(StreamError {
+                    conn,
                     msg_id,
-                    MsgMeta {
-                        bytes,
-                        frames,
-                        sent_at: ctx.now(),
-                        payload,
-                    },
-                );
-                c.sendq.push_back(PendingMsg {
+                    bytes,
+                    kind: StreamErrorKind::NotConnected,
+                }),
+            );
+            return;
+        }
+        if fluid {
+            // Fluid fast path: account the send and hand the whole
+            // message to the fluid core after the switch hop. Fault
+            // fates (including crash cuts) are decided there, at
+            // flow granularity.
+            c.stats.msgs_sent += 1;
+            let d_tx = c.costs.switch_latency + c.costs.prop_delay;
+            let fluid_core = self.fluid_core();
+            ctx.send_in(
+                d_tx,
+                fluid_core,
+                Message::new(FluidEv::Arrive {
+                    conn,
                     msg: msg_id,
                     bytes,
-                    next_frame: 0,
-                    frames,
-                });
-                c.stats.msgs_sent += 1;
-                self.pump(ctx, conn);
-            }
-            NetCmd::Consumed { conn, msg_id } => {
-                let c = self.rx_mut(conn);
-                assert!(
-                    c.unconsumed.remove(&msg_id),
-                    "consumed an unknown or already-consumed message"
-                );
-                // The fluid model has no per-frame flow control to repair:
-                // consumption is pure bookkeeping.
-                if fluid {
-                    return;
-                }
-                // Credits were re-posted at frame arrival; only the window
-                // model sends a consumption update to the sender.
-                if let FlowModel::Window { .. } = c.costs.flow {
-                    let ack = c.costs.ack_latency;
-                    let tx_core = self.tx_core(conn);
-                    ctx.send_in(ack, tx_core, Message::new(Ev::FlowReturn { conn }));
-                }
-            }
+                    sent_at: ctx.now(),
+                    payload,
+                }),
+            );
+            return;
+        }
+        let frames = frame_count(bytes, c.costs.frame_payload);
+        c.pending_meta.insert(
+            msg_id,
+            MsgMeta {
+                bytes,
+                frames,
+                sent_at: ctx.now(),
+                payload,
+            },
+        );
+        c.sendq.push_back(PendingMsg {
+            msg: msg_id,
+            bytes,
+            next_frame: 0,
+            frames,
+        });
+        c.stats.msgs_sent += 1;
+        self.pump(ctx, conn);
+    }
+
+    fn on_consumed(&mut self, ctx: &mut Ctx<'_>, Consumed { conn, msg_id }: Consumed) {
+        let fluid = self.model == NetModel::Flow;
+        let c = self.rx_mut(conn);
+        assert!(
+            c.unconsumed.remove(&msg_id),
+            "consumed an unknown or already-consumed message"
+        );
+        // The fluid model has no per-frame flow control to repair:
+        // consumption is pure bookkeeping.
+        if fluid {
+            return;
+        }
+        // Credits were re-posted at frame arrival; only the window
+        // model sends a consumption update to the sender.
+        if let FlowModel::Window { .. } = c.costs.flow {
+            let ack = c.costs.ack_latency;
+            let tx_core = self.tx_core(conn);
+            ctx.send_in(ack, tx_core, Message::new(Ev::FlowReturn { conn }));
         }
     }
 
@@ -1347,10 +1355,13 @@ impl Process for NodeCore {
             Err(other) => match other.downcast::<RxFirst>() {
                 Ok(first) => self.on_rx_first(ctx, first),
                 Err(other) => match other.downcast::<NetCmd>() {
-                    Ok(cmd) => self.on_cmd(ctx, cmd),
-                    Err(other) => match other.downcast::<FluidEv>() {
-                        Ok(fev) => self.on_fluid(ctx, fev),
-                        Err(_) => panic!("net core received an unknown message type"),
+                    Ok(cmd) => self.on_send(ctx, cmd),
+                    Err(other) => match other.downcast::<Consumed>() {
+                        Ok(cmd) => self.on_consumed(ctx, cmd),
+                        Err(other) => match other.downcast::<FluidEv>() {
+                            Ok(fev) => self.on_fluid(ctx, fev),
+                            Err(_) => panic!("net core received an unknown message type"),
+                        },
                     },
                 },
             },
@@ -1436,6 +1447,19 @@ mod tests {
                 crate::fault::with_spec(faults, run)
             });
         }
+    }
+
+    /// An application answers each delivery it consumes with a `Consumed`
+    /// command, so the command travels in the event itself rather than in
+    /// a pooled slot.
+    #[test]
+    fn consumed_command_is_stored_inline() {
+        use hpsock_sim::payload::Storage;
+        let cmd = hpsock_sim::Payload::new(Consumed {
+            conn: ConnId(3),
+            msg_id: 7,
+        });
+        assert_eq!(cmd.storage(), Storage::Inline);
     }
 
     /// `tx_stats`/`rx_stats` answer `Some` for exactly the connection

@@ -3,16 +3,19 @@
 //! Instead of walking every wire segment through the per-node stage
 //! pipeline, each in-flight application message becomes one *flow* over a
 //! path of capacitated links, and the only events are flow arrivals and
-//! departures. Active flows share link capacity max-min fairly; on every
-//! arrival the allocator recomputes bottleneck fair shares for the
-//! affected connected component only and reschedules the changed flows'
-//! completions — O(flows) work per state change regardless of message
-//! size. Departures come in batches: a wake first completes every flow
-//! due at that instant and then reallocates each component the batch
-//! touched once, so flows that finish in lockstep behind a shared uplink
-//! cost one reallocation, not one each. Completions live in a lazily
-//! pruned min-heap behind a single wake-up timer, so a flow costs O(1)
-//! kernel events however often its rate changes.
+//! departures. Active flows share link capacity max-min fairly; the
+//! allocator recomputes bottleneck fair shares for the connected
+//! components a state change touched only, and reschedules the changed
+//! flows' completions — O(component) work per reallocation regardless of
+//! message size. State changes are settled once per instant, at the
+//! core's wake: an arrival that starts a flow only records its
+//! connection as a seed and arms a wake at its own instant, and the wake
+//! first completes every flow due then and reallocates each component
+//! the arrivals and completions touched once. Flows that start or finish
+//! in lockstep behind a shared uplink cost one reallocation, not one
+//! each. Completions live in a lazily pruned min-heap behind a single
+//! wake-up timer, so a flow costs O(1) kernel events however often its
+//! rate changes.
 //!
 //! ## Calibration
 //!
@@ -73,8 +76,8 @@ pub const NODE_WIRE_BYTES_PER_NS: f64 = 1.0 / 10.06;
 /// Every weight must be positive and every flow must cross at least one
 /// link; the result then saturates at least one link on every flow's
 /// path (Pareto optimality) and never exceeds any capacity. This is a
-/// thin wrapper over the kernel the fluid core runs on every state
-/// change ([`Filler`]).
+/// thin wrapper over the kernel the fluid core runs on every
+/// reallocation ([`Filler`]).
 pub fn max_min_rates(caps: &[f64], flows: &[Vec<(usize, f64)>]) -> Vec<f64> {
     let mut fill = Filler::default();
     fill.clear();
@@ -187,7 +190,10 @@ pub(crate) enum FluidEv {
         sent_at: SimTime,
         payload: Message,
     },
-    /// The fluid core's wake-up timer: complete every flow due by now.
+    /// The fluid core's wake-up timer: settle the flows that arrivals
+    /// started at this instant and complete every flow due by now. The
+    /// core sorts after every node core, so a wake at `t` runs after
+    /// every `Arrive` at `t`.
     Wake,
     /// A completed flow's payload arriving at the receive-side node core.
     Deliver {
@@ -451,7 +457,9 @@ pub(crate) struct FluidCore {
     /// is only armed ahead of the earliest one, so pushing at the front
     /// keeps the order.
     wakes: VecDeque<SimTime>,
-    /// The connections one wake completes together, reused across wakes.
+    /// The seeds of the next reallocation, reused across wakes: the
+    /// connections on which arrivals started a flow since the last wake,
+    /// then the connections the wake completes.
     batch: Vec<usize>,
     scratch: Scratch,
 }
@@ -525,8 +533,9 @@ impl FluidCore {
     }
 
     /// Promote the next queued message (if any) to the connection's active
-    /// flow; messages landing after the endpoint crash fail over instead.
-    /// Returns true when a flow was started (the caller reallocates).
+    /// flow, unrated until the next reallocation; messages landing after
+    /// the endpoint crash fail over instead. Returns true when a flow was
+    /// started (the caller makes the connection a seed of the wake).
     fn start_next(&mut self, ctx: &mut Ctx<'_>, conn: usize) -> bool {
         loop {
             let c = &mut self.conns[conn];
@@ -691,34 +700,44 @@ impl FluidCore {
                     extra,
                 });
                 if c.active.is_none() && self.start_next(ctx, conn) {
-                    self.reallocate(ctx.now(), &[conn]);
+                    // Every arrival at this instant has landed before the
+                    // wake does, so one reallocation there covers them all.
+                    self.batch.push(conn);
+                    let now = ctx.now();
+                    if self.wakes.front() != Some(&now) {
+                        self.wakes.push_front(now);
+                        ctx.send_self_in(Dur::ZERO, Message::new(FluidEv::Wake));
+                    }
                 }
             }
         }
     }
 
-    /// Complete every flow due by now, in batches. A batch is every flow
-    /// due at this instant, popped in `(finish, order)` order as keyed when
-    /// the batch begins. All of them complete first; then one reallocation
-    /// covers each component they touched. If that leaves flows due now (a
-    /// residual that rounds to no time left), they form the next batch.
+    /// Settle this instant's arrivals and complete every flow due by now,
+    /// in batches. The first batch is the arrival seeds followed by every
+    /// flow due at this instant, popped in `(finish, order)` order as keyed
+    /// when the batch begins. The due flows complete first; then one
+    /// reallocation covers each component the batch touched. If that
+    /// leaves flows due now (a residual that rounds to no time left), they
+    /// form the next batch.
     fn on_wake(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         debug_assert_eq!(self.wakes.front(), Some(&now), "wake out of order");
         self.wakes.pop_front();
         let mut batch = std::mem::take(&mut self.batch);
         loop {
-            batch.clear();
+            let seeds = batch.len();
             while let Some((_, conn)) = self.due.pop_due(now) {
                 batch.push(conn);
             }
             if batch.is_empty() {
                 break;
             }
-            for &conn in &batch {
+            for &conn in &batch[seeds..] {
                 self.complete(ctx, conn);
             }
             self.reallocate(now, &batch);
+            batch.clear();
         }
         self.batch = batch;
     }
@@ -1129,6 +1148,78 @@ mod tests {
             }
             assert_eq!(wrapping.scratch.stamp, 9 - before_wrap, "the stamp wrapped");
         }
+    }
+
+    #[test]
+    fn same_instant_arrivals_allocate_like_one_at_a_time() {
+        // The rack shape of the stamp-wrapping test: uplink-shared
+        // components that intra-rack flows join by host.
+        let pairs: Vec<(usize, usize)> = (0..8)
+            .flat_map(|n| [(n, n + 8), (n, n ^ 1), (n + 8, (n + 1) % 8 + 8)])
+            .collect();
+        let mut moved = 0;
+        for steps in 1..8 {
+            let what = format!("after {steps} churn steps");
+            let mut one_by_one = bare_core(16, 4, 0.1, &pairs);
+            let mut settled = bare_core(16, 4, 0.1, &pairs);
+            let mut now = SimTime::ZERO;
+            for step in 0..steps {
+                churn(&mut one_by_one, step, now);
+                churn(&mut settled, step, now);
+                (now, _) = settled.due.first_due().expect("flows are scheduled");
+            }
+            // The flows due now complete and their components settle, in
+            // both cores alike; then every idle connection starts a flow
+            // at this same instant.
+            for core in [&mut one_by_one, &mut settled] {
+                let mut done = Vec::new();
+                while let Some((_, c)) = core.due.pop_due(now) {
+                    core.deactivate(c);
+                    done.push(c);
+                }
+                core.reallocate(now, &done);
+            }
+            let before = allocation(&settled);
+            assert_eq!(allocation(&one_by_one), before, "{what}");
+            let idle: Vec<usize> = (0..pairs.len())
+                .filter(|&c| settled.conns[c].active.is_none())
+                .collect();
+            assert!(idle.len() >= 2, "{what}: {} idle connections", idle.len());
+            for (k, &c) in idle.iter().enumerate() {
+                let q = || QueuedMsg {
+                    msg: 100 + k as u64,
+                    bytes: 2_048 << (k % 5),
+                    sent_at: now,
+                    payload: Message::new(()),
+                    extra: Dur::ZERO,
+                };
+                one_by_one.activate(now, c, q());
+                one_by_one.reallocate(now, &[c]);
+                settled.activate(now, c, q());
+            }
+            settled.reallocate(now, &idle);
+            let (a, b) = (allocation(&one_by_one), allocation(&settled));
+            for (c, ((rate_a, key_a), (rate_b, key_b))) in a.iter().zip(&b).enumerate() {
+                assert_eq!(rate_a, rate_b, "{what}: conn {c}'s rate and residual");
+                let finish = |key: &Option<(SimTime, u64)>| key.map(|(t, _)| t.as_nanos());
+                match (finish(key_a), finish(key_b)) {
+                    (Some(fa), Some(fb)) => {
+                        assert!(
+                            fa.abs_diff(fb) <= 1,
+                            "{what}: conn {c} completes at {fa} vs {fb}"
+                        )
+                    }
+                    (fa, fb) => assert_eq!(fa, fb, "{what}: conn {c}'s completion"),
+                }
+            }
+            let rate = |a: &Allocation| a.0.map(|(r, _)| r);
+            moved += before
+                .iter()
+                .zip(&b)
+                .filter(|(old, new)| rate(old).is_some_and(|r| rate(new) != Some(r)))
+                .count();
+        }
+        assert!(moved > 0, "the arrivals moved no running flow's rate");
     }
 
     #[test]

@@ -239,13 +239,16 @@ const LOCKSTEP: [(usize, usize, u32, &str); 4] = [
     (64, 8, 4, PINNED[2].0),
 ];
 
-/// Golden `(end ns, events, sorted log hash)` per [`LOCKSTEP`] scenario,
-/// computed with the one-reallocation-per-completion fluid core.
+/// Golden `(end ns, events, sorted log hash)` per [`LOCKSTEP`] scenario.
+/// End times and hashes were computed with the
+/// one-reallocation-per-completion fluid core; the event counts with the
+/// core that settles each instant's arrivals at one wake, which adds one
+/// wake per arrival instant that no completion wake covers.
 const PINNED_LOCKSTEP: [(u64, u64, u64); 4] = [
-    (33032076, 18481, 13001679257232747249),
-    (22035288, 6209, 12730856138837506759),
-    (21077313, 6275, 17651579309592225604),
-    (22035288, 6232, 7547428517582877370),
+    (33032076, 18497, 13001679257232747249),
+    (22035288, 6225, 12730856138837506759),
+    (21077313, 6302, 17651579309592225604),
+    (22035288, 6248, 7547428517582877370),
 ];
 
 #[test]
