@@ -425,6 +425,104 @@ fn bench_flow_rack_4096(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fluid core's split fallback: a flat 64-node cluster in 16 groups
+/// of four nodes `a, b, c, d`. Four connections `a -> b` and four `c -> d`
+/// stream 32 KiB messages back to back; one connection `a -> d` sends a
+/// 2 KiB message every 500 µs, which never queues. Each bridge message
+/// merges its group's two components when it starts, and splits them
+/// again when it ends, so that departure is re-derived by search: the
+/// path that keeping components between wakes does not speed up.
+fn bench_flow_flat_split(c: &mut Criterion) {
+    use hpsock_net::{
+        with_netmodel, Cluster, ConnId, Delivery, FluidCore, FluidWork, NetModel, Network, NodeId,
+        TransportKind,
+    };
+
+    const GROUPS: usize = 16;
+    const HEAVY: usize = 4;
+
+    /// Sends `remaining` messages of `bytes`, one every `interval`.
+    struct Sender {
+        net: Network,
+        conn: ConnId,
+        bytes: u64,
+        interval: Dur,
+        remaining: u32,
+    }
+    impl Process for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.send_self_in(Dur::nanos(self.conn.0 as u64 * 1_000), Message::new(()));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _msg: Message) {
+            self.net.send(ctx, self.conn, self.bytes, Message::new(()));
+            self.remaining -= 1;
+            if self.remaining > 0 {
+                ctx.send_self_in(self.interval, Message::new(()));
+            }
+        }
+    }
+    struct Sink {
+        net: Network,
+    }
+    impl Process for Sink {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let d = msg.downcast::<Delivery>().expect("sink expects deliveries");
+            self.net.consumed(ctx, d.conn, d.msg_id);
+        }
+    }
+
+    let run = || -> (u64, FluidWork) {
+        with_netmodel(NetModel::Flow, || {
+            let mut sim = Sim::new(7);
+            let cluster = Cluster::build(&mut sim, 4 * GROUPS);
+            let net = cluster.network();
+            let mut conns = Vec::new();
+            for g in 0..GROUPS {
+                let [a, b, c, d] = [0, 1, 2, 3].map(|k| NodeId(4 * g + k));
+                for _ in 0..HEAVY {
+                    conns.push((a, b, 32_768, Dur::nanos(20_000), 16));
+                    conns.push((c, d, 32_768, Dur::nanos(20_000), 16));
+                }
+                conns.push((a, d, 2_048, Dur::nanos(500_000), 40));
+            }
+            for (i, &(src, dst, bytes, interval, remaining)) in conns.iter().enumerate() {
+                let tx = sim.add_process(Box::new(Sender {
+                    net: net.clone(),
+                    conn: ConnId(i),
+                    bytes,
+                    interval,
+                    remaining,
+                }));
+                let rx = sim.add_process(Box::new(Sink { net: net.clone() }));
+                net.connect(
+                    cluster.endpoint(src, tx),
+                    cluster.endpoint(dst, rx),
+                    TransportKind::KTcp,
+                );
+            }
+            sim.run();
+            let fluid = net.fluid_core().expect("flow model");
+            let core: &FluidCore = sim.process(fluid).expect("the fluid core persists");
+            (sim.events_dispatched(), core.work())
+        })
+    };
+
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.measurement_time(Duration::from_secs(3));
+    g.bench_function("flow_flat_split", |b| {
+        // The row must time the fallback (untimed check).
+        let (_, work) = run();
+        println!("fluid work: flow_flat_split: {work:?}");
+        assert!(
+            work.fallback_searches >= (GROUPS * 40 / 2) as u64,
+            "too few departures split their component: {work:?}"
+        );
+        b.iter(|| black_box(run().0))
+    });
+    g.finish();
+}
+
 criterion_group!(
     engine,
     bench_event_dispatch,
@@ -437,5 +535,6 @@ criterion_group!(
     bench_flow_big,
     bench_flow_rack_shared,
     bench_flow_rack_4096,
+    bench_flow_flat_split,
 );
 criterion_main!(engine);

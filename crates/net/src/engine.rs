@@ -530,6 +530,13 @@ impl Network {
     pub fn core_of(&self, node: NodeId) -> ProcessId {
         self.route("core_of", None).core_of_node[node.0]
     }
+
+    /// The fluid core process under the flow model, `None` under the
+    /// packet model (valid once the simulation has started). Useful to
+    /// read back its [`FluidWork`](crate::fluid::FluidWork).
+    pub fn fluid_core(&self) -> Option<ProcessId> {
+        self.route("fluid_core", None).fluid_core
+    }
 }
 
 /// Placeholder process that seals the registry and spawns the per-node

@@ -17,6 +17,16 @@
 //! wake-up timer, so a flow costs O(1) kernel events however often its
 //! rate changes.
 //!
+//! The components persist between wakes ([`Sharing`]): each keeps its
+//! connections in ascending order and its water-filling problem built in
+//! that order, and a flow that starts or ends patches only its own entry
+//! (a start that bridges components merges them; a connection that
+//! starts its next message as the last one ends only renews its
+//! weights). A reallocation hands the stored problem to the kernel as it
+//! is. An end that may split its component re-derives the parts by
+//! search at once; a local certificate rules the split out for most
+//! ends, so the search rarely runs.
+//!
 //! ## Calibration
 //!
 //! The link graph reuses the packet engine's calibrated stage costs
@@ -79,32 +89,86 @@ pub const NODE_WIRE_BYTES_PER_NS: f64 = 1.0 / 10.06;
 /// thin wrapper over the kernel the fluid core runs on every
 /// reallocation ([`Filler`]).
 pub fn max_min_rates(caps: &[f64], flows: &[Vec<(usize, f64)>]) -> Vec<f64> {
-    let mut fill = Filler::default();
-    fill.clear();
+    let mut problem = Csr::default();
     for (f, path) in flows.iter().enumerate() {
         assert!(!path.is_empty(), "flow {f} crosses no links");
         for &(l, w) in path {
             assert!(l < caps.len(), "flow {f} crosses unknown link {l}");
             assert!(w > 0.0, "flow {f} has non-positive weight {w} on link {l}");
         }
-        fill.pairs.extend_from_slice(path);
-        fill.offsets.push(fill.pairs.len());
+        problem.push_flow(path);
     }
-    fill.caps.extend_from_slice(caps);
-    fill.run();
+    problem.caps.extend_from_slice(caps);
+    let mut fill = Filler::default();
+    fill.run(&problem);
     fill.rate
 }
 
-/// The water-filling kernel and its reusable buffers. The problem is
-/// handed over in CSR form — flow `f` crosses `pairs[offsets[f]..
-/// offsets[f + 1]]`, `(link, weight)` pairs over links `0..caps.len()` —
-/// so the fluid core can refill it on every reallocation without
-/// allocating.
-#[derive(Default)]
-struct Filler {
+/// A max-min problem in CSR form: flow `f` crosses `pairs[offsets[f]..
+/// offsets[f + 1]]`, `(link, weight)` pairs over links `0..caps.len()`.
+/// The fluid core keeps one per component and patches it flow by flow.
+struct Csr {
     caps: Vec<f64>,
+    /// One more entry than there are flows, starting at 0.
     offsets: Vec<usize>,
     pairs: Vec<(usize, f64)>,
+}
+
+impl Default for Csr {
+    fn default() -> Csr {
+        Csr {
+            caps: Vec::new(),
+            offsets: vec![0],
+            pairs: Vec::new(),
+        }
+    }
+}
+
+impl Csr {
+    /// Empty the problem, keeping the allocations.
+    fn clear(&mut self) {
+        self.caps.clear();
+        self.offsets.truncate(1);
+        self.pairs.clear();
+    }
+
+    fn path(&self, f: usize) -> &[(usize, f64)] {
+        &self.pairs[self.offsets[f]..self.offsets[f + 1]]
+    }
+
+    /// Append a flow crossing `path`.
+    fn push_flow(&mut self, path: &[(usize, f64)]) {
+        self.pairs.extend_from_slice(path);
+        self.offsets.push(self.pairs.len());
+    }
+
+    /// Make `path` flow `f`, moving the flows from `f` on one place up.
+    fn insert_flow(&mut self, f: usize, path: &[(usize, f64)]) {
+        let (start, end) = (self.offsets[f], self.pairs.len());
+        self.pairs.extend_from_slice(path);
+        self.pairs.copy_within(start..end, start + path.len());
+        self.pairs[start..start + path.len()].copy_from_slice(path);
+        self.offsets.insert(f + 1, start);
+        for o in &mut self.offsets[f + 1..] {
+            *o += path.len();
+        }
+    }
+
+    /// Drop flow `f`, moving the flows after it one place down.
+    fn remove_flow(&mut self, f: usize) {
+        let (start, end) = (self.offsets[f], self.offsets[f + 1]);
+        self.pairs.drain(start..end);
+        self.offsets.remove(f + 1);
+        for o in &mut self.offsets[f + 1..] {
+            *o -= end - start;
+        }
+    }
+}
+
+/// The water-filling kernel's reusable buffers, so the fluid core can
+/// solve on every reallocation without allocating.
+#[derive(Default)]
+struct Filler {
     /// Output: the max-min rate per flow.
     rate: Vec<f64>,
     /// Flows not yet frozen, in flow order.
@@ -115,31 +179,24 @@ struct Filler {
 }
 
 impl Filler {
-    /// Empty the problem, keeping the allocations.
-    fn clear(&mut self) {
-        self.caps.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.pairs.clear();
-    }
-
-    /// Solve the loaded problem into `rate`. Sums accumulate in flow
-    /// order and path order, so the rates are a pure function of the
-    /// problem as handed over.
-    fn run(&mut self) {
-        let flows = self.offsets.len() - 1;
+    /// Solve `p` into `rate`. Sums accumulate in flow order, so the
+    /// rates are a pure function of the flows' order and paths: neither
+    /// the numbering of the links nor links no flow crosses (whose fair
+    /// share stays infinite) can move them.
+    fn run(&mut self, p: &Csr) {
+        let flows = p.offsets.len() - 1;
         self.rate.clear();
         self.rate.resize(flows, 0.0);
         self.open.clear();
         self.open.extend(0..flows);
         self.cap_left.clear();
-        self.cap_left.extend_from_slice(&self.caps);
+        self.cap_left.extend_from_slice(&p.caps);
         while !self.open.is_empty() {
             // Fair share each link could still grant its unfrozen flows.
             self.wsum.clear();
-            self.wsum.resize(self.caps.len(), 0.0);
+            self.wsum.resize(p.caps.len(), 0.0);
             for &f in &self.open {
-                for &(l, w) in &self.pairs[self.offsets[f]..self.offsets[f + 1]] {
+                for &(l, w) in p.path(f) {
                     self.wsum[l] += w;
                 }
             }
@@ -159,10 +216,10 @@ impl Filler {
             // Freeze every flow crossing a bottleneck link at the fair share.
             let limit = bottleneck * (1.0 + 1e-12);
             let before = self.open.len();
-            let (pairs, offsets, fair) = (&self.pairs, &self.offsets, &self.fair);
+            let fair = &self.fair;
             let (rate, cap_left) = (&mut self.rate, &mut self.cap_left);
             self.open.retain(|&f| {
-                let path = &pairs[offsets[f]..offsets[f + 1]];
+                let path = p.path(f);
                 if !path.iter().any(|&(l, _)| fair[l] <= limit) {
                     return true;
                 }
@@ -308,53 +365,484 @@ impl FluidConn {
     }
 }
 
-/// Reallocation scratch, reused across calls so a state change allocates
-/// nothing. Connections and links are marked with a generation stamp
-/// instead of being collected into hash sets.
+/// No component: the mark of a link no active flow crosses.
+const NONE: u32 = u32::MAX;
+
+/// A connected component of the flow–link sharing graph, kept between
+/// reallocations so that solving it needs no search, sort or build.
 #[derive(Default)]
-struct Scratch {
-    /// Stamp of the current reallocation: a connection or link was reached
-    /// by one of its components iff its mark equals it.
-    stamp: u32,
+struct Component {
+    /// Connections with an active flow in this component, ascending.
+    members: Vec<usize>,
+    /// The members' paths in member order, over the component's link
+    /// slots: the problem the water-filling kernel is handed as it stands.
+    csr: Csr,
+    /// Global link id per slot. A slot whose link lost its last user, or
+    /// moved to another component in a split, stays dead (the kernel
+    /// never picks a link no flow crosses) and is taken again if the link
+    /// comes back to this component.
+    links: Vec<usize>,
+    /// Dead slots. Once they outnumber the live ones, the component is
+    /// refilled.
+    dead: usize,
+    /// Stamp of the reallocation that last solved this component.
+    solved: u32,
+}
+
+/// The flow–link sharing graph, split into its connected components.
+/// `join` and `leave` patch it one flow at a time, so each component
+/// always holds its members and their problem in ascending connection
+/// order — exactly what a search from scratch would find and sort.
+#[derive(Default)]
+struct Sharing {
+    /// Active connections per link (sorted), indexed by global link id.
+    link_users: Vec<Vec<usize>>,
+    /// The component of each link that has users, else [`NONE`].
+    link_comp: Vec<u32>,
+    /// Each link's slot in its component. Kept when the link loses its
+    /// last user, so the same slot comes back with it.
+    link_slot: Vec<usize>,
+    comps: Vec<Component>,
+    /// Emptied components, kept for their buffers.
+    free: Vec<u32>,
+    /// Split search: connections and links reached carry `mark`.
+    mark: u32,
     conn_mark: Vec<u32>,
     link_mark: Vec<u32>,
-    /// Component-local index of each marked link.
-    link_local: Vec<usize>,
-    /// Marked links whose users are still to be visited.
-    pending: Vec<usize>,
-    /// The component's connections.
-    comp: Vec<usize>,
+    /// Split search buffers: connections, and where each part of a split
+    /// ends in `parts`.
+    stack: Vec<usize>,
+    parts: Vec<usize>,
+    part_ends: Vec<usize>,
+    /// Merge and refill buffers: members, and a problem to merge into.
+    merged: Vec<usize>,
+    spare: Csr,
+}
+
+/// The active flow of connection `c`, which the sharing graph holds.
+fn flow_of(conns: &[FluidConn], c: usize) -> &ActiveFlow {
+    conns[c].active.as_ref().expect("in sync")
+}
+
+impl Sharing {
+    fn new(links: usize, conns: usize) -> Sharing {
+        Sharing {
+            link_users: vec![Vec::new(); links],
+            link_comp: vec![NONE; links],
+            link_slot: vec![0; links],
+            conn_mark: vec![0; conns],
+            link_mark: vec![0; links],
+            ..Sharing::default()
+        }
+    }
+
+    /// An empty component.
+    fn alloc(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.comps.push(Component::default());
+            (self.comps.len() - 1) as u32
+        })
+    }
+
+    /// Hand an emptied component's buffers back.
+    fn release(&mut self, c: u32) {
+        let comp = &mut self.comps[c as usize];
+        comp.members.clear();
+        comp.csr.clear();
+        comp.links.clear();
+        comp.dead = 0;
+        self.free.push(c);
+    }
+
+    /// Link `l`'s slot in component `c`, taking one if it has none there:
+    /// its old slot if it still names `l`, else a new one.
+    fn slot(&mut self, c: u32, l: usize, cap: f64) -> usize {
+        if self.link_comp[l] == c {
+            return self.link_slot[l];
+        }
+        debug_assert_eq!(self.link_comp[l], NONE, "link {l} is in another component");
+        let comp = &mut self.comps[c as usize];
+        let k = if comp.links.get(self.link_slot[l]) == Some(&l) {
+            comp.dead -= 1;
+            self.link_slot[l]
+        } else {
+            comp.links.push(l);
+            comp.csr.caps.push(cap);
+            comp.links.len() - 1
+        };
+        self.link_comp[l] = c;
+        self.link_slot[l] = k;
+        k
+    }
+
+    /// Fill component `c` afresh with `members` (ascending): their paths
+    /// in that order, over slots numbered from 0. Every link `c` held is
+    /// given up first; links of other components move into `c`.
+    fn refill(&mut self, conns: &[FluidConn], caps: &[f64], c: u32, members: &[usize]) {
+        let comp = &mut self.comps[c as usize];
+        for (k, &l) in comp.links.iter().enumerate() {
+            if self.link_comp[l] == c && self.link_slot[l] == k {
+                self.link_comp[l] = NONE;
+            }
+        }
+        comp.links.clear();
+        comp.csr.clear();
+        comp.dead = 0;
+        comp.members.clear();
+        comp.members.extend_from_slice(members);
+        for &m in members {
+            for &(l, w) in flow_of(conns, m).path() {
+                if self.link_comp[l] != c {
+                    self.link_comp[l] = c;
+                    self.link_slot[l] = comp.links.len();
+                    comp.links.push(l);
+                    comp.csr.caps.push(caps[l]);
+                }
+                comp.csr.pairs.push((self.link_slot[l], w));
+            }
+            comp.csr.offsets.push(comp.csr.pairs.len());
+        }
+    }
+
+    /// Add `conn`'s newly active flow: into the component its links
+    /// share, at its sorted place; into a new component if they share
+    /// none; into the merge of all of them if they share several.
+    fn join(&mut self, conns: &[FluidConn], caps: &[f64], conn: usize) {
+        let path = flow_of(conns, conn).path();
+        let mut touched = [NONE; MAX_HOPS];
+        let mut n = 0;
+        for &(l, _) in path {
+            let c = self.link_comp[l];
+            if c != NONE && !touched[..n].contains(&c) {
+                touched[n] = c;
+                n += 1;
+            }
+            let lu = &mut self.link_users[l];
+            let i = lu.binary_search(&conn).expect_err("joins once");
+            lu.insert(i, conn);
+        }
+        let c = match n {
+            0 => self.alloc(),
+            1 => touched[0],
+            _ => self.merge(conns, caps, &touched[..n]),
+        };
+        let mut local = [(0, 0.0); MAX_HOPS];
+        for (k, &(l, w)) in path.iter().enumerate() {
+            local[k] = (self.slot(c, l, caps[l]), w);
+        }
+        let comp = &mut self.comps[c as usize];
+        let at = comp.members.binary_search(&conn).expect_err("joins once");
+        comp.members.insert(at, conn);
+        comp.csr.insert_flow(at, &local[..path.len()]);
+    }
+
+    /// Take the weights of `conn`'s new flow, which replaced its last one
+    /// on the same links in the same order: membership, slots and
+    /// connectivity stand.
+    fn renew(&mut self, conns: &[FluidConn], conn: usize) {
+        let path = flow_of(conns, conn).path();
+        let comp = &mut self.comps[self.link_comp[path[0].0] as usize];
+        let f = comp.members.binary_search(&conn).expect("a member");
+        let (start, end) = (comp.csr.offsets[f], comp.csr.offsets[f + 1]);
+        for (pair, &(l, w)) in comp.csr.pairs[start..end].iter_mut().zip(path) {
+            debug_assert_eq!(comp.links[pair.0], l, "renewed on other links");
+            pair.1 = w;
+        }
+    }
+
+    /// Merge the components `ids` into the largest of them, members in
+    /// one sorted merge: the largest's flows keep their pairs, the
+    /// others' paths move to its slots. Returns the merged component.
+    fn merge(&mut self, conns: &[FluidConn], caps: &[f64], ids: &[u32]) -> u32 {
+        let into = ids
+            .iter()
+            .copied()
+            .max_by_key(|&c| self.comps[c as usize].members.len())
+            .expect("merging components");
+        for &c in ids.iter().filter(|&&c| c != into) {
+            // Give the links up, so that `slot` moves them into `into`.
+            for (k, &l) in self.comps[c as usize].links.iter().enumerate() {
+                if self.link_comp[l] == c && self.link_slot[l] == k {
+                    self.link_comp[l] = NONE;
+                }
+            }
+        }
+        let mut members = std::mem::take(&mut self.merged);
+        let mut csr = std::mem::take(&mut self.spare);
+        members.clear();
+        csr.clear();
+        let mut next = [0; MAX_HOPS];
+        loop {
+            let mut pick = None;
+            for (k, &c) in ids.iter().enumerate() {
+                if let Some(&m) = self.comps[c as usize].members.get(next[k]) {
+                    if pick.map_or(true, |(_, least)| m < least) {
+                        pick = Some((k, m));
+                    }
+                }
+            }
+            let Some((k, m)) = pick else { break };
+            if ids[k] == into {
+                csr.pairs
+                    .extend_from_slice(self.comps[into as usize].csr.path(next[k]));
+            } else {
+                for &(l, w) in flow_of(conns, m).path() {
+                    let slot = self.slot(into, l, caps[l]);
+                    csr.pairs.push((slot, w));
+                }
+            }
+            csr.offsets.push(csr.pairs.len());
+            members.push(m);
+            next[k] += 1;
+        }
+        let comp = &mut self.comps[into as usize];
+        std::mem::swap(&mut comp.members, &mut members);
+        std::mem::swap(&mut comp.csr.offsets, &mut csr.offsets);
+        std::mem::swap(&mut comp.csr.pairs, &mut csr.pairs);
+        for &c in ids {
+            if c != into {
+                self.release(c);
+            }
+        }
+        (self.merged, self.spare) = (members, csr);
+        into
+    }
+
+    /// Take `conn`'s departed flow, which crossed `path`, out of its
+    /// component. Unless a local certificate shows that the component is
+    /// still connected, a search re-derives its parts; returns whether
+    /// one ran.
+    fn leave(
+        &mut self,
+        conns: &[FluidConn],
+        caps: &[f64],
+        conn: usize,
+        path: &[(usize, f64)],
+    ) -> bool {
+        let c = self.link_comp[path[0].0];
+        let comp = &mut self.comps[c as usize];
+        let mut kept = [0; MAX_HOPS];
+        let mut n = 0;
+        for &(l, _) in path {
+            let lu = &mut self.link_users[l];
+            let i = lu.binary_search(&conn).expect("a user of its links");
+            lu.remove(i);
+            if lu.is_empty() {
+                self.link_comp[l] = NONE;
+                comp.dead += 1;
+            } else {
+                kept[n] = l;
+                n += 1;
+            }
+        }
+        let at = comp.members.binary_search(&conn).expect("a member");
+        comp.members.remove(at);
+        comp.csr.remove_flow(at);
+        if comp.members.is_empty() {
+            self.release(c);
+            return false;
+        }
+        let searched = !self.stays_whole(conns, &kept[..n]);
+        if searched {
+            self.split(conns, caps, c);
+        }
+        let comp = &self.comps[c as usize];
+        if 2 * comp.dead > comp.links.len() {
+            // Dead slots outnumber live ones: refill, so a component's
+            // problem stays within twice its live links.
+            let mut members = std::mem::take(&mut self.merged);
+            members.clone_from(&comp.members);
+            self.refill(conns, caps, c, &members);
+            self.merged = members;
+        }
+        searched
+    }
+
+    /// The certificate that a departure left its component connected:
+    /// every other link of the departed flow that still has users has a
+    /// user crossing the busiest one (the hub). Each remaining flow was
+    /// connected to the departed one through one of these links, so if
+    /// they are all connected to the hub, so is every remaining flow.
+    fn stays_whole(&self, conns: &[FluidConn], kept: &[usize]) -> bool {
+        let Some(&hub) = kept.iter().max_by_key(|&&l| self.link_users[l].len()) else {
+            return true;
+        };
+        kept.iter().all(|&l| {
+            l == hub
+                || self.link_users[l]
+                    .iter()
+                    .any(|&u| flow_of(conns, u).path().iter().any(|&(l2, _)| l2 == hub))
+        })
+    }
+
+    /// Start a new split search: every mark becomes stale at once.
+    fn begin_search(&mut self) {
+        self.mark = self.mark.wrapping_add(1);
+        if self.mark == 0 {
+            self.conn_mark.fill(0);
+            self.link_mark.fill(0);
+            self.mark = 1;
+        }
+    }
+
+    /// Re-derive by search the parts of component `c`, which a departure
+    /// may have split. The largest part keeps `c`, compacted in place;
+    /// every other part is filled into a component of its own.
+    fn split(&mut self, conns: &[FluidConn], caps: &[f64], c: u32) {
+        self.begin_search();
+        let mut parts = std::mem::take(&mut self.parts);
+        parts.clear();
+        self.part_ends.clear();
+        for &m in &self.comps[c as usize].members {
+            if self.conn_mark[m] == self.mark {
+                continue;
+            }
+            self.conn_mark[m] = self.mark;
+            self.stack.push(m);
+            while let Some(ci) = self.stack.pop() {
+                parts.push(ci);
+                for &(l, _) in flow_of(conns, ci).path() {
+                    if self.link_mark[l] == self.mark {
+                        continue;
+                    }
+                    self.link_mark[l] = self.mark;
+                    for &u in &self.link_users[l] {
+                        if self.conn_mark[u] != self.mark {
+                            self.conn_mark[u] = self.mark;
+                            self.stack.push(u);
+                        }
+                    }
+                }
+            }
+            self.part_ends.push(parts.len());
+        }
+        if self.part_ends.len() > 1 {
+            let (mut largest, mut most, mut start) = (0, 0, 0);
+            for (p, &end) in self.part_ends.iter().enumerate() {
+                if end - start > most {
+                    (largest, most) = (p, end - start);
+                }
+                start = end;
+            }
+            start = 0;
+            for p in 0..self.part_ends.len() {
+                let end = self.part_ends[p];
+                if p != largest {
+                    let part = &mut parts[start..end];
+                    part.sort_unstable();
+                    let into = self.alloc();
+                    self.refill(conns, caps, into, part);
+                    // Every link of the part had a live slot in `c`.
+                    let moved = self.comps[into as usize].links.len();
+                    self.comps[c as usize].dead += moved;
+                }
+                start = end;
+            }
+            self.drop_moved(c);
+        }
+        self.parts = parts;
+    }
+
+    /// Drop from component `c` the members whose links have moved to
+    /// another component, keeping the rest (and their slots) in order.
+    fn drop_moved(&mut self, c: u32) {
+        let comp = &mut self.comps[c as usize];
+        let Csr { offsets, pairs, .. } = &mut comp.csr;
+        let (mut kept, mut end, mut start) = (0, 0, 0);
+        for f in 0..comp.members.len() {
+            let next = offsets[f + 1];
+            if self.link_comp[comp.links[pairs[start].0]] == c {
+                comp.members[kept] = comp.members[f];
+                pairs.copy_within(start..next, end);
+                end += next - start;
+                kept += 1;
+                offsets[kept] = end;
+            }
+            start = next;
+        }
+        comp.members.truncate(kept);
+        offsets.truncate(kept + 1);
+        pairs.truncate(end);
+    }
+
+    /// Build into `p` the problem of the union of components `ids`,
+    /// members merged in ascending order (into `members`), over their
+    /// slots laid end to end in `ids` order: what a search from a seed
+    /// whose links lie in several components reaches.
+    fn union(
+        &self,
+        ids: &[u32],
+        order: &mut Vec<(usize, usize, usize)>,
+        members: &mut Vec<usize>,
+        p: &mut Csr,
+    ) {
+        order.clear();
+        p.clear();
+        let mut base = [0; MAX_HOPS];
+        for (k, &c) in ids.iter().enumerate() {
+            let comp = &self.comps[c as usize];
+            base[k] = p.caps.len();
+            p.caps.extend_from_slice(&comp.csr.caps);
+            order.extend(comp.members.iter().enumerate().map(|(f, &m)| (m, k, f)));
+        }
+        order.sort_unstable();
+        members.clear();
+        for &(m, k, f) in order.iter() {
+            members.push(m);
+            let path = self.comps[ids[k] as usize].csr.path(f);
+            p.pairs.extend(path.iter().map(|&(l, w)| (base[k] + l, w)));
+            p.offsets.push(p.pairs.len());
+        }
+    }
+
+    /// The problem `p` solved for the components `ids` (one, or the union
+    /// built by [`Sharing::union`]), in global link ids.
+    #[cfg(test)]
+    fn problem(&self, ids: &[u32], members: &[usize], p: &Csr) -> Problem {
+        let links: Vec<usize> = ids
+            .iter()
+            .flat_map(|&c| self.comps[c as usize].links.iter().copied())
+            .collect();
+        let paths = (0..members.len())
+            .map(|f| p.path(f).iter().map(|&(k, w)| (links[k], w)).collect())
+            .collect();
+        (members.to_vec(), paths)
+    }
+}
+
+/// Reallocation scratch, reused across calls so a reallocation allocates
+/// nothing.
+#[derive(Default)]
+struct Scratch {
+    /// Stamp of the current reallocation: a component was solved by it
+    /// iff its `solved` equals it.
+    stamp: u32,
+    /// A seed whose links lie in several components solves their union,
+    /// built here.
+    order: Vec<(usize, usize, usize)>,
+    members: Vec<usize>,
+    union: Csr,
     fill: Filler,
 }
 
-impl Scratch {
-    /// Start a new reallocation: every mark becomes stale at once.
-    fn begin(&mut self) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.conn_mark.fill(0);
-            self.link_mark.fill(0);
-            self.stamp = 1;
-        }
-    }
+/// One solved problem: its connections and, per connection, its
+/// `(global link, weight)` pairs in path order.
+#[cfg(test)]
+type Problem = (Vec<usize>, Vec<Vec<(usize, f64)>>);
 
-    /// Start a new component of the current reallocation. Marks stay, so
-    /// what an earlier component reached is not searched again.
-    fn begin_component(&mut self) {
-        self.pending.clear();
-        self.comp.clear();
-        self.fill.clear();
-    }
-
-    /// Add link `l` (capacity `cap`) to the component unless already in.
-    fn mark_link(&mut self, l: usize, cap: f64) {
-        if self.link_mark[l] != self.stamp {
-            self.link_mark[l] = self.stamp;
-            self.link_local[l] = self.fill.caps.len();
-            self.fill.caps.push(cap);
-            self.pending.push(l);
-        }
-    }
+/// How much work the fluid core has done: counted as it goes, read by
+/// tests and benchmarks, never by the simulation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FluidWork {
+    /// `reallocate` calls: one per wake batch.
+    pub reallocations: u64,
+    /// Max-min problems solved: at most one per component a batch touched.
+    pub solves: u64,
+    /// Flows in those problems, summed.
+    pub flows_solved: u64,
+    /// Departures whose component the certificate could not keep whole,
+    /// so a search re-derived its parts.
+    pub fallback_searches: u64,
 }
 
 /// Heap entries beyond `2 · live` tolerated before a compaction pass.
@@ -439,18 +927,17 @@ impl DueHeap {
 /// The single process owning all flow state (see module docs). Spawned by
 /// the net switch when the cluster was built under [`super::NetModel::Flow`];
 /// shard plans pin it to shard 0.
-pub(crate) struct FluidCore {
+pub struct FluidCore {
     registry: Arc<Mutex<Registry>>,
     route: Arc<OnceLock<Route>>,
     conns: Vec<FluidConn>,
     /// Link capacities: stage links at 1.0 (weights are ns/byte), fabric
     /// links in bytes/ns.
     caps: Vec<f64>,
-    /// Active connections per link (sorted), indexed by global link id —
-    /// the sharing graph the component search walks, maintained
-    /// incrementally so a state change never scans flows that share
-    /// nothing with it.
-    link_users: Vec<Vec<usize>>,
+    /// The active flows' sharing graph in components, patched by every
+    /// flow that starts or ends, so a state change never scans flows
+    /// that share nothing with it.
+    graph: Sharing,
     /// Scheduled completions, one live entry per flow with a rate.
     due: DueHeap,
     /// Times of the [`FluidEv::Wake`] events in flight, ascending. A wake
@@ -462,6 +949,10 @@ pub(crate) struct FluidCore {
     /// then the connections the wake completes.
     batch: Vec<usize>,
     scratch: Scratch,
+    work: FluidWork,
+    /// Every problem solved, for the differential test.
+    #[cfg(test)]
+    solved: Vec<Problem>,
 }
 
 impl FluidCore {
@@ -471,12 +962,27 @@ impl FluidCore {
             route,
             conns: Vec::new(),
             caps: Vec::new(),
-            link_users: Vec::new(),
+            graph: Sharing::default(),
             due: DueHeap::default(),
             wakes: VecDeque::new(),
             batch: Vec::new(),
             scratch: Scratch::default(),
+            work: FluidWork::default(),
+            #[cfg(test)]
+            solved: Vec::new(),
         }
+    }
+
+    /// The work done so far.
+    pub fn work(&self) -> FluidWork {
+        self.work
+    }
+
+    /// Size the per-link and per-connection tables once `caps` and
+    /// `conns` are in place.
+    fn size_tables(&mut self) {
+        self.graph = Sharing::new(self.caps.len(), self.conns.len());
+        self.due = DueHeap::new(self.conns.len());
     }
 
     /// Bring one flow's residual current: between rate changes it drains
@@ -532,38 +1038,41 @@ impl FluidCore {
         );
     }
 
-    /// Promote the next queued message (if any) to the connection's active
-    /// flow, unrated until the next reallocation; messages landing after
-    /// the endpoint crash fail over instead. Returns true when a flow was
-    /// started (the caller makes the connection a seed of the wake).
-    fn start_next(&mut self, ctx: &mut Ctx<'_>, conn: usize) -> bool {
+    /// Pop the connection's next message to start, if any; messages
+    /// landing after the endpoint crash fail over instead.
+    fn next_queued(&mut self, ctx: &mut Ctx<'_>, conn: usize) -> Option<QueuedMsg> {
         loop {
             let c = &mut self.conns[conn];
-            debug_assert!(c.active.is_none(), "starting over an active flow");
-            let Some(q) = c.queue.pop_front() else {
-                return false;
-            };
+            let q = c.queue.pop_front()?;
             if c.cut_at.is_some_and(|t| ctx.now() >= t) {
                 let (msg, bytes) = (q.msg, q.bytes);
                 self.fail(ctx, conn, msg, bytes, StreamErrorKind::PeerDead);
                 continue;
             }
-            self.activate(ctx.now(), conn, q);
-            return true;
+            return Some(q);
         }
     }
 
-    /// Make `q` the connection's active flow, unrated until the next
-    /// reallocation, and add it to the sharing graph.
-    fn activate(&mut self, now: SimTime, conn: usize, q: QueuedMsg) {
+    /// Promote the next queued message (if any) to the idle connection's
+    /// active flow, unrated until the next reallocation. Returns true when
+    /// a flow was started (the caller makes the connection a seed of the
+    /// wake).
+    fn start_next(&mut self, ctx: &mut Ctx<'_>, conn: usize) -> bool {
+        debug_assert!(
+            self.conns[conn].active.is_none(),
+            "starting over an active flow"
+        );
+        let Some(q) = self.next_queued(ctx, conn) else {
+            return false;
+        };
+        self.activate(ctx.now(), conn, q);
+        true
+    }
+
+    /// The flow of message `q` on `conn`, unrated.
+    fn new_flow(&self, now: SimTime, conn: usize, q: QueuedMsg) -> ActiveFlow {
         let (path, hops) = self.flow_path(conn, q.bytes);
-        for &(l, _) in &path[..hops] {
-            let lu = &mut self.link_users[l];
-            if let Err(i) = lu.binary_search(&conn) {
-                lu.insert(i, conn);
-            }
-        }
-        self.conns[conn].active = Some(ActiveFlow {
+        ActiveFlow {
             msg: q.msg,
             bytes: q.bytes,
             sent_at: q.sent_at,
@@ -574,72 +1083,96 @@ impl FluidCore {
             updated: now,
             path,
             hops,
-        });
+        }
     }
 
-    /// Take the connection's active flow out of the sharing graph.
-    fn deactivate(&mut self, conn: usize) -> ActiveFlow {
-        let f = self.conns[conn]
-            .active
-            .take()
-            .expect("due flows are active");
-        for &(l, _) in f.path() {
-            let lu = &mut self.link_users[l];
-            if let Ok(i) = lu.binary_search(&conn) {
-                lu.remove(i);
+    /// Make `q` the connection's active flow, unrated until the next
+    /// reallocation, and add it to the sharing graph.
+    fn activate(&mut self, now: SimTime, conn: usize, q: QueuedMsg) {
+        self.conns[conn].active = Some(self.new_flow(now, conn, q));
+        self.graph.join(&self.conns, &self.caps, conn);
+    }
+
+    /// Finish `ended`, the flow just taken from `conn`, in the sharing
+    /// graph: start `next` in its place if there is one, else take the
+    /// connection out. A flow started in place crosses the same links in
+    /// the same order, so its component only takes its new weights.
+    fn end_flow(&mut self, now: SimTime, conn: usize, ended: &ActiveFlow, next: Option<QueuedMsg>) {
+        match next {
+            Some(q) => {
+                self.conns[conn].active = Some(self.new_flow(now, conn, q));
+                self.graph.renew(&self.conns, conn);
+            }
+            None => {
+                if self
+                    .graph
+                    .leave(&self.conns, &self.caps, conn, ended.path())
+                {
+                    self.work.fallback_searches += 1;
+                }
             }
         }
-        f
     }
 
     /// Recompute max-min fair shares for the connected components of the
     /// flow–link sharing graph around the links of the `seeds`, and
     /// reschedule the completion of every flow whose rate changed. Each
-    /// component is solved once, with the first seed that reaches it: a
-    /// seed whose links were all reached by an earlier seed's component
-    /// adds nothing. Flows outside these components share no link
-    /// (transitively) with the changed connections, so their rates — and
-    /// their scheduled completions — stand.
+    /// component is solved once, with the first seed whose links reach
+    /// it; a seed whose links lie in several unsolved components solves
+    /// their union, as one search from it would reach them. Components
+    /// are kept between calls with their members ascending and their
+    /// problem built in that order, so a solve hands the stored problem
+    /// to the kernel as it is: no search, sort or build. Flows outside
+    /// these components share no link (transitively) with the changed
+    /// connections, so their rates — and their scheduled completions —
+    /// stand.
     fn reallocate(&mut self, now: SimTime, seeds: &[usize]) {
         let FluidCore {
             conns,
-            caps,
-            link_users,
+            graph,
             scratch: sc,
             due,
+            work,
             ..
         } = self;
-        sc.begin();
-        for &seed in seeds {
-            sc.begin_component();
-            for l in conns[seed].links() {
-                sc.mark_link(l, caps[l]);
+        work.reallocations += 1;
+        sc.stamp = sc.stamp.wrapping_add(1);
+        if sc.stamp == 0 {
+            for comp in &mut graph.comps {
+                comp.solved = 0;
             }
-            while let Some(l) = sc.pending.pop() {
-                for &ci in &link_users[l] {
-                    if sc.conn_mark[ci] != sc.stamp {
-                        sc.conn_mark[ci] = sc.stamp;
-                        sc.comp.push(ci);
-                        for &(l2, _) in conns[ci].active.as_ref().expect("in sync").path() {
-                            sc.mark_link(l2, caps[l2]);
-                        }
-                    }
+            sc.stamp = 1;
+        }
+        for &seed in seeds {
+            let mut found = [NONE; MAX_HOPS];
+            let mut n = 0;
+            for l in conns[seed].links() {
+                let c = graph.link_comp[l];
+                if c != NONE && graph.comps[c as usize].solved != sc.stamp {
+                    graph.comps[c as usize].solved = sc.stamp;
+                    found[n] = c;
+                    n += 1;
                 }
             }
-            if sc.comp.is_empty() {
-                continue;
-            }
-            // Float accumulation order must be a pure function of the
-            // component, not of the order the search found it in.
-            sc.comp.sort_unstable();
-            for &ci in &sc.comp {
-                let f = conns[ci].active.as_ref().expect("in sync");
-                let local = f.path().iter().map(|&(l, w)| (sc.link_local[l], w));
-                sc.fill.pairs.extend(local);
-                sc.fill.offsets.push(sc.fill.pairs.len());
-            }
-            sc.fill.run();
-            for (&ci, &rate) in sc.comp.iter().zip(&sc.fill.rate) {
+            let (members, problem) = match n {
+                0 => continue,
+                1 => {
+                    let comp = &graph.comps[found[0] as usize];
+                    (&comp.members, &comp.csr)
+                }
+                _ => {
+                    let (order, members) = (&mut sc.order, &mut sc.members);
+                    graph.union(&found[..n], order, members, &mut sc.union);
+                    (&sc.members, &sc.union)
+                }
+            };
+            sc.fill.run(problem);
+            work.solves += 1;
+            work.flows_solved += members.len() as u64;
+            #[cfg(test)]
+            self.solved
+                .push(graph.problem(&found[..n], members, problem));
+            for (&ci, &rate) in members.iter().zip(&sc.fill.rate) {
                 let f = conns[ci].active.as_mut().expect("in sync");
                 Self::advance_flow(f, now);
                 if rate != f.rate {
@@ -746,7 +1279,10 @@ impl FluidCore {
     /// queued message. Rates are left alone: the wake reallocates once for
     /// its whole batch.
     fn complete(&mut self, ctx: &mut Ctx<'_>, conn: usize) {
-        let mut f = self.deactivate(conn);
+        let mut f = self.conns[conn]
+            .active
+            .take()
+            .expect("due flows are active");
         let payload = f.payload.take().expect("payload present until delivery");
         if self.conns[conn].cut_at.is_some_and(|t| ctx.now() >= t) {
             // The endpoint died mid-transfer: the flow fails instead of
@@ -769,7 +1305,8 @@ impl FluidCore {
                 }),
             );
         }
-        self.start_next(ctx, conn);
+        let next = self.next_queued(ctx, conn);
+        self.end_flow(ctx.now(), conn, &f, next);
     }
 }
 
@@ -800,7 +1337,6 @@ impl Process for FluidCore {
                 self.caps.push(up); // downlink
             }
         }
-        self.link_users = vec![Vec::new(); self.caps.len()];
         self.conns = reg
             .conns
             .iter()
@@ -832,11 +1368,8 @@ impl Process for FluidCore {
                 }
             })
             .collect();
-        self.due = DueHeap::new(self.conns.len());
-        let sc = &mut self.scratch;
-        sc.conn_mark = vec![0; self.conns.len()];
-        sc.link_mark = vec![0; self.caps.len()];
-        sc.link_local = vec![0; self.caps.len()];
+        drop(reg);
+        self.size_tables();
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -1032,6 +1565,12 @@ mod tests {
         }
     }
 
+    /// End `c`'s active flow with nothing to start in its place.
+    fn deactivate(core: &mut FluidCore, c: usize) {
+        let f = core.conns[c].active.take().expect("an active flow");
+        core.end_flow(SimTime::ZERO, c, &f, None);
+    }
+
     /// A fluid core with no kernel around it: `nodes` nodes in racks of
     /// `per_rack` behind fabric links of capacity `up`, and one kernel-TCP
     /// connection per `(src, dst)` pair, wired as `on_start` wires them.
@@ -1040,7 +1579,6 @@ mod tests {
         let mut core = FluidCore::new(Arc::default(), Arc::default());
         core.caps = vec![1.0; 3 * nodes];
         core.caps.resize(3 * nodes + 2 * (nodes / per_rack), up);
-        core.link_users = vec![Vec::new(); core.caps.len()];
         let costs = Arc::new(PathCosts::for_kind(TransportKind::KTcp));
         let fabric = |src: usize, dst: usize| {
             let (sr, dr) = (src / per_rack, dst / per_rack);
@@ -1062,10 +1600,7 @@ mod tests {
                 active: None,
             })
             .collect();
-        core.due = DueHeap::new(pairs.len());
-        core.scratch.conn_mark = vec![0; pairs.len()];
-        core.scratch.link_mark = vec![0; core.caps.len()];
-        core.scratch.link_local = vec![0; core.caps.len()];
+        core.size_tables();
         core
     }
 
@@ -1077,7 +1612,7 @@ mod tests {
     fn churn(core: &mut FluidCore, step: usize, now: SimTime) -> usize {
         let mut seeds = Vec::new();
         while let Some((_, c)) = core.due.pop_due(now) {
-            core.deactivate(c);
+            deactivate(core, c);
             seeds.push(c);
         }
         let done = seeds.len();
@@ -1174,7 +1709,7 @@ mod tests {
             for core in [&mut one_by_one, &mut settled] {
                 let mut done = Vec::new();
                 while let Some((_, c)) = core.due.pop_due(now) {
-                    core.deactivate(c);
+                    deactivate(core, c);
                     done.push(c);
                 }
                 core.reallocate(now, &done);
@@ -1220,6 +1755,393 @@ mod tests {
                 .count();
         }
         assert!(moved > 0, "the arrivals moved no running flow's rate");
+    }
+
+    /// The search-and-build every reallocation ran before components were
+    /// kept, over a sharing graph of its own built from the active flows:
+    /// one stamp for the call, each seed's links marked and searched, the
+    /// component sorted, built into a problem over links numbered in mark
+    /// order, solved, and the rates applied as `reallocate` applies them.
+    /// Returns the problems in solve order.
+    fn search_reallocate(core: &mut FluidCore, now: SimTime, seeds: &[usize]) -> Vec<Problem> {
+        let mut users = vec![Vec::new(); core.caps.len()];
+        for (c, conn) in core.conns.iter().enumerate() {
+            for &(l, _) in conn.active.iter().flat_map(|f| f.path()) {
+                users[l].push(c);
+            }
+        }
+        let mut conn_seen = vec![false; core.conns.len()];
+        let mut link_seen = vec![false; core.caps.len()];
+        let mut problems = Vec::new();
+        for &seed in seeds {
+            let (mut pending, mut links, mut comp) = (Vec::new(), Vec::new(), Vec::new());
+            let mut mark = |l: usize, pending: &mut Vec<usize>, links: &mut Vec<usize>| {
+                if !link_seen[l] {
+                    link_seen[l] = true;
+                    links.push(l);
+                    pending.push(l);
+                }
+            };
+            for l in core.conns[seed].links() {
+                mark(l, &mut pending, &mut links);
+            }
+            while let Some(l) = pending.pop() {
+                for &ci in &users[l] {
+                    if !conn_seen[ci] {
+                        conn_seen[ci] = true;
+                        comp.push(ci);
+                        for &(l2, _) in flow_of(&core.conns, ci).path() {
+                            mark(l2, &mut pending, &mut links);
+                        }
+                    }
+                }
+            }
+            if comp.is_empty() {
+                continue;
+            }
+            comp.sort_unstable();
+            let mut p = Csr::default();
+            p.caps.extend(links.iter().map(|&l| core.caps[l]));
+            for &ci in &comp {
+                let local =
+                    |&(l, w): &(usize, f64)| (links.iter().position(|&x| x == l).unwrap(), w);
+                let path: Vec<_> = flow_of(&core.conns, ci).path().iter().map(local).collect();
+                p.push_flow(&path);
+            }
+            let mut fill = Filler::default();
+            fill.run(&p);
+            for (&ci, &rate) in comp.iter().zip(&fill.rate) {
+                let f = core.conns[ci].active.as_mut().unwrap();
+                FluidCore::advance_flow(f, now);
+                if rate != f.rate {
+                    f.rate = rate;
+                    core.due
+                        .schedule(ci, now + Dur::nanos((f.remaining / f.rate).ceil() as u64));
+                }
+            }
+            let paths = (0..comp.len())
+                .map(|f| p.path(f).iter().map(|&(l, w)| (links[l], w)).collect())
+                .collect();
+            problems.push((comp, paths));
+        }
+        problems
+    }
+
+    /// Check the kept components against the active flows: each live
+    /// component holds its members ascending, their paths in that order
+    /// over its slots, and is connected; every active flow is in the
+    /// component of each of its links; dead slots are counted; emptied
+    /// components hold nothing. Returns the number of live components.
+    fn assert_graph_consistent(core: &FluidCore, what: &str) -> usize {
+        let g = &core.graph;
+        let mut member_of = vec![None; core.conns.len()];
+        let mut live = 0;
+        for (c, comp) in g.comps.iter().enumerate() {
+            if g.free.contains(&(c as u32)) {
+                assert!(
+                    comp.members.is_empty() && comp.links.is_empty(),
+                    "{what}: {c} freed"
+                );
+                continue;
+            }
+            live += 1;
+            assert!(
+                !comp.members.is_empty(),
+                "{what}: component {c} is empty but not freed"
+            );
+            assert!(
+                comp.members.windows(2).all(|w| w[0] < w[1]),
+                "{what}: {c} unsorted"
+            );
+            assert_eq!(
+                comp.csr.offsets.len(),
+                comp.members.len() + 1,
+                "{what}: {c}"
+            );
+            assert_eq!(comp.csr.caps.len(), comp.links.len(), "{what}: {c}'s slots");
+            for (f, &m) in comp.members.iter().enumerate() {
+                assert_eq!(
+                    member_of[m].replace(c),
+                    None,
+                    "{what}: {m} in two components"
+                );
+                let stored: Vec<_> = comp
+                    .csr
+                    .path(f)
+                    .iter()
+                    .map(|&(k, w)| (comp.links[k], w))
+                    .collect();
+                assert_eq!(
+                    stored,
+                    flow_of(&core.conns, m).path(),
+                    "{what}: {m}'s stored path"
+                );
+                for &(l, _) in flow_of(&core.conns, m).path() {
+                    assert_eq!(g.link_comp[l], c as u32, "{what}: link {l} of {m}");
+                    assert_eq!(comp.links[g.link_slot[l]], l, "{what}: slot of link {l}");
+                }
+            }
+            let dead = (0..comp.links.len())
+                .filter(|&k| {
+                    let l = comp.links[k];
+                    g.link_comp[l] != c as u32 || g.link_slot[l] != k
+                })
+                .count();
+            assert_eq!(comp.dead, dead, "{what}: {c}'s dead slots");
+            assert!(2 * dead <= comp.links.len(), "{what}: {c} not refilled");
+            // Connected: a search from its first member reaches them all.
+            let mut seen = vec![comp.members[0]];
+            let mut stack = vec![comp.members[0]];
+            while let Some(m) = stack.pop() {
+                for &(l, _) in flow_of(&core.conns, m).path() {
+                    for &u in &g.link_users[l] {
+                        if !seen.contains(&u) {
+                            seen.push(u);
+                            stack.push(u);
+                        }
+                    }
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, comp.members, "{what}: component {c} is not connected");
+        }
+        for (m, conn) in core.conns.iter().enumerate() {
+            assert_eq!(
+                conn.active.is_some(),
+                member_of[m].is_some(),
+                "{what}: conn {m}"
+            );
+        }
+        for (l, users) in g.link_users.iter().enumerate() {
+            assert_eq!(users.is_empty(), g.link_comp[l] == NONE, "{what}: link {l}");
+        }
+        live
+    }
+
+    /// One seeded churn step at `now`: the flows due complete, and each
+    /// completed connection starts another message half the time; idle
+    /// connections start one with probability `start`; message sizes are
+    /// drawn from 500 B to 256 KiB. Returns the step's seeds in a
+    /// scrambled order, with an extra, possibly idle, connection.
+    fn random_step(
+        core: &mut FluidCore,
+        rng: &mut rand::rngs::SmallRng,
+        now: SimTime,
+        start: f64,
+    ) -> Vec<usize> {
+        use rand::Rng;
+        let mut seeds = Vec::new();
+        let msg = |rng: &mut rand::rngs::SmallRng| QueuedMsg {
+            msg: 0,
+            bytes: 500 + below(rng, 262_144 - 500),
+            sent_at: now,
+            payload: Message::new(()),
+            extra: Dur::ZERO,
+        };
+        while let Some((_, c)) = core.due.pop_due(now) {
+            // Half the time the connection starts its next message at
+            // once, in place of the one that ended.
+            let f = core.conns[c].active.take().expect("due flows are active");
+            let next = rng.gen_bool(0.5).then(|| msg(rng));
+            core.end_flow(now, c, &f, next);
+            seeds.push(c);
+        }
+        for c in 0..core.conns.len() {
+            if core.conns[c].active.is_none() && rng.gen_bool(start) {
+                let q = msg(rng);
+                core.activate(now, c, q);
+                seeds.push(c);
+            }
+        }
+        seeds.push(below(rng, core.conns.len() as u64) as usize);
+        for i in (1..seeds.len()).rev() {
+            seeds.swap(i, below(rng, i as u64 + 1) as usize);
+        }
+        seeds
+    }
+
+    /// Drive a core that keeps its components and one that searches from
+    /// scratch through the same seeded churn; every solve must get the
+    /// same problem and every allocation must be bit-identical. Returns
+    /// the kept core's work and the most live components seen.
+    fn kept_vs_searched(
+        nodes: usize,
+        per_rack: usize,
+        pairs: &[(usize, usize)],
+        seed: u64,
+        steps: usize,
+    ) -> (FluidWork, usize) {
+        use rand::SeedableRng;
+        let mut kept = bare_core(nodes, per_rack, 0.05, pairs);
+        let mut searched = bare_core(nodes, per_rack, 0.05, pairs);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let (mut now, mut most) = (SimTime::ZERO, 0);
+        for step in 0..steps {
+            let what = format!("seed {seed}, step {step}");
+            let start = if step % 16 < 2 { 0.6 } else { 0.05 };
+            let seeds = random_step(&mut kept, &mut rng.clone(), now, start);
+            assert_eq!(
+                random_step(&mut searched, &mut rng, now, start),
+                seeds,
+                "{what}"
+            );
+            most = most.max(assert_graph_consistent(&kept, &what));
+            kept.reallocate(now, &seeds);
+            let want = search_reallocate(&mut searched, now, &seeds);
+            assert_eq!(
+                std::mem::take(&mut kept.solved),
+                want,
+                "{what}: solved problems"
+            );
+            assert_eq!(
+                allocation(&kept),
+                allocation(&searched),
+                "{what}: allocation"
+            );
+            assert_graph_consistent(&kept, &what);
+            now = match kept.due.first_due() {
+                Some((t, _)) => t,
+                None => now + Dur::nanos(1_000),
+            };
+        }
+        (kept.work(), most)
+    }
+
+    #[test]
+    fn kept_components_solve_what_a_search_would_build() {
+        use rand::SeedableRng;
+        let (mut fallbacks, mut most) = (0, 0);
+        for seed in 0..6u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
+            let mut pairs = |nodes: usize, conns: usize| -> Vec<(usize, usize)> {
+                (0..conns)
+                    .map(|_| {
+                        let n = nodes as u64;
+                        let src = below(&mut rng, n);
+                        (
+                            src as usize,
+                            ((src + 1 + below(&mut rng, n - 1)) % n) as usize,
+                        )
+                    })
+                    .collect()
+            };
+            // A flat cluster: flows share host links only, so components
+            // are small and departures often split them.
+            let (work, live) = kept_vs_searched(12, 12, &pairs(12, 20), seed, 400);
+            fallbacks += work.fallback_searches;
+            most = most.max(live);
+            // Racks of 4 mixing intra-rack and cross-rack connections.
+            let (work, live) = kept_vs_searched(16, 4, &pairs(16, 40), seed, 400);
+            fallbacks += work.fallback_searches;
+            most = most.max(live);
+            assert!(
+                work.solves > 0 && work.flows_solved > work.solves,
+                "seed {seed}: {work:?}"
+            );
+        }
+        assert!(fallbacks > 0, "no departure split a component");
+        assert!(most > 1, "never more than one component");
+    }
+
+    #[test]
+    fn a_departing_bridge_splits_its_component_and_an_arrival_merges_two() {
+        // Conns 0 (0 -> 1) and 1 (2 -> 3) share nothing; conn 2 (0 -> 3)
+        // shares host 0's send links with conn 0 and host 3's receive
+        // link with conn 1.
+        let pairs = [(0, 1), (2, 3), (0, 3)];
+        let mut kept = bare_core(4, 4, 1.0, &pairs);
+        let mut searched = bare_core(4, 4, 1.0, &pairs);
+        let q = |bytes| QueuedMsg {
+            msg: 0,
+            bytes,
+            sent_at: SimTime::ZERO,
+            payload: Message::new(()),
+            extra: Dur::ZERO,
+        };
+        // Complete `done` and start `act` on both cores, then reallocate.
+        let both = |kept: &mut FluidCore,
+                    searched: &mut FluidCore,
+                    act: &[(usize, u64)],
+                    done: &[usize],
+                    now: SimTime|
+         -> Vec<Problem> {
+            let mut seeds = done.to_vec();
+            for core in [&mut *kept, &mut *searched] {
+                for &c in done {
+                    deactivate(core, c);
+                }
+                for &(c, bytes) in act {
+                    core.activate(now, c, q(bytes));
+                }
+            }
+            seeds.extend(act.iter().map(|&(c, _)| c));
+            kept.reallocate(now, &seeds);
+            let want = search_reallocate(searched, now, &seeds);
+            assert_eq!(std::mem::take(&mut kept.solved), want, "solved problems");
+            assert_eq!(allocation(kept), allocation(searched), "allocation");
+            want
+        };
+        let (k, s) = (&mut kept, &mut searched);
+        both(k, s, &[(0, 1 << 20), (1, 1 << 20)], &[], SimTime::ZERO);
+        assert_eq!(assert_graph_consistent(&kept, "two flows"), 2);
+        // The bridge arrives and merges the two components.
+        let merged = both(&mut kept, &mut searched, &[(2, 1_000)], &[], SimTime::ZERO);
+        assert_eq!(merged[0].0, vec![0, 1, 2]);
+        assert_eq!(assert_graph_consistent(&kept, "bridged"), 1);
+        assert_eq!(kept.work().fallback_searches, 0);
+        // The bridge finishes first; its departure splits the component,
+        // which the certificate cannot vouch for, so a search runs. Its
+        // seed's links lie in both parts: one solve covers their union.
+        let (now, first) = kept.due.first_due().expect("scheduled");
+        assert_eq!(first, 2, "the small bridge finishes first");
+        kept.due.pop_due(now);
+        searched.due.pop_due(now);
+        let split = both(&mut kept, &mut searched, &[], &[2], now);
+        assert_eq!(kept.work().fallback_searches, 1);
+        assert_eq!(assert_graph_consistent(&kept, "split"), 2);
+        assert_eq!(split.len(), 1);
+        assert_eq!(split[0].0, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_component_solves_alike_however_it_is_reached() {
+        // Conns 0-3 run from rack 0's hosts 0-3 to rack 2's hosts 8-11,
+        // all across rack 0's uplink; conn 4 runs inside rack 0 from host
+        // 2 to host 3, joining the component through conn 2's host. The
+        // sizes differ, so the uplink weights differ: summed in another
+        // order, their total moves.
+        let pairs = [(0, 8), (1, 9), (2, 10), (3, 11), (2, 3)];
+        let sizes = [1_500, 40_000, 9_000, 200_000, 3_000];
+        let core = || bare_core(16, 4, 0.01, &pairs);
+        let (mut ascending, mut scrambled) = (core(), core());
+        let q = |c: usize| QueuedMsg {
+            msg: 0,
+            bytes: sizes[c],
+            sent_at: SimTime::ZERO,
+            payload: Message::new(()),
+            extra: Dur::ZERO,
+        };
+        // A search from conn 4 finds conn 2 through host 2 and then the
+        // rest through the uplink; a search from conn 0 finds them in order.
+        let order = [4, 2, 0, 1, 3];
+        for c in 0..pairs.len() {
+            ascending.activate(SimTime::ZERO, c, q(c));
+        }
+        for c in order {
+            scrambled.activate(SimTime::ZERO, c, q(c));
+        }
+        let up = |core: &FluidCore, c: usize| flow_of(&core.conns, c).path()[3].1;
+        let sum = |core: &FluidCore, cs: &[usize]| cs.iter().fold(0.0, |s, &c| s + up(core, c));
+        assert_ne!(
+            sum(&ascending, &[0, 1, 2, 3]).to_bits(),
+            sum(&ascending, &[2, 0, 1, 3]).to_bits(),
+            "the uplink weights must show their summation order"
+        );
+        ascending.reallocate(SimTime::ZERO, &[0]);
+        scrambled.reallocate(SimTime::ZERO, &[4, 2]);
+        assert_eq!(ascending.work().solves, 1);
+        assert_eq!(scrambled.work().solves, 1);
+        assert_eq!(allocation(&scrambled), allocation(&ascending));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use engine::{
 };
 pub use fault::{FaultPlan, LinkFilter, LinkFilterKind, LinkScope, RecoveryCfg};
 pub use flow::Flow;
-pub use fluid::max_min_rates;
+pub use fluid::{max_min_rates, FluidCore, FluidWork};
 pub use netmodel::{configured_netmodel, parse_netmodel, with_netmodel, NetModel};
 pub use params::{FlowModel, PathCosts, TransportKind};
 

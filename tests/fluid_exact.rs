@@ -10,13 +10,14 @@
 //! that log for three small rack scenarios (fault-free, lossy + delayed,
 //! node crash) against golden values. `lockstep_outcomes_are_pinned` does
 //! the same for larger scenarios in which many flows finish at one
-//! nanosecond, where only the order within an instant may change. The
+//! nanosecond, where only the order within an instant may change;
+//! `lockstep_work_is_pinned` pins the fluid core's work on them. The
 //! other tests bound the events a flow costs and check that no superseded
 //! completion stretches the run past its last outcome.
 
 use hpsock_net::{
-    fault, with_netmodel, Cluster, ConnId, Delivery, NetModel, NodeCore, NodeId, StreamError,
-    TransportKind,
+    fault, with_netmodel, Cluster, ConnId, Delivery, FluidCore, FluidWork, NetModel, NodeCore,
+    NodeId, StreamError, TransportKind,
 };
 use hpsock_sim::{Ctx, Dur, Message, Process, Sim};
 use std::sync::{Arc, Mutex};
@@ -96,6 +97,8 @@ struct Run {
     end_ns: u64,
     /// Wire frames the send halves submitted (0 under the flow model).
     frames_tx: u64,
+    /// The fluid core's work (`None` under the packet model).
+    work: Option<FluidWork>,
 }
 
 /// `nodes` nodes in racks of 16 under `model` (oversubscription 4): the
@@ -140,12 +143,17 @@ fn run_racks(model: NetModel, nodes: usize, clients: usize, msgs: u32, faults: &
                 core.tx_stats(ConnId(c)).map_or(0, |s| s.frames_tx)
             })
             .sum();
+        let work = net.fluid_core().map(|pid| {
+            let core: &FluidCore = sim.process(pid).expect("the fluid core persists");
+            core.work()
+        });
         Run {
             log,
             msgs: conn as u64 * msgs as u64,
             events: sim.events_dispatched(),
             end_ns: end.as_nanos(),
             frames_tx,
+            work,
         }
     };
     with_netmodel(model, || {
@@ -264,6 +272,38 @@ fn lockstep_outcomes_are_pinned() {
         let got = (run.end_ns, run.events, sorted_log_hash(&run.log));
         assert_eq!(got, want, "{what}: lockstep outcomes moved");
     }
+}
+
+/// The fluid core's work per [`LOCKSTEP`] scenario: `reallocate` calls,
+/// component solves, flows solved and fallback searches. The first three
+/// columns equal what the core that searched every component from
+/// scratch counted. A departure in these scenarios never splits its
+/// rack-pair component, so no search runs.
+const PINNED_WORK: [FluidWork; 4] = [
+    work(64, 252, 49152),
+    work(80, 158, 16384),
+    work(218, 234, 21775),
+    work(135, 158, 16000),
+];
+
+const fn work(reallocations: u64, solves: u64, flows_solved: u64) -> FluidWork {
+    FluidWork {
+        reallocations,
+        solves,
+        flows_solved,
+        fallback_searches: 0,
+    }
+}
+
+#[test]
+fn lockstep_work_is_pinned() {
+    let got = LOCKSTEP.map(|(nodes, clients, msgs, faults)| {
+        let run = run_racks(NetModel::Flow, nodes, clients, msgs, faults);
+        run.work.expect("a fluid core under the flow model")
+    });
+    assert_eq!(got, PINNED_WORK, "fluid core work moved");
+    let packet = run_racks(NetModel::Packet, 32, 4, 5, "");
+    assert_eq!(packet.work, None, "no fluid core under the packet model");
 }
 
 /// A fault plan that never fires (`drop=0`) still sends every packet-model
