@@ -15,10 +15,10 @@
 //! emission; acknowledgments and credit returns travel back as delayed
 //! events with the transport's `ack_latency`.
 //!
-//! A frame on a fault-free connection costs three kernel events: its
-//! arrival at the receiver (`RxFirst` or `RxArrive`), `HostRxFrameDone`,
-//! and the credit or window-ack return (`CreditArrive` / `AckArrive`, when
-//! the flow model sends one). `pump` books host_tx and nic_tx back to back
+//! Every frame takes one path and costs three kernel events: its arrival
+//! at the receiver (`RxFirst` or `RxArrive`), `HostRxFrameDone`, and the
+//! credit or window-ack return (`CreditArrive` / `AckArrive`, when the
+//! flow model sends one). `pump` books host_tx and nic_tx back to back
 //! (the NIC's only feeder is the node's single-server host_tx, so its
 //! arrivals are exactly those completions, in order) and schedules the
 //! arrival at `wire done + switch + propagation` straight away. The last
@@ -26,15 +26,20 @@
 //! schedules the [`Delivery`] at its completion. With the `Send` command
 //! and the application's `Consumed` reply, a single-frame SocketVIA
 //! message costs six events end to end (a window-model transport adds the
-//! `FlowReturn` of the consumption update, seven).
+//! `FlowReturn` of the consumption update, seven), with or without a
+//! fault plan.
 //!
-//! A connection with a compiled fault filter (a drop or delay filter, or
-//! a crash of either endpoint) keeps one more event per frame, `WireDone`,
-//! when the frame leaves the NIC: the message's fate is drawn there, the
-//! doomed/delayed bookkeeping and the cut check run there, and only then
-//! is the arrival scheduled, through the same helper. Drawing fates when
-//! the frame is pumped instead would move them to other instants and
-//! change the results of faulted runs.
+//! `pump` is also the only place where a frame's future is decided on a
+//! connection with a compiled fault filter (a drop or delay filter, or a
+//! crash of either endpoint). When frame 0 is pumped, the message's fate
+//! is drawn for the instant that frame leaves the NIC, from a stream the
+//! send half owns, keyed by (sim seed, connection id): a fate never
+//! depends on other connections' traffic. A dropped message keeps only
+//! its frame 0 on host_tx and the NIC and fails with `MsgLost` at that
+//! frame's wire-done instant + `detect`; a delayed one adds the same extra
+//! latency to every frame; a frame that would arrive at or after the
+//! connection's cut schedules no arrival, and the `ConnCut` at cut +
+//! `detect` fails its message.
 //!
 //! Engine state is owned per node by a [`NodeCore`] process: the core of a
 //! connection's source node owns the send side (flow-control window, send
@@ -69,6 +74,7 @@ use hpsock_sim::{
     Ctx, Dur, FxHashMap, FxHashSet, Message, ProbeEvent, Process, ProcessId, ResourceId, Sim,
     SimTime,
 };
+use rand::rngs::SmallRng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -215,15 +221,6 @@ struct Consumed {
 /// none of them costs a pooled slot; frame 0's arrival, which carries the
 /// message metadata and payload, is its own message type, [`RxFirst`].
 enum Ev {
-    /// A frame of a faulted connection left the sender's NIC (host_tx and
-    /// nic_tx were booked back to back when the frame was pumped).
-    WireDone {
-        conn: ConnId,
-        msg: u64,
-        /// Frame 0 of its message.
-        first: bool,
-        flen: u32,
-    },
     /// A later frame (index ≥ 1) arriving at the receiver. Reassembly only
     /// counts frames, so the frame index does not travel.
     RxArrive { conn: ConnId, msg: u64, flen: u32 },
@@ -288,6 +285,10 @@ struct PendingMsg {
     bytes: u64,
     next_frame: u32,
     frames: u32,
+    /// Wire latency a delay filter added to the message, drawn with its
+    /// fate when frame 0 was pumped. Every frame carries it, so frames of
+    /// one message never reorder among themselves.
+    extra: Dur,
 }
 
 /// Per-message metadata, held by the send half until frame 0 is put on
@@ -305,29 +306,13 @@ struct RxMsgState {
     frames_arrived: u32,
 }
 
-/// Bookkeeping for a message the fault layer doomed at the wire: its
-/// already-emitted frames are drained from the stage pipeline without
-/// being forwarded, and flow control is repaired when the loss-detection
-/// timer fires.
-struct DoomedMsg {
-    bytes: u64,
-    /// Frames charged to flow control before the doom verdict (frames the
-    /// repair must return).
-    frames_charged: u32,
-    /// Charged frames whose `WireDone` has drained so far.
-    seen: u32,
-    /// The `MsgLost` repair has run; the entry only lingers to absorb
-    /// still-in-pipeline frames.
-    repaired: bool,
-    kind: StreamErrorKind,
-}
-
-/// A message a delay filter hit: every frame gets the same added wire
-/// latency, so frames of one message never reorder among themselves.
-struct DelayedMsg {
-    extra: Dur,
-    frames: u32,
-    seen: u32,
+/// Fault state of a send half: the compiled filters and the connection's
+/// own fate stream, keyed by the connection id, so a message's fate
+/// depends only on the seed, the connection, the message's place in it
+/// and the instant its frame 0 leaves the NIC.
+struct TxFaults {
+    filters: ConnFaults,
+    rng: SmallRng,
 }
 
 /// Send half of a connection, owned by the source node's core.
@@ -340,19 +325,21 @@ struct TxConn {
     stats: ConnStats,
     /// When the sender last became credit-blocked with data queued.
     stall_since: Option<SimTime>,
-    /// Compiled fault state (`None` on a fault-free link: the hot path
-    /// then performs no RNG draws and schedules no extra events).
-    faults: Option<ConnFaults>,
+    /// Compiled fault state (`None` on a fault-free link: the pump then
+    /// performs no RNG draws).
+    faults: Option<TxFaults>,
     /// The sending process, target of [`StreamError`] events.
     src_pid: ProcessId,
     /// Set by [`Ev::ConnCut`]; a dead connection accepts no traffic.
     dead: bool,
-    doomed: FxHashMap<u64, DoomedMsg>,
-    delayed: FxHashMap<u64, DelayedMsg>,
+    /// Bytes of each message the fault layer doomed when a frame of it
+    /// was pumped: it awaits its `MsgLost` (a drop) or the `ConnCut` that
+    /// reports it (a crash cut).
+    doomed: FxHashMap<u64, u64>,
 }
 
 impl TxConn {
-    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<&FaultPlan>) -> Self {
+    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<&FaultPlan>, ctx: &Ctx<'_>) -> Self {
         TxConn {
             conn,
             costs: Arc::clone(&spec.costs),
@@ -361,11 +348,15 @@ impl TxConn {
             pending_meta: FxHashMap::default(),
             stats: ConnStats::default(),
             stall_since: None,
-            faults: faults.and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0)),
+            faults: faults
+                .and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0))
+                .map(|filters| TxFaults {
+                    filters,
+                    rng: ctx.keyed_rng(conn.0 as u64),
+                }),
             src_pid: spec.src.pid,
             dead: false,
             doomed: FxHashMap::default(),
-            delayed: FxHashMap::default(),
         }
     }
 }
@@ -380,8 +371,9 @@ struct RxConn {
     unconsumed: FxHashSet<u64>,
     stats: ConnStats,
     /// Fail-stop time of this (destination) node, when the fault plan
-    /// crashes it: frames arriving afterwards are dropped, returning no
-    /// acks or credits.
+    /// crashes it. Under the flow model, deliveries reaching the node
+    /// afterwards are dropped; the packet model schedules no frame arrival
+    /// at or after the cut in the first place (see `NodeCore::pump`).
     cut_at: Option<SimTime>,
 }
 
@@ -596,7 +588,7 @@ impl Process for NetSwitch {
             let (src, dst) = (spec.src.node.0, spec.dst.node.0);
             let slot = |len: usize| u32::try_from(len).expect("under 2^32 halves per node");
             tx_slot.push(slot(tx[src].len()));
-            tx[src].push(TxConn::new(conn, spec, faults));
+            tx[src].push(TxConn::new(conn, spec, faults, ctx));
             rx_slot.push(slot(rx[dst].len()));
             rx[dst].push(RxConn::new(conn, spec, faults));
         }
@@ -775,16 +767,13 @@ impl NodeCore {
             }
             c.flow.on_frame_sent(flen as u64);
             let first = head.next_frame == 0;
-            let msg = head.msg;
+            let (msg, bytes) = (head.msg, head.bytes);
             head.next_frame += 1;
             let finished = head.next_frame == head.frames;
             let mut service = c.costs.per_frame_send
                 + Dur::nanos((flen as f64 * c.costs.per_byte_send_ns).round() as u64);
             if first {
                 service += c.costs.per_msg_send;
-            }
-            if finished {
-                c.sendq.pop_front();
             }
             c.stats.frames_tx += 1;
             ctx.probe_emit(|t| ProbeEvent::Counter {
@@ -803,54 +792,62 @@ impl NodeCore {
             let tx_done = ctx.reserve_resource(host_tx, now, service);
             let wire_done = ctx.reserve_resource(nic_tx, tx_done, nic_service);
             let on_wire = wire_done.since(now);
-            if c.faults.is_some() {
-                // The fault layer decides the frame's fate when it leaves
-                // the NIC.
-                let wire_done = Ev::WireDone {
-                    conn,
-                    msg,
-                    first,
-                    flen,
-                };
-                ctx.send_self_in(on_wire, Message::new(wire_done));
-                continue;
+            let mut delay = on_wire + c.costs.switch_latency + c.costs.prop_delay;
+            // On a faulted link the frame's future is decided here: frame 0
+            // draws its message's fate for the instant it leaves the NIC,
+            // and a frame that would arrive at or after the cut dies.
+            let (mut doomed, mut lost_detect) = (false, None);
+            if let Some(f) = &mut c.faults {
+                let dropped = first
+                    && match f.filters.fate(wire_done, &mut f.rng) {
+                        MsgFate::Drop => true,
+                        MsgFate::Deliver { extra } => {
+                            head.extra = extra;
+                            false
+                        }
+                    };
+                delay += head.extra;
+                let cut = f.filters.cut_at.is_some_and(|t| now + delay >= t);
+                lost_detect = (dropped && !cut).then_some(f.filters.detect);
+                doomed = cut || dropped;
             }
-            // Fault-free: nothing is decided at wire time, so the arrival
-            // is scheduled now, for the instant the WireDone path gives it.
+            // A doomed message's later frames are never pumped.
+            if finished || doomed {
+                c.sendq.pop_front();
+            }
             let meta = first.then(|| {
                 c.pending_meta
                     .remove(&msg)
                     .expect("first frame of unknown message")
             });
-            let delay = on_wire + c.costs.switch_latency + c.costs.prop_delay;
-            self.send_arrival(ctx, delay, conn, msg, flen, meta);
+            if doomed {
+                c.doomed.insert(msg, bytes);
+                ctx.probe_emit(|t| ProbeEvent::Counter {
+                    name: "net.fault.dropped".to_string(),
+                    time: t,
+                    delta: 1.0,
+                });
+                // A drop is detected `detect` after the frame left the NIC;
+                // a cut message is reported by its connection's `ConnCut`.
+                if let Some(detect) = lost_detect {
+                    ctx.send_self_in(on_wire + detect, Message::new(Ev::MsgLost { conn, msg }));
+                }
+                continue;
+            }
+            // Frame 0 travels with its message's metadata. `delay` includes
+            // the switch and propagation hop, which keeps the lookahead of
+            // a cross-shard arrival positive.
+            let arrive = match meta {
+                Some(meta) => Message::new(RxFirst {
+                    conn,
+                    msg,
+                    flen,
+                    meta,
+                }),
+                None => Message::new(Ev::RxArrive { conn, msg, flen }),
+            };
+            ctx.send_in(delay, self.rx_core(conn), arrive);
         }
-    }
-
-    /// Schedule a frame's arrival at the receiver's core `delay` from now:
-    /// frame 0 travels as [`RxFirst`] with its message's metadata, later
-    /// frames as [`Ev::RxArrive`]. `delay` includes the switch and
-    /// propagation hop, which keeps the lookahead of a cross-shard
-    /// arrival positive.
-    fn send_arrival(
-        &self,
-        ctx: &mut Ctx<'_>,
-        delay: Dur,
-        conn: ConnId,
-        msg: u64,
-        flen: u32,
-        meta: Option<MsgMeta>,
-    ) {
-        let arrive = match meta {
-            Some(meta) => Message::new(RxFirst {
-                conn,
-                msg,
-                flen,
-                meta,
-            }),
-            None => Message::new(Ev::RxArrive { conn, msg, flen }),
-        };
-        ctx.send_in(delay, self.rx_core(conn), arrive);
     }
 
     fn on_send(&mut self, ctx: &mut Ctx<'_>, cmd: NetCmd) {
@@ -913,6 +910,7 @@ impl NodeCore {
             bytes,
             next_frame: 0,
             frames,
+            extra: Dur::ZERO,
         });
         c.stats.msgs_sent += 1;
         self.pump(ctx, conn);
@@ -968,13 +966,7 @@ impl NodeCore {
             flen,
             meta,
         } = first;
-        let c = self.rx_mut(conn);
-        if c.cut_at.is_some_and(|t| ctx.now() >= t) {
-            // This node fail-stopped: arriving frames fall on the floor,
-            // returning no acks and no credits.
-            return;
-        }
-        c.msgs.insert(
+        self.rx_mut(conn).msgs.insert(
             msg,
             RxMsgState {
                 meta,
@@ -986,110 +978,7 @@ impl NodeCore {
 
     fn on_ev(&mut self, ctx: &mut Ctx<'_>, ev: Ev) {
         match ev {
-            Ev::WireDone {
-                conn,
-                msg,
-                first,
-                flen,
-            } => {
-                let c = self.tx_mut(conn);
-                if c.dead {
-                    // Frames of a cut connection die on the wire.
-                    return;
-                }
-                if let Some(d) = c.doomed.get_mut(&msg) {
-                    // An already-doomed message's frame draining out of
-                    // the stage pipeline: swallow it.
-                    d.seen += 1;
-                    if d.repaired && d.seen >= d.frames_charged {
-                        c.doomed.remove(&msg);
-                    }
-                    return;
-                }
-                let mut delay = c.costs.switch_latency + c.costs.prop_delay;
-                let meta = if first {
-                    let meta = c
-                        .pending_meta
-                        .remove(&msg)
-                        .expect("first frame of unknown message");
-                    // The whole message's fate is decided as its first
-                    // frame enters the wire; frames always cross in order,
-                    // so the verdict covers every later frame too.
-                    let now = ctx.now();
-                    let f = c.faults.as_ref().expect("WireDone only on faulted links");
-                    let kind = if f.cut_at.is_some_and(|t| now >= t) {
-                        StreamErrorKind::PeerDead
-                    } else {
-                        StreamErrorKind::Lost
-                    };
-                    let detect = f.detect;
-                    match f.fate(now, ctx.rng()) {
-                        MsgFate::Drop => {
-                            // Unemitted frames leave the send queue; only
-                            // frames already charged to flow control need
-                            // repair when the loss is detected.
-                            let frames_charged = match c.sendq.iter().position(|p| p.msg == msg) {
-                                Some(i) => {
-                                    let p = c.sendq.remove(i).expect("index just found");
-                                    p.next_frame
-                                }
-                                None => meta.frames,
-                            };
-                            c.doomed.insert(
-                                msg,
-                                DoomedMsg {
-                                    bytes: meta.bytes,
-                                    frames_charged,
-                                    seen: 1,
-                                    repaired: false,
-                                    kind,
-                                },
-                            );
-                            ctx.probe_emit(|t| ProbeEvent::Counter {
-                                name: "net.fault.dropped".to_string(),
-                                time: t,
-                                delta: 1.0,
-                            });
-                            ctx.send_self_in(detect, Message::new(Ev::MsgLost { conn, msg }));
-                            return;
-                        }
-                        MsgFate::Deliver { extra } if extra > Dur::ZERO => {
-                            delay += extra;
-                            if meta.frames > 1 {
-                                c.delayed.insert(
-                                    msg,
-                                    DelayedMsg {
-                                        extra,
-                                        frames: meta.frames,
-                                        seen: 1,
-                                    },
-                                );
-                            }
-                        }
-                        MsgFate::Deliver { .. } => {}
-                    }
-                    Some(meta)
-                } else {
-                    if let Some(d) = c.delayed.get_mut(&msg) {
-                        // Later frames of a delayed message get the same
-                        // extra latency, preserving intra-message order.
-                        delay += d.extra;
-                        d.seen += 1;
-                        if d.seen >= d.frames {
-                            c.delayed.remove(&msg);
-                        }
-                    }
-                    None
-                };
-                self.send_arrival(ctx, delay, conn, msg, flen, meta);
-            }
-            Ev::RxArrive { conn, msg, flen } => {
-                let c = self.rx_mut(conn);
-                if c.cut_at.is_some_and(|t| ctx.now() >= t) {
-                    return;
-                }
-                self.on_rx_frame(ctx, conn, msg, flen);
-            }
+            Ev::RxArrive { conn, msg, flen } => self.on_rx_frame(ctx, conn, msg, flen),
             Ev::HostRxFrameDone { conn, msg, flen } => {
                 let host_rx = self.res.host_rx;
                 let c = self.rx_mut(conn);
@@ -1175,27 +1064,16 @@ impl NodeCore {
                     // ConnCut already failed everything on this link.
                     return;
                 }
-                let Some(d) = c.doomed.get_mut(&msg) else {
-                    return;
-                };
-                let (bytes, kind, frames_charged) = (d.bytes, d.kind, d.frames_charged);
-                if d.seen >= frames_charged {
-                    c.doomed.remove(&msg);
-                } else {
-                    d.repaired = true;
-                }
-                // Repair flow control for exactly the charged frames. The
-                // receiver never saw them, so no credit or ack will come
-                // back: the credits model gets its loaned credits back
-                // directly, the window model frees the in-flight bytes
-                // frame by frame.
+                let bytes = c.doomed.remove(&msg).expect("lost message is doomed");
+                // Repair flow control for the one charged frame, frame 0.
+                // The receiver never saw it, so no credit or ack will come
+                // back: the credits model gets its loaned credit back
+                // directly, the window model frees the in-flight bytes.
                 if c.flow.is_credits() {
-                    c.flow.on_credits_returned(frames_charged);
+                    c.flow.on_credits_returned(1);
                 } else {
-                    let fp = c.costs.frame_payload;
-                    for i in 0..frames_charged {
-                        c.flow.on_acked(frame_len(bytes, fp, i) as u64);
-                    }
+                    c.flow
+                        .on_acked(frame_len(bytes, c.costs.frame_payload, 0) as u64);
                 }
                 let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
@@ -1209,7 +1087,7 @@ impl NodeCore {
                         conn,
                         msg_id: msg,
                         bytes,
-                        kind,
+                        kind: StreamErrorKind::Lost,
                     }),
                 );
                 self.pump(ctx, conn);
@@ -1221,7 +1099,6 @@ impl NodeCore {
                 }
                 c.dead = true;
                 c.stall_since = None;
-                c.delayed.clear();
                 // Everything queued or in flight fails. Collect ids into
                 // an ordered map first — HashMap iteration order must not
                 // leak into the event sequence.
@@ -1232,9 +1109,7 @@ impl NodeCore {
                 for p in c.sendq.drain(..) {
                     failed.insert(p.msg, p.bytes);
                 }
-                for (id, d) in c.doomed.drain() {
-                    failed.insert(id, d.bytes);
-                }
+                failed.extend(c.doomed.drain());
                 let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.conn.cut".to_string(),
@@ -1348,8 +1223,10 @@ impl Process for NodeCore {
         }
         for t in &self.tx {
             let Some(f) = &t.faults else { continue };
-            let Some(cut_at) = f.cut_at else { continue };
-            let at = Dur::nanos(cut_at.as_nanos()) + f.detect;
+            let Some(cut_at) = f.filters.cut_at else {
+                continue;
+            };
+            let at = Dur::nanos(cut_at.as_nanos()) + f.filters.detect;
             ctx.send_self_in(at, Message::new(Ev::ConnCut { conn: t.conn }));
         }
     }
@@ -1381,6 +1258,7 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::params::TransportKind;
+    use std::sync::Mutex;
 
     /// Sends one message on each of its connections at start.
     struct OneShot {
@@ -1417,18 +1295,19 @@ mod tests {
     /// model, from the `Send` command to the `Consumed` reply: `Send`,
     /// `RxFirst`, `HostRxFrameDone`, the credit or window-ack return, the
     /// `Delivery` and `Consumed`, plus the window model's `FlowReturn`.
-    /// Under a fault plan (`drop=0` compiles a filter that never fires)
-    /// the frame also dispatches its `WireDone`. A stage hop that comes
-    /// back as its own event (a `HostTxDone` between host_tx and the NIC,
-    /// a `WireDone` on a fault-free link, or a `MsgReady` between the last
-    /// frame's receive work and the delivery) fails this pin.
+    /// A fault plan (`drop=0` compiles a filter that never fires) costs
+    /// no event: fates are drawn when the frame is pumped. A stage hop
+    /// that comes back as its own event (a `HostTxDone` between host_tx
+    /// and the NIC, a `WireDone` when the frame leaves the NIC, or a
+    /// `MsgReady` between the last frame's receive work and the delivery)
+    /// fails this pin.
     #[test]
     fn single_frame_message_event_counts_are_pinned() {
         for (faults, kind, events) in [
             ("", TransportKind::SocketVia, 6),
             ("", TransportKind::KTcp, 7),
-            ("drop=0", TransportKind::SocketVia, 7),
-            ("drop=0", TransportKind::KTcp, 8),
+            ("drop=0", TransportKind::SocketVia, 6),
+            ("drop=0", TransportKind::KTcp, 7),
         ] {
             let run = || {
                 let mut sim = Sim::new(3);
@@ -1620,6 +1499,179 @@ mod tests {
                 );
             });
         });
+    }
+
+    /// One application-visible outcome: `(conn, msg_id, virtual ns, what)`,
+    /// where `what` is `"delivered"` or the `StreamErrorKind` name.
+    type Outcome = (usize, u64, u64, String);
+
+    /// Sender and sink in one: sends `count` messages of `bytes` on each
+    /// of `conns`, those of the `i`-th connection every `interval` from
+    /// `i * stagger` on, and logs every delivery (which it consumes) and
+    /// every stream error it receives.
+    struct Logger {
+        net: Network,
+        conns: Vec<ConnId>,
+        bytes: u64,
+        count: u32,
+        interval: Dur,
+        stagger: Dur,
+        sent: Vec<u32>,
+        log: Arc<Mutex<Vec<Outcome>>>,
+    }
+    impl Logger {
+        fn new(net: &Network, conns: usize, bytes: u64, count: u32, interval: Dur) -> Self {
+            Logger {
+                net: net.clone(),
+                conns: (0..conns).map(ConnId).collect(),
+                bytes,
+                count,
+                interval,
+                stagger: Dur::nanos(interval.as_nanos() / 3),
+                sent: vec![0; conns],
+                log: Arc::default(),
+            }
+        }
+        fn record(&self, ctx: &Ctx<'_>, conn: ConnId, msg: u64, what: String) {
+            let entry = (conn.0, msg, ctx.now().as_nanos(), what);
+            self.log.lock().unwrap().push(entry);
+        }
+    }
+    impl Process for Logger {
+        fn name(&self) -> String {
+            "logger".to_string()
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for i in 0..self.conns.len() {
+                let at = Dur::nanos(self.stagger.as_nanos() * i as u64);
+                ctx.send_self_in(at, Message::new(i));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let msg = match msg.downcast::<Delivery>() {
+                Ok(d) => {
+                    self.record(ctx, d.conn, d.msg_id, "delivered".into());
+                    self.net.consumed(ctx, d.conn, d.msg_id);
+                    return;
+                }
+                Err(other) => other,
+            };
+            let i = match msg.downcast::<StreamError>() {
+                Ok(e) => return self.record(ctx, e.conn, e.msg_id, format!("{:?}", e.kind)),
+                Err(other) => other.downcast::<usize>().expect("ticks carry a conn index"),
+            };
+            self.net
+                .send(ctx, self.conns[i], self.bytes, Message::new(()));
+            self.sent[i] += 1;
+            if self.sent[i] < self.count {
+                ctx.send_self_in(self.interval, Message::new(i));
+            }
+        }
+    }
+
+    /// Every submitted message gets exactly one outcome under the packet
+    /// model, a [`Delivery`] or a [`StreamError`]: never both, never two,
+    /// never neither (DESIGN §12). Swept over both transports, drop-only,
+    /// crash-only and drop + crash plans, a crash of either endpoint at
+    /// instants that land before, inside and after the messages' frames,
+    /// and two detection latencies.
+    #[test]
+    fn every_message_gets_exactly_one_outcome() {
+        const COUNT: u32 = 20;
+        let mut plans = vec!["drop=0.2,detect=10us".to_string()];
+        for at_us in (100..=3_963).step_by(37) {
+            for node in [0, 1] {
+                for detect in ["10us", "100us"] {
+                    for drop in ["", "drop=0.2,"] {
+                        plans.push(format!("{drop}crash={node}@{at_us}us,detect={detect}"));
+                    }
+                }
+            }
+        }
+        let run = |seed: u64, kind: TransportKind, plan: &str| {
+            crate::netmodel::with_netmodel(NetModel::Packet, || {
+                crate::fault::with_spec(plan, || {
+                    let mut sim = Sim::new(seed);
+                    let cluster = Cluster::build(&mut sim, 2);
+                    let net = cluster.network();
+                    let logger = Logger::new(&net, 1, 150_000, COUNT, Dur::ZERO);
+                    let log = Arc::clone(&logger.log);
+                    let pid = sim.add_process(Box::new(logger));
+                    net.connect(
+                        cluster.endpoint(NodeId(0), pid),
+                        cluster.endpoint(NodeId(1), pid),
+                        kind,
+                    );
+                    sim.run();
+                    let log = std::mem::take(&mut *log.lock().unwrap());
+                    log
+                })
+            })
+        };
+        for seed in 0..4 {
+            for kind in [TransportKind::SocketVia, TransportKind::KTcp] {
+                for plan in &plans {
+                    let mut outcomes = vec![Vec::new(); COUNT as usize];
+                    for (_, msg, _, what) in run(seed, kind, plan) {
+                        outcomes[msg as usize].push(what);
+                    }
+                    for (msg, got) in outcomes.iter().enumerate() {
+                        assert_eq!(
+                            got.len(),
+                            1,
+                            "seed {seed} {kind:?} {plan:?}: message {msg} got {got:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A message's fate depends only on the seed, its connection, its
+    /// place in that connection and its instant, not on other traffic:
+    /// adding a connection from the same source node, whose frames use
+    /// the node's host and NIC only while the others' are idle, leaves
+    /// every other connection's outcome log unchanged.
+    #[test]
+    fn fates_are_independent_of_unrelated_traffic() {
+        let run = |conns: usize| {
+            crate::netmodel::with_netmodel(NetModel::Packet, || {
+                crate::fault::with_spec("drop=0.05,delay=0.2:30us", || {
+                    let mut sim = Sim::new(23);
+                    let cluster = Cluster::build(&mut sim, 4);
+                    let net = cluster.network();
+                    let logger = Logger::new(&net, conns, 2_048, 40, Dur::micros(210));
+                    let log = Arc::clone(&logger.log);
+                    let pid = sim.add_process(Box::new(logger));
+                    let kinds = [
+                        TransportKind::SocketVia,
+                        TransportKind::KTcp,
+                        TransportKind::SocketVia,
+                    ];
+                    for (i, &kind) in kinds.iter().enumerate().take(conns) {
+                        net.connect(
+                            cluster.endpoint(NodeId(0), pid),
+                            cluster.endpoint(NodeId(i + 1), pid),
+                            kind,
+                        );
+                    }
+                    sim.run();
+                    let mut log = std::mem::take(&mut *log.lock().unwrap());
+                    log.sort();
+                    log
+                })
+            })
+        };
+        let (two, three) = (run(2), run(3));
+        assert!(
+            two.iter().any(|o| o.3 == "Lost"),
+            "the drop filter lost no message"
+        );
+        let existing: Vec<Outcome> = three.into_iter().filter(|o| o.0 < 2).collect();
+        assert_eq!(
+            existing, two,
+            "an added connection moved other connections' fates"
+        );
     }
 
     /// Sends `pre` messages, waits on `barrier` at 1 s of virtual time,

@@ -4,12 +4,13 @@
 //! The layer follows the `Filter` idiom of simulated-transport test
 //! harnesses: a fault plan is an ordered chain of link filters (drop,
 //! delay, link-flap) plus scheduled node crashes, compiled per connection
-//! when the engine cores start. Every probabilistic decision draws from
-//! the *transmitting core's* seeded RNG stream, so a faulted run is
-//! digest-reproducible across invocations and across `HPSOCK_SHARDS`
-//! partitions (per-process RNG streams are shard-invariant, and fault
-//! delays only ever *add* latency, preserving the conservative-window
-//! lookahead).
+//! when the engine cores start. Every probabilistic decision draws from a
+//! seeded stream: under the packet model the connection's own, keyed by
+//! (sim seed, connection id), and under the flow model the fluid core's.
+//! A faulted run is therefore digest-reproducible across invocations and
+//! across `HPSOCK_SHARDS` partitions (the streams are shard-invariant,
+//! and fault delays only ever *add* latency, preserving the
+//! conservative-window lookahead).
 //!
 //! Plans come from the [`FAULTS`] knob: the strictly parsed
 //! `HPSOCK_FAULTS` environment variable (parse errors name the
@@ -336,8 +337,8 @@ pub(crate) enum MsgFate {
     Drop,
 }
 
-/// Per-connection compiled fault state, evaluated once per message at the
-/// moment its first frame enters the wire.
+/// Per-connection compiled fault state, evaluated once per message for
+/// the instant its first frame leaves the sender's NIC.
 #[derive(Debug, Clone)]
 pub struct ConnFaults {
     chain: Vec<LinkFilterKind>,

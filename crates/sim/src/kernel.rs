@@ -166,9 +166,9 @@ impl Core {
         }
     }
 
-    fn rng_for(master_seed: u64, pid: usize) -> SmallRng {
-        // SplitMix64-style mixing so neighbouring pids get unrelated streams.
-        let mut z = master_seed ^ (pid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn rng_for(master_seed: u64, stream: u64) -> SmallRng {
+        // SplitMix64-style mixing so neighbouring streams are unrelated.
+        let mut z = master_seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         SmallRng::seed_from_u64(z ^ (z >> 31))
@@ -255,7 +255,7 @@ impl Sim {
         self.core.next_pid += 1;
         self.core
             .rngs
-            .push(Core::rng_for(self.core.master_seed, pid.0));
+            .push(Core::rng_for(self.core.master_seed, pid.0 as u64));
         self.core.push_counts.push(0);
         self.procs.push(Some(p));
         pid
@@ -379,9 +379,10 @@ impl Sim {
         loop {
             let spawns: Vec<Box<dyn Process>> = std::mem::take(&mut self.core.pending_spawns);
             for p in spawns {
-                self.core
-                    .rngs
-                    .push(Core::rng_for(self.core.master_seed, self.procs.len()));
+                self.core.rngs.push(Core::rng_for(
+                    self.core.master_seed,
+                    self.procs.len() as u64,
+                ));
                 self.procs.push(Some(p));
             }
             if self.started == self.procs.len() {
@@ -420,6 +421,9 @@ impl Drop for Sim {
         });
     }
 }
+
+/// Seed salt of [`Ctx::keyed_rng`] streams (the fractional bits of π).
+const KEYED_STREAM_SALT: u64 = 0x243F_6A88_85A3_08D3;
 
 /// Handler-side view of the kernel: clock, event queue, resources, RNG.
 pub struct Ctx<'a> {
@@ -530,6 +534,14 @@ impl<'a> Ctx<'a> {
     /// This process's private deterministic RNG stream.
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.core.rngs[self.pid.0]
+    }
+
+    /// A new deterministic RNG stream that depends only on the sim seed
+    /// and `key`, not on which process asks or when. It is mixed like the
+    /// per-process streams but from a salted seed, so key `k` and process
+    /// `k` get unrelated streams.
+    pub fn keyed_rng(&self, key: u64) -> SmallRng {
+        Core::rng_for(self.core.master_seed ^ KEYED_STREAM_SALT, key)
     }
 
     /// Create a new process mid-run. Its `on_start` runs as soon as the
@@ -834,5 +846,36 @@ mod tests {
         let ra: &R = sim.process(a).unwrap();
         let rb: &R = sim.process(b).unwrap();
         assert_ne!(ra.v, rb.v);
+    }
+
+    /// A keyed stream depends on the seed and the key alone: two processes
+    /// asking at different instants for key 1 get the same stream, and it
+    /// differs from key 2's, from process 1's own stream and from key 1's
+    /// under another seed.
+    #[test]
+    fn keyed_rng_depends_only_on_seed_and_key() {
+        struct K {
+            key: u64,
+            v: u64,
+        }
+        impl Process for K {
+            fn on_message(&mut self, ctx: &mut Ctx<'_>, _m: Message) {
+                self.v = ctx.keyed_rng(self.key).next_u64();
+            }
+        }
+        let draws = |seed: u64| {
+            let mut sim = Sim::new(seed);
+            let pids = [1, 1, 2].map(|key| sim.add_process(Box::new(K { key, v: 0 })));
+            for (i, &pid) in pids.iter().enumerate() {
+                sim.schedule_at(SimTime::from_nanos(i as u64), pid, Message::new(()));
+            }
+            sim.run();
+            pids.map(|pid| sim.process::<K>(pid).unwrap().v)
+        };
+        let [a, b, c] = draws(9);
+        assert_eq!(a, b, "same seed and key, same stream");
+        assert_ne!(a, c, "keys get different streams");
+        assert_ne!(a, draws(10)[0], "seeds get different streams");
+        assert_ne!(a, Core::rng_for(9, 1).next_u64(), "apart from process 1's");
     }
 }

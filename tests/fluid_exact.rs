@@ -189,11 +189,14 @@ const PINNED: [(&str, usize, u64); 3] = [
 /// Golden packet-model outcome logs for the same scenarios. In the crash
 /// case node 1 fail-stops; it sources connections 4–7, so a core that
 /// confused a connection id with the position of its half in the node's
-/// own tables would fail the wrong connections.
+/// own tables would fail the wrong connections. The faulted rows were
+/// computed with fates drawn at pump time from per-connection streams,
+/// and with a frame that would arrive at or after its connection's cut
+/// failing its message.
 const PINNED_PACKET: [(&str, usize, u64); 3] = [
     ("", 0, 12349312038757248321),
-    ("drop=0.05,delay=0.2:30us", 14, 8647573195842535415),
-    ("crash=1@200us,detect=100us", 19, 3382472354790531719),
+    ("drop=0.05,delay=0.2:30us", 11, 9335006310455552725),
+    ("crash=1@200us,detect=100us", 20, 17604699823352955842),
 ];
 
 /// Run every pinned scenario of `pins` under `model`:
@@ -306,24 +309,20 @@ fn lockstep_work_is_pinned() {
     assert_eq!(packet.work, None, "no fluid core under the packet model");
 }
 
-/// A fault plan that never fires (`drop=0`) still sends every packet-model
-/// frame through the `WireDone` event at which fates are drawn, while a
-/// fault-free connection schedules each frame's arrival when it is pumped.
-/// The fault-free pinned scenario must give the same outcome log and end
-/// time either way, with exactly one more dispatched event per frame.
+/// A fault plan that never fires (`drop=0`) draws each packet-model
+/// message's fate when its frame 0 is pumped, from the connection's own
+/// stream, and schedules every frame's arrival as a fault-free connection
+/// does. The fault-free pinned scenario must give the same outcome log,
+/// end time, frame count and dispatched events either way.
 #[test]
-fn idle_fault_plan_costs_one_event_per_frame_and_nothing_else() {
+fn idle_fault_plan_costs_nothing() {
     let free = run_racks(NetModel::Packet, 32, 4, 5, PINNED_PACKET[0].0);
     let idle = run_racks(NetModel::Packet, 32, 4, 5, "drop=0");
     assert_eq!(log_hash(&idle.log), log_hash(&free.log), "outcome log");
     assert_eq!(idle.end_ns, free.end_ns, "end of run");
     assert!(free.frames_tx > 0, "frames were counted");
     assert_eq!(idle.frames_tx, free.frames_tx, "frames submitted");
-    assert_eq!(
-        idle.events,
-        free.events + free.frames_tx,
-        "one WireDone per frame"
-    );
+    assert_eq!(idle.events, free.events, "events dispatched");
 }
 
 /// A flow costs O(1) kernel events — the send, its arrival at the fluid
