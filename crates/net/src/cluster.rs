@@ -415,8 +415,9 @@ impl Cluster {
     ///    halves dispatch: 2 per receive half, 1 per send half. The 2:1
     ///    ratio is structural. Per frame the receive core handles the
     ///    arrival and `HostRxFrameDone`, the send core the credit or ack
-    ///    return; per message the receive side adds `Consumed` and the
-    ///    application's `Delivery`, the send side the `Send`.
+    ///    return; per message the receive side adds the application's
+    ///    `Delivery`, the send side the `Send` (and, on kernel TCP, the
+    ///    `FlowReturn` its consumer sends).
     /// 3. **Cut.** Rack `r` goes to shard `⌊(2·before + w_r)·shards /
     ///    (2·total)⌋`, where `before` is the weight of the racks ahead of
     ///    it in the order: a rack lands where the midpoint of its weight

@@ -23,11 +23,12 @@
 //! arrivals are exactly those completions, in order) and schedules the
 //! arrival at `wire done + switch + propagation` straight away. The last
 //! frame's `HostRxFrameDone` books the per-message receive work and
-//! schedules the [`Delivery`] at its completion. With the `Send` command
-//! and the application's `Consumed` reply, a single-frame SocketVIA
-//! message costs six events end to end (a window-model transport adds the
-//! `FlowReturn` of the consumption update, seven), with or without a
-//! fault plan.
+//! schedules the [`Delivery`] at its completion. Consumption is no event:
+//! [`Network::consumed`] settles it against the connection's ledger in the
+//! consuming process's own handler. With the `Send` command, a
+//! single-frame SocketVIA message costs five events end to end (a
+//! window-model transport adds the `FlowReturn` that consumption sends the
+//! sender, six), with or without a fault plan.
 //!
 //! `pump` is also the only place where a frame's future is decided on a
 //! connection with a compiled fault filter (a drop or delay filter, or a
@@ -39,18 +40,21 @@
 //! frame's wire-done instant + `detect`; a delayed one adds the same extra
 //! latency to every frame; a frame that would arrive at or after the
 //! connection's cut schedules no arrival, and the `ConnCut` at cut +
-//! `detect` fails its message.
+//! `detect` fails its message. The receive half learns of the cut too: at
+//! the cut instant its `RxCut` drops every message whose frames fell
+//! short, since the rest of them will never arrive.
 //!
 //! Engine state is owned per node by a [`NodeCore`] process: the core of a
 //! connection's source node owns the send side (flow-control window, send
 //! queue, stall accounting) and the destination node's core owns the
-//! receive side (frame reassembly, delivery, consumption tracking). All
-//! traffic between the two halves rides on delayed events — the
-//! switch/propagation hop towards the receiver and the `ack_latency` return
-//! path towards the sender — so no zero-delay event ever crosses a node
-//! boundary inside the engine. That property is what lets the sharded
-//! kernel (`hpsock_sim::shard`) place different nodes' cores on different
-//! worker threads with a positive lookahead on every cross-shard link.
+//! receive side (frame reassembly, delivery). All traffic between the two
+//! halves rides on delayed events — the switch/propagation hop towards the
+//! receiver and the `ack_latency` return path towards the sender, which
+//! the consumer's `FlowReturn` takes as well — so no zero-delay event ever
+//! crosses a node boundary inside the engine. That property is what lets
+//! the sharded kernel (`hpsock_sim::shard`) place different nodes' cores
+//! on different worker threads with a positive lookahead on every
+//! cross-shard link.
 //!
 //! A single [`NetSwitch`] placeholder process (installed first, before any
 //! application process) seals the connection [`Registry`] at start and
@@ -58,10 +62,10 @@
 //! application process, so application pids and their deterministic RNG
 //! streams are identical to what a monolithic engine produced.
 //!
-//! Application processes talk to the engine through [`Network`] (commands
-//! are zero-delay events to the owning core, which lives on the same node
-//! as the commanding endpoint) and receive [`Delivery`] messages when a
-//! whole application message has been reassembled at the receiver.
+//! Application processes talk to the engine through [`Network`] (a send is
+//! a zero-delay event to the owning core, which lives on the same node as
+//! the sending endpoint) and receive [`Delivery`] messages when a whole
+//! application message has been reassembled at the receiver.
 
 use crate::cluster::Topology;
 use crate::fault::{ConnFaults, FaultPlan, MsgFate};
@@ -75,8 +79,9 @@ use hpsock_sim::{
     SimTime,
 };
 use rand::rngs::SmallRng;
+use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A node in the simulated cluster.
@@ -110,11 +115,14 @@ pub struct NodeResources {
 }
 
 /// A fully reassembled application message handed to the destination
-/// process as its event payload.
+/// process as its event payload. The application consumes it, once, with
+/// [`Network::consumed`]; it may do so later than its handling of the
+/// delivery, from any process on the receiving node.
 pub struct Delivery {
     /// Connection it arrived on.
     pub conn: ConnId,
-    /// Engine-assigned message id; pass back via [`Network::consumed`].
+    /// Engine-assigned message id; pass it back, once, to
+    /// [`Network::consumed`].
     pub msg_id: u64,
     /// Application payload size in simulated bytes.
     pub bytes: u64,
@@ -204,17 +212,6 @@ pub enum NetCmd {
     },
 }
 
-/// The application consumed a delivered message: frees receive-side
-/// buffer space / returns descriptor credits. Its own type rather than a
-/// [`NetCmd`] variant, so it fits the kernel's inline payload buffer
-/// instead of taking a pooled slot sized for `Send`.
-struct Consumed {
-    /// Connection the message arrived on.
-    conn: ConnId,
-    /// The id from the corresponding [`Delivery`].
-    msg_id: u64,
-}
-
 /// Engine-internal frame/stage events. Frame length rides in the event so
 /// receive-side handlers never need the sender's per-message state. Every
 /// variant fits the kernel's inline payload buffer (checked below), so
@@ -224,17 +221,24 @@ enum Ev {
     /// A later frame (index ≥ 1) arriving at the receiver. Reassembly only
     /// counts frames, so the frame index does not travel.
     RxArrive { conn: ConnId, msg: u64, flen: u32 },
-    /// The receive protocol engine finished one frame; on the last frame
-    /// of a message the per-message receive work is booked and the
-    /// [`Delivery`] scheduled at its completion.
-    HostRxFrameDone { conn: ConnId, msg: u64, flen: u32 },
+    /// The receive protocol engine finished one frame; on the message's
+    /// `last` frame the per-message receive work is booked and the
+    /// [`Delivery`] scheduled at its completion. Whether the frame is the
+    /// last is known at its arrival, so a frame of a message that
+    /// [`Ev::RxCut`] dropped in the meantime only sends its reply.
+    HostRxFrameDone {
+        conn: ConnId,
+        msg: u64,
+        flen: u32,
+        last: bool,
+    },
     /// Window ack (window model): frees in-flight bytes at the sender.
     AckArrive { conn: ConnId, frame_bytes: u64 },
     /// The descriptor credit re-posted at a frame's arrival reached the
     /// sender (credits model).
     CreditArrive { conn: ConnId },
-    /// Consumption notification reached the sender (window model); the
-    /// sender re-pumps its queue.
+    /// Consumption notification reached the sender (window model), sent
+    /// by [`Network::consumed`]; the sender re-pumps its queue.
     FlowReturn { conn: ConnId },
     /// Loss-detection timer for a fault-doomed message fired at the
     /// sender: repair flow control for the charged frames and surface a
@@ -244,6 +248,9 @@ enum Ev {
     /// fail-stops: fail everything queued or in flight and mark the send
     /// half dead.
     ConnCut { conn: ConnId },
+    /// The connection's cut instant at the receive half: no frame arrives
+    /// at or after it, so every message still short of frames is dropped.
+    RxCut { conn: ConnId },
 }
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= hpsock_sim::payload::INLINE_BYTES);
@@ -303,6 +310,7 @@ struct MsgMeta {
 /// Receive-side reassembly state for one in-flight message.
 struct RxMsgState {
     meta: MsgMeta,
+    /// Frames that reached the receiving host, counted at arrival.
     frames_arrived: u32,
 }
 
@@ -339,7 +347,7 @@ struct TxConn {
 }
 
 impl TxConn {
-    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<&FaultPlan>, ctx: &Ctx<'_>) -> Self {
+    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<ConnFaults>, ctx: &Ctx<'_>) -> Self {
         TxConn {
             conn,
             costs: Arc::clone(&spec.costs),
@@ -348,12 +356,10 @@ impl TxConn {
             pending_meta: FxHashMap::default(),
             stats: ConnStats::default(),
             stall_since: None,
-            faults: faults
-                .and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0))
-                .map(|filters| TxFaults {
-                    filters,
-                    rng: ctx.keyed_rng(conn.0 as u64),
-                }),
+            faults: faults.map(|filters| TxFaults {
+                filters,
+                rng: ctx.keyed_rng(conn.0 as u64),
+            }),
             src_pid: spec.src.pid,
             dead: false,
             doomed: FxHashMap::default(),
@@ -367,26 +373,26 @@ struct RxConn {
     dst: Endpoint,
     costs: Arc<PathCosts>,
     msgs: FxHashMap<u64, RxMsgState>,
-    /// Ids of delivered, not yet consumed messages.
-    unconsumed: FxHashSet<u64>,
     stats: ConnStats,
-    /// Fail-stop time of this (destination) node, when the fault plan
-    /// crashes it. Under the flow model, deliveries reaching the node
-    /// afterwards are dropped; the packet model schedules no frame arrival
-    /// at or after the cut in the first place (see `NodeCore::pump`).
+    /// When this half stops receiving, if the fault plan crashes an
+    /// endpoint. Under the packet model it is the connection's cut (a
+    /// crash of either end, as compiled for the send half): `pump`
+    /// schedules no frame arrival at or after it, and [`Ev::RxCut`] drops
+    /// the messages that fell short there. Under the flow model it is the
+    /// destination's own crash: deliveries reaching the node afterwards are
+    /// dropped.
     cut_at: Option<SimTime>,
 }
 
 impl RxConn {
-    fn new(conn: ConnId, spec: &ConnSpec, faults: Option<&FaultPlan>) -> Self {
+    fn new(conn: ConnId, spec: &ConnSpec, cut_at: Option<SimTime>) -> Self {
         RxConn {
             conn,
             dst: spec.dst,
             costs: Arc::clone(&spec.costs),
             msgs: FxHashMap::default(),
-            unconsumed: FxHashSet::default(),
             stats: ConnStats::default(),
-            cut_at: faults.and_then(|p| p.crash_time(spec.dst.node.0)),
+            cut_at,
         }
     }
 }
@@ -415,6 +421,63 @@ pub(crate) struct Registry {
     pub(crate) topology: Topology,
 }
 
+/// A connection's consumption ledger: the ids of its delivered messages
+/// that the application has not consumed yet. The receive core inserts an
+/// id at delivery and [`Network::consumed`] takes it out in the consuming
+/// process's handler, so consumption dispatches no kernel event of its
+/// own. Both run on the receiving node's shard, so the lock is never
+/// contended; a spin flag is the cheapest lock that still keeps the
+/// ledger exact on any thread (DESIGN §8).
+pub(crate) struct Ledger {
+    /// Set while `ids` is borrowed.
+    busy: AtomicBool,
+    ids: UnsafeCell<FxHashSet<u64>>,
+    /// The delay after which consumption sends [`Ev::FlowReturn`] to the
+    /// send half: the transport's `ack_latency` on a packet-model window
+    /// connection, `None` on credits and under the flow model.
+    flow_return: Option<Dur>,
+}
+
+// SAFETY: `busy` is an atomic and `flow_return` is never written after
+// construction, so sharing them is sound. `ids` is only reached through
+// `Ledger::with`, which holds `busy` for the whole borrow, so at most one
+// thread touches the set at a time; `FxHashSet<u64>` is `Send`.
+unsafe impl Sync for Ledger {}
+
+impl Ledger {
+    fn new(flow_return: Option<Dur>) -> Self {
+        Ledger {
+            busy: AtomicBool::new(false),
+            ids: UnsafeCell::default(),
+            flow_return,
+        }
+    }
+
+    /// Run `f` on the id set with the flag held. `f` must not panic, or
+    /// the flag stays set. The `Release` store that clears the flag pairs
+    /// with the `Acquire` swap that sets it next, so each holder sees every
+    /// update of the one before.
+    fn with<R>(&self, f: impl FnOnce(&mut FxHashSet<u64>) -> R) -> R {
+        while self.busy.swap(true, Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        // SAFETY: the flag is held, so no other borrow of `ids` exists.
+        let r = f(unsafe { &mut *self.ids.get() });
+        self.busy.store(false, Ordering::Release);
+        r
+    }
+
+    /// Record a delivered message.
+    fn deliver(&self, msg: u64) {
+        self.with(|ids| ids.insert(msg));
+    }
+
+    /// Settle a consumption: true if `msg` was delivered and not consumed.
+    fn consume(&self, msg: u64) -> bool {
+        self.with(|ids| ids.remove(&msg))
+    }
+}
+
 /// Where each connection's halves live, fixed once the simulation starts.
 pub(crate) struct Route {
     /// Core owning the send half, per connection (the source node's core).
@@ -432,6 +495,10 @@ pub(crate) struct Route {
     /// synchronously without a lock; each connection has a single sending
     /// process, so the sequence stays deterministic under sharding.
     pub(crate) next_msg_id: Vec<AtomicU64>,
+    /// Consumption ledger per connection. Lives here (not in the receive
+    /// half) so [`Network::consumed`] can settle a consumption without an
+    /// event to the receive core.
+    pub(crate) ledger: Vec<Ledger>,
     /// Core process of each node.
     pub(crate) core_of_node: Vec<ProcessId>,
     /// The single [`FluidCore`] process under [`NetModel::Flow`]; `None`
@@ -508,13 +575,28 @@ impl Network {
         msg_id
     }
 
-    /// Report consumption of a delivered message (frees flow-control
-    /// resources at the sender after the transport's ack latency).
+    /// Report consumption of a delivered message, exactly once per
+    /// [`Delivery`]. It is settled here, in the caller's handler, against
+    /// the connection's ledger. On a packet-model window connection (kernel
+    /// TCP) it also sends the consumption update that reaches the sender
+    /// after the transport's ack latency; credits were re-posted when the
+    /// frames arrived, and the flow model has no flow control to update.
+    ///
+    /// # Panics
+    ///
+    /// If `msg_id` was not delivered on `conn` or was consumed already.
     pub fn consumed(&self, ctx: &mut Ctx<'_>, conn: ConnId, msg_id: u64) {
-        ctx.send(
-            self.route("consumed", Some(conn)).rx_core[conn.0],
-            Message::new(Consumed { conn, msg_id }),
+        let route = self.route("consumed", Some(conn));
+        let ledger = &route.ledger[conn.0];
+        assert!(
+            ledger.consume(msg_id),
+            "conn {} msg {msg_id}: consumed an unknown or already-consumed message",
+            conn.0
         );
+        if let Some(ack) = ledger.flow_return {
+            let update = Message::new(Ev::FlowReturn { conn });
+            ctx.send_in(ack, route.tx_core[conn.0], update);
+        }
     }
 
     /// The engine core process serving `node` (valid once the simulation
@@ -586,11 +668,16 @@ impl Process for NetSwitch {
         for (ci, spec) in reg.conns.iter().enumerate() {
             let conn = ConnId(ci);
             let (src, dst) = (spec.src.node.0, spec.dst.node.0);
+            let filters = faults.and_then(|p| p.compile(src, dst));
+            let rx_cut = match reg.model {
+                NetModel::Packet => filters.as_ref().and_then(|f| f.cut_at),
+                NetModel::Flow => faults.and_then(|p| p.crash_time(dst)),
+            };
             let slot = |len: usize| u32::try_from(len).expect("under 2^32 halves per node");
             tx_slot.push(slot(tx[src].len()));
-            tx[src].push(TxConn::new(conn, spec, faults, ctx));
+            tx[src].push(TxConn::new(conn, spec, filters, ctx));
             rx_slot.push(slot(rx[dst].len()));
-            rx[dst].push(RxConn::new(conn, spec, faults));
+            rx[dst].push(RxConn::new(conn, spec, rx_cut));
         }
         // Spawned cores start after every process added before the run, so
         // application pids (and with them RNG streams) are unaffected by
@@ -624,6 +711,10 @@ impl Process for NetSwitch {
             fluid_core.map_or(true, |f| core_of_node.iter().all(|c| c.0 < f.0)),
             "the fluid core must sort after every node core"
         );
+        // Only a packet-model window connection has a consumption update
+        // to send: credits are re-posted at frame arrival, and the flow
+        // model has no flow control.
+        let packet = reg.model == NetModel::Packet;
         let route = Route {
             tx_core: reg
                 .conns
@@ -638,6 +729,14 @@ impl Process for NetSwitch {
             tx_slot,
             rx_slot,
             next_msg_id: reg.conns.iter().map(|_| AtomicU64::new(0)).collect(),
+            ledger: reg
+                .conns
+                .iter()
+                .map(|s| {
+                    let window = matches!(s.costs.flow, FlowModel::Window { .. });
+                    Ledger::new((packet && window).then_some(s.costs.ack_latency))
+                })
+                .collect(),
             core_of_node,
             fluid_core,
         };
@@ -916,31 +1015,18 @@ impl NodeCore {
         self.pump(ctx, conn);
     }
 
-    fn on_consumed(&mut self, ctx: &mut Ctx<'_>, Consumed { conn, msg_id }: Consumed) {
-        let fluid = self.model == NetModel::Flow;
-        let c = self.rx_mut(conn);
-        assert!(
-            c.unconsumed.remove(&msg_id),
-            "consumed an unknown or already-consumed message"
-        );
-        // The fluid model has no per-frame flow control to repair:
-        // consumption is pure bookkeeping.
-        if fluid {
-            return;
-        }
-        // Credits were re-posted at frame arrival; only the window
-        // model sends a consumption update to the sender.
-        if let FlowModel::Window { .. } = c.costs.flow {
-            let ack = c.costs.ack_latency;
-            let tx_core = self.tx_core(conn);
-            ctx.send_in(ack, tx_core, Message::new(Ev::FlowReturn { conn }));
-        }
+    /// The consumption ledger of `conn`.
+    fn ledger(&self, conn: ConnId) -> &Ledger {
+        &self.routes("ledger lookup", conn).ledger[conn.0]
     }
 
-    /// Frame arrival at the receiving host: claim the receive protocol
-    /// engine for the per-frame service.
+    /// Frame arrival at the receiving host: count it, then claim the
+    /// receive protocol engine for the per-frame service.
     fn on_rx_frame(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: u64, flen: u32) {
         let c = self.rx_mut(conn);
+        let st = c.msgs.get_mut(&msg).expect("frame for unknown message");
+        st.frames_arrived += 1;
+        let last = st.frames_arrived == st.meta.frames;
         // The frame lands in one eager buffer (credits model) or one
         // segment (window model): the sender never exceeds the payload.
         debug_assert!(
@@ -953,7 +1039,12 @@ impl NodeCore {
         ctx.use_resource(
             self.res.host_rx,
             service,
-            Message::new(Ev::HostRxFrameDone { conn, msg, flen }),
+            Message::new(Ev::HostRxFrameDone {
+                conn,
+                msg,
+                flen,
+                last,
+            }),
         );
     }
 
@@ -979,18 +1070,20 @@ impl NodeCore {
     fn on_ev(&mut self, ctx: &mut Ctx<'_>, ev: Ev) {
         match ev {
             Ev::RxArrive { conn, msg, flen } => self.on_rx_frame(ctx, conn, msg, flen),
-            Ev::HostRxFrameDone { conn, msg, flen } => {
+            Ev::HostRxFrameDone {
+                conn,
+                msg,
+                flen,
+                last,
+            } => {
                 let host_rx = self.res.host_rx;
                 let c = self.rx_mut(conn);
-                let st = c.msgs.get_mut(&msg).expect("frame for unknown message");
-                st.frames_arrived += 1;
                 c.stats.rx_interrupts += 1;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.rx_interrupts".to_string(),
                     time: t,
                     delta: 1.0,
                 });
-                let last = st.frames_arrived == st.meta.frames;
                 let ack = c.costs.ack_latency;
                 let reply = match c.costs.flow {
                     // The sockets layer drains the eager buffer and
@@ -1008,13 +1101,18 @@ impl NodeCore {
                     // Per-message receive work, then delivery at its
                     // completion; the message counts as delivered (stats,
                     // latency, bandwidth gauge) as of that instant.
+                    self.ledger(conn).deliver(msg);
                     let c = self.rx_mut(conn);
                     let MsgMeta {
                         bytes,
                         sent_at,
                         payload,
                         ..
-                    } = c.msgs.remove(&msg).expect("state read above").meta;
+                    } = c
+                        .msgs
+                        .remove(&msg)
+                        .expect("a complete message outlives the cut")
+                        .meta;
                     let delivery = Delivery {
                         conn,
                         msg_id: msg,
@@ -1028,7 +1126,6 @@ impl NodeCore {
                         c.dst.pid,
                         Message::new(delivery),
                     );
-                    c.unconsumed.insert(msg);
                     c.stats.msgs_delivered += 1;
                     c.stats.bytes_delivered += bytes;
                     // Cumulative achieved bandwidth of this connection so
@@ -1128,6 +1225,14 @@ impl NodeCore {
                     );
                 }
             }
+            Ev::RxCut { conn } => {
+                // The rest of a short message's frames died at the cut;
+                // its sender reports it as `PeerDead`. A frame of it still
+                // in host_rx service only sends its reply.
+                self.rx_mut(conn)
+                    .msgs
+                    .retain(|_, st| st.frames_arrived == st.meta.frames);
+            }
         }
     }
 
@@ -1143,14 +1248,14 @@ impl NodeCore {
                 sent_at,
                 payload,
             } => {
-                let c = self.rx_mut(conn);
-                if c.cut_at.is_some_and(|t| ctx.now() >= t) {
+                if self.rx_mut(conn).cut_at.is_some_and(|t| ctx.now() >= t) {
                     // This node fail-stopped while the delivery was in its
                     // final hop: it falls on the floor, as arriving frames
                     // do under the packet model.
                     return;
                 }
-                c.unconsumed.insert(msg);
+                self.ledger(conn).deliver(msg);
+                let c = self.rx_mut(conn);
                 c.stats.msgs_delivered += 1;
                 c.stats.bytes_delivered += bytes;
                 let delivered = c.stats.bytes_delivered;
@@ -1214,10 +1319,11 @@ impl Process for NodeCore {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Crash-detection timers for connections an endpoint crash will
-        // cut: everything queued on them fails at crash + detect. Under
-        // the flow model the fluid core owns all in-flight state, so it
-        // fails crashed flows itself and these timers stay unscheduled.
+        // Crash timers for connections an endpoint crash will cut:
+        // everything queued on them fails at crash + detect, and partial
+        // reassemblies are dropped at the crash. Under the flow model the
+        // fluid core owns all in-flight state, so it fails crashed flows
+        // itself and these timers stay unscheduled.
         if self.model == NetModel::Flow {
             return;
         }
@@ -1228,6 +1334,12 @@ impl Process for NodeCore {
             };
             let at = Dur::nanos(cut_at.as_nanos()) + f.filters.detect;
             ctx.send_self_in(at, Message::new(Ev::ConnCut { conn: t.conn }));
+        }
+        for r in &self.rx {
+            if let Some(cut_at) = r.cut_at {
+                let at = Dur::nanos(cut_at.as_nanos());
+                ctx.send_self_in(at, Message::new(Ev::RxCut { conn: r.conn }));
+            }
         }
     }
 
@@ -1240,12 +1352,9 @@ impl Process for NodeCore {
                 Ok(first) => self.on_rx_first(ctx, first),
                 Err(other) => match other.downcast::<NetCmd>() {
                     Ok(cmd) => self.on_send(ctx, cmd),
-                    Err(other) => match other.downcast::<Consumed>() {
-                        Ok(cmd) => self.on_consumed(ctx, cmd),
-                        Err(other) => match other.downcast::<FluidEv>() {
-                            Ok(fev) => self.on_fluid(ctx, fev),
-                            Err(_) => panic!("net core received an unknown message type"),
-                        },
+                    Err(other) => match other.downcast::<FluidEv>() {
+                        Ok(fev) => self.on_fluid(ctx, fev),
+                        Err(_) => panic!("net core received an unknown message type"),
                     },
                 },
             },
@@ -1291,61 +1400,158 @@ mod tests {
         }
     }
 
+    /// One 1,024 B message from node 0 to a [`Drain`] on node 1 under the
+    /// packet model and fault spec `faults`: `(events dispatched, end ns)`.
+    fn single_frame_run(kind: TransportKind, faults: &str) -> (u64, u64) {
+        let run = || {
+            let mut sim = Sim::new(3);
+            let cluster = Cluster::build(&mut sim, 2);
+            let net = cluster.network();
+            let sender = sim.add_process(Box::new(OneShot {
+                net: net.clone(),
+                conns: vec![ConnId(0)],
+            }));
+            let drain = sim.add_process(Box::new(Drain { net: net.clone() }));
+            net.connect(
+                cluster.endpoint(NodeId(0), sender),
+                cluster.endpoint(NodeId(1), drain),
+                kind,
+            );
+            sim.run();
+            let core: &NodeCore = sim.process(net.core_of(NodeId(1))).unwrap();
+            let rx = core.rx_stats(ConnId(0)).unwrap();
+            assert_eq!((rx.msgs_delivered, rx.rx_interrupts), (1, 1), "{kind:?}");
+            (sim.events_dispatched(), sim.now().as_nanos())
+        };
+        crate::netmodel::with_netmodel(NetModel::Packet, || crate::fault::with_spec(faults, run))
+    }
+
     /// Kernel events one single-frame message costs under the packet
-    /// model, from the `Send` command to the `Consumed` reply: `Send`,
-    /// `RxFirst`, `HostRxFrameDone`, the credit or window-ack return, the
-    /// `Delivery` and `Consumed`, plus the window model's `FlowReturn`.
-    /// A fault plan (`drop=0` compiles a filter that never fires) costs
-    /// no event: fates are drawn when the frame is pumped. A stage hop
-    /// that comes back as its own event (a `HostTxDone` between host_tx
-    /// and the NIC, a `WireDone` when the frame leaves the NIC, or a
-    /// `MsgReady` between the last frame's receive work and the delivery)
-    /// fails this pin.
+    /// model, from the `Send` command to its consumption: `Send`,
+    /// `RxFirst`, `HostRxFrameDone`, the credit or window-ack return and
+    /// the `Delivery`, plus the `FlowReturn` that consumption sends on the
+    /// window model. Consumption itself dispatches nothing. A fault plan
+    /// (`drop=0` compiles a filter that never fires) costs no event: fates
+    /// are drawn when the frame is pumped. A stage hop that comes back as
+    /// its own event (a `HostTxDone` between host_tx and the NIC, a
+    /// `WireDone` when the frame leaves the NIC, a `MsgReady` between the
+    /// last frame's receive work and the delivery, or a `Consumed` hop to
+    /// the receive core) fails this pin.
     #[test]
     fn single_frame_message_event_counts_are_pinned() {
         for (faults, kind, events) in [
-            ("", TransportKind::SocketVia, 6),
-            ("", TransportKind::KTcp, 7),
-            ("drop=0", TransportKind::SocketVia, 6),
-            ("drop=0", TransportKind::KTcp, 7),
+            ("", TransportKind::SocketVia, 5),
+            ("", TransportKind::KTcp, 6),
+            ("drop=0", TransportKind::SocketVia, 5),
+            ("drop=0", TransportKind::KTcp, 6),
         ] {
-            let run = || {
-                let mut sim = Sim::new(3);
-                let cluster = Cluster::build(&mut sim, 2);
-                let net = cluster.network();
-                let sender = sim.add_process(Box::new(OneShot {
-                    net: net.clone(),
-                    conns: vec![ConnId(0)],
-                }));
-                let drain = sim.add_process(Box::new(Drain { net: net.clone() }));
-                net.connect(
-                    cluster.endpoint(NodeId(0), sender),
-                    cluster.endpoint(NodeId(1), drain),
-                    kind,
-                );
-                sim.run();
-                let core: &NodeCore = sim.process(net.core_of(NodeId(1))).unwrap();
-                let rx = core.rx_stats(ConnId(0)).unwrap();
-                assert_eq!((rx.msgs_delivered, rx.rx_interrupts), (1, 1), "{kind:?}");
-                assert_eq!(sim.events_dispatched(), events, "{faults:?} {kind:?}");
-            };
-            crate::netmodel::with_netmodel(NetModel::Packet, || {
-                crate::fault::with_spec(faults, run)
-            });
+            let (got, _) = single_frame_run(kind, faults);
+            assert_eq!(got, events, "{faults:?} {kind:?}");
         }
     }
 
-    /// An application answers each delivery it consumes with a `Consumed`
-    /// command, so the command travels in the event itself rather than in
-    /// a pooled slot.
+    /// On kernel TCP the run ends with the `FlowReturn` that consumption
+    /// sends, one `ack_latency` (20 us) after the delivery, which lands at
+    /// 68,205 ns and is consumed at once. The fig11 execution times are
+    /// the kernel's final time, so they hang on this instant (ROADMAP
+    /// item 7). SocketVIA sends no consumption update: its run ends at
+    /// 26,742 ns, after its delivery at 20,242 ns.
     #[test]
-    fn consumed_command_is_stored_inline() {
-        use hpsock_sim::payload::Storage;
-        let cmd = hpsock_sim::Payload::new(Consumed {
-            conn: ConnId(3),
-            msg_id: 7,
-        });
-        assert_eq!(cmd.storage(), Storage::Inline);
+    fn kernel_tcp_run_ends_with_the_consumers_flow_return() {
+        let ack = PathCosts::for_kind(TransportKind::KTcp).ack_latency;
+        assert_eq!(ack, Dur::micros(20));
+        assert_eq!(single_frame_run(TransportKind::KTcp, "").1, 88_205);
+        assert_eq!(single_frame_run(TransportKind::SocketVia, "").1, 26_742);
+    }
+
+    /// Consumes every delivery `times` times, then consumes message id
+    /// `stray` on the same connection, if given.
+    struct Misconsumer {
+        net: Network,
+        times: u32,
+        stray: Option<u64>,
+    }
+    impl Process for Misconsumer {
+        fn name(&self) -> String {
+            "misconsumer".to_string()
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let d = msg.downcast::<Delivery>().expect("deliveries only");
+            for _ in 0..self.times {
+                self.net.consumed(ctx, d.conn, d.msg_id);
+            }
+            if let Some(id) = self.stray {
+                self.net.consumed(ctx, d.conn, id);
+            }
+        }
+    }
+
+    /// One message on a `kind` connection under `model`, consumed by a
+    /// [`Misconsumer`]; a consumption that breaks the contract panics in
+    /// its handler, which `sim.run` propagates.
+    fn misconsume(model: NetModel, kind: TransportKind, times: u32, stray: Option<u64>) {
+        crate::netmodel::with_netmodel(model, || {
+            let mut sim = Sim::new(3);
+            let cluster = Cluster::build(&mut sim, 2);
+            let net = cluster.network();
+            let sender = sim.add_process(Box::new(OneShot {
+                net: net.clone(),
+                conns: vec![ConnId(0)],
+            }));
+            let sink = sim.add_process(Box::new(Misconsumer {
+                net: net.clone(),
+                times,
+                stray,
+            }));
+            net.connect(
+                cluster.endpoint(NodeId(0), sender),
+                cluster.endpoint(NodeId(1), sink),
+                kind,
+            );
+            sim.run();
+        })
+    }
+
+    /// Every transport and net model under the consumption contract.
+    const CONTRACT: [(NetModel, TransportKind); 3] = [
+        (NetModel::Packet, TransportKind::SocketVia),
+        (NetModel::Packet, TransportKind::KTcp),
+        (NetModel::Flow, TransportKind::SocketVia),
+    ];
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("the contract breach went unnoticed");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Consuming a delivered message twice panics, on every transport and
+    /// net model, in release builds too.
+    #[test]
+    fn consuming_twice_panics() {
+        for (model, kind) in CONTRACT {
+            let msg = panic_message(move || misconsume(model, kind, 2, None));
+            assert!(
+                msg.contains("conn 0 msg 0: consumed an unknown or already-consumed message"),
+                "{model:?} {kind:?}: {msg}"
+            );
+        }
+    }
+
+    /// Consuming a message id that was never delivered panics, on every
+    /// transport and net model, in release builds too.
+    #[test]
+    fn consuming_an_unknown_message_panics() {
+        for (model, kind) in CONTRACT {
+            let msg = panic_message(move || misconsume(model, kind, 1, Some(41)));
+            assert!(
+                msg.contains("conn 0 msg 41: consumed an unknown or already-consumed message"),
+                "{model:?} {kind:?}: {msg}"
+            );
+        }
     }
 
     /// `tx_stats`/`rx_stats` answer `Some` for exactly the connection
@@ -1574,7 +1780,8 @@ mod tests {
     /// never neither (DESIGN §12). Swept over both transports, drop-only,
     /// crash-only and drop + crash plans, a crash of either endpoint at
     /// instants that land before, inside and after the messages' frames,
-    /// and two detection latencies.
+    /// and two detection latencies. After the drain, the receive half
+    /// holds no partly received message: the cut dropped every one.
     #[test]
     fn every_message_gets_exactly_one_outcome() {
         const COUNT: u32 = 20;
@@ -1603,16 +1810,23 @@ mod tests {
                         kind,
                     );
                     sim.run();
+                    let core: &NodeCore = sim.process(net.core_of(NodeId(1))).unwrap();
+                    let partial = core.rx.iter().map(|r| r.msgs.len()).sum::<usize>();
                     let log = std::mem::take(&mut *log.lock().unwrap());
-                    log
+                    (log, partial)
                 })
             })
         };
         for seed in 0..4 {
             for kind in [TransportKind::SocketVia, TransportKind::KTcp] {
                 for plan in &plans {
+                    let (log, partial) = run(seed, kind, plan);
+                    assert_eq!(
+                        partial, 0,
+                        "seed {seed} {kind:?} {plan:?}: partial messages left at the receiver"
+                    );
                     let mut outcomes = vec![Vec::new(); COUNT as usize];
-                    for (_, msg, _, what) in run(seed, kind, plan) {
+                    for (_, msg, _, what) in log {
                         outcomes[msg as usize].push(what);
                     }
                     for (msg, got) in outcomes.iter().enumerate() {
