@@ -157,7 +157,6 @@ pub fn oneway_us(provider: &Provider, bytes: u64, iters: u32) -> f64 {
         cluster.endpoint(NodeId(1), ponger),
     );
     assert_eq!((fwd, rev), (ConnId(0), ConnId(1)));
-    cluster.apply_env_shards(&mut sim);
     sim.run();
     let p: &Pinger = sim.process(pinger).expect("pinger persists");
     if fault::configured_plan().is_none() {
@@ -252,7 +251,6 @@ pub fn streaming_mbps_probed(
         cluster.endpoint(NodeId(0), sender),
         cluster.endpoint(NodeId(1), sink),
     );
-    cluster.apply_env_shards(&mut sim);
     if let Some(p) = make_probe(&sim.resource_names()) {
         sim.attach_probe(p);
     }

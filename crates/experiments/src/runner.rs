@@ -3,7 +3,7 @@
 //! interleaved partial-update probes.
 
 use hpsock_net::{Cluster, TransportKind};
-use hpsock_sim::{Dur, Probe, Sim, SimTime};
+use hpsock_sim::{Dur, Probe, ProcessId, Sim, SimTime};
 use hpsock_vizserver::{
     complete_update, partial_update, BlockedImage, ComputeModel, PipelineCfg, Plan, QueryDesc,
     QueryDriver, QueryKind, VizPipeline,
@@ -106,6 +106,21 @@ pub fn run_guarantee_probed(
     run: &GuaranteeRun,
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (GuaranteeResult, RunCapture) {
+    let plan = guarantee_plan(run);
+    run_pipeline(run.kind, run.compute, plan, run.seed, make_probe, |d| {
+        let achieved = d.achieved_rate(QueryKind::Complete);
+        GuaranteeResult {
+            partial_us: d.mean_latency_us(QueryKind::Partial),
+            complete_us: d.mean_latency_us(QueryKind::Complete),
+            achieved_ups: achieved,
+            sustained: achieved.is_some_and(|r| r >= 0.95 * run.target_ups) && d.outstanding() == 0,
+        }
+    })
+}
+
+/// The open-loop query stream of a guarantee run: complete updates at
+/// the target rate, with the partial-update probes mid-period.
+pub(crate) fn guarantee_plan(run: &GuaranteeRun) -> Plan {
     let img = BlockedImage::paper_image(run.block_bytes);
     let period = Dur::from_secs_f64(1.0 / run.target_ups);
     let mut items: Vec<(SimTime, QueryDesc)> = (0..run.n_complete)
@@ -118,16 +133,7 @@ pub fn run_guarantee_probed(
             partial_update(&img, 1),
         ));
     }
-    let plan = Plan::OpenLoop(items);
-    run_pipeline(run.kind, run.compute, plan, run.seed, make_probe, |d| {
-        let achieved = d.achieved_rate(QueryKind::Complete);
-        GuaranteeResult {
-            partial_us: d.mean_latency_us(QueryKind::Partial),
-            complete_us: d.mean_latency_us(QueryKind::Complete),
-            achieved_ups: achieved,
-            sustained: achieved.is_some_and(|r| r >= 0.95 * run.target_ups) && d.outstanding() == 0,
-        }
-    })
+    Plan::OpenLoop(items)
 }
 
 /// Saturation throughput: submit `n` complete updates back-to-back and
@@ -175,11 +181,29 @@ fn no_probe(_: &[String]) -> Option<Box<dyn Probe>> {
     None
 }
 
-/// The one Figure 5 pipeline run every experiment here shares: three
-/// copies per stage on their own cluster, the paper's pipeline over
-/// `kind`, a query driver executing `plan` and the sharding plan. Runs it
-/// with the factory's probe attached (see [`RunCapture::run`]) and hands
-/// the finished driver to `read`.
+/// The one Figure 5 pipeline every experiment here shares, built and not
+/// yet run: three copies per stage on their own cluster, the paper's
+/// pipeline over `kind` and a query driver executing `plan`. Returns the
+/// simulation, its cluster and the driver's pid. The sequential kernel
+/// runs it unless a [`ShardPlan`](hpsock_sim::ShardPlan) is set first
+/// (see [`crate::sharding::pipeline_plan`]).
+pub(crate) fn build_pipeline(
+    kind: TransportKind,
+    compute: ComputeModel,
+    plan: Plan,
+    seed: u64,
+) -> (Sim, Cluster, ProcessId) {
+    let mut sim = Sim::new(seed);
+    let cluster = Cluster::build(&mut sim, VizPipeline::nodes_needed(3));
+    let cfg = PipelineCfg::paper(Provider::new(kind), compute);
+    let (driver_pid, targets) = QueryDriver::install(&mut sim, plan);
+    let pipe = VizPipeline::build(&mut sim, &cluster, &cfg, driver_pid);
+    *targets.lock().expect("targets") = pipe.repo_pids();
+    (sim, cluster, driver_pid)
+}
+
+/// Run the [`build_pipeline`] pipeline with the factory's probe attached
+/// (see [`RunCapture::run`]) and hand the finished driver to `read`.
 pub(crate) fn run_pipeline<R>(
     kind: TransportKind,
     compute: ComputeModel,
@@ -188,13 +212,7 @@ pub(crate) fn run_pipeline<R>(
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
     read: impl FnOnce(&QueryDriver) -> R,
 ) -> (R, RunCapture) {
-    let mut sim = Sim::new(seed);
-    let cluster = Cluster::build(&mut sim, VizPipeline::nodes_needed(3));
-    let cfg = PipelineCfg::paper(Provider::new(kind), compute);
-    let (driver_pid, targets) = QueryDriver::install(&mut sim, plan);
-    let pipe = VizPipeline::build(&mut sim, &cluster, &cfg, driver_pid);
-    *targets.lock().expect("targets") = pipe.repo_pids();
-    crate::sharding::apply_pipeline_plan(&mut sim, &cluster, driver_pid, 3);
+    let (mut sim, _cluster, driver_pid) = build_pipeline(kind, compute, plan, seed);
     let cap = RunCapture::run(&mut sim, make_probe);
     (read(sim.process(driver_pid).expect("driver persists")), cap)
 }

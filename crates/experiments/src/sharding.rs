@@ -1,6 +1,8 @@
-//! `HPSOCK_SHARDS` plumbing for the figure experiments: a topology-aware
-//! partition of the Figure 5 visualization pipeline onto the sharded
-//! kernel (`hpsock_sim::shard`).
+//! A topology-aware partition of the Figure 5 visualization pipeline onto
+//! the sharded kernel (`hpsock_sim::shard`). The figures themselves run
+//! sequentially (the sweep already fills the cores with points); the plan
+//! is what the kernel's differential tests and benchmarks install with
+//! `Sim::set_shard_plan`.
 //!
 //! The pipeline has two kinds of inter-process edges:
 //!
@@ -15,7 +17,7 @@
 //! node on shard 0, and splits the `2c` stage nodes (clip + subsample)
 //! contiguously over the remaining shards. With the paper's `c = 3`
 //! copies that supports up to `1 + 2c = 7` useful shards; larger requests
-//! are clamped with a warning.
+//! are clamped.
 //!
 //! The kernel derives *ragged per-pair windows* from the plan's per-link
 //! lookahead matrix (`W(d) = min_s next(s) + reach(s, d)`, see
@@ -25,7 +27,6 @@
 //! tightest link.
 
 use hpsock_net::Cluster;
-use hpsock_sim::shard::{clamp_shards, configured_shards};
 use hpsock_sim::{ProcessId, ShardPlan, Sim};
 
 /// Node-to-shard assignment for a [`hpsock_vizserver::VizPipeline`]
@@ -33,11 +34,7 @@ use hpsock_sim::{ProcessId, ShardPlan, Sim};
 /// nodes and the viz node on shard 0, stage nodes contiguous over shards
 /// `1..shards`. Returns `None` when `shards <= 1` (sequential kernel).
 pub fn pipeline_node_map(copies: usize, shards: usize) -> Option<Vec<usize>> {
-    let shards = clamp_shards(
-        shards,
-        1 + 2 * copies,
-        &format!("the {copies}-copy pipeline partition"),
-    );
+    let shards = shards.min(1 + 2 * copies);
     if shards <= 1 {
         return None;
     }
@@ -66,17 +63,111 @@ pub fn pipeline_plan(
     Some(cluster.shard_plan(shards, map, vec![(driver, 0)]))
 }
 
-/// Install the `HPSOCK_SHARDS`-selected pipeline partition on `sim`; a
-/// no-op when the variable is unset or `1`.
-pub fn apply_pipeline_plan(sim: &mut Sim, cluster: &Cluster, driver: ProcessId, copies: usize) {
-    if let Some(plan) = pipeline_plan(cluster, driver, copies, configured_shards()) {
-        sim.set_shard_plan(plan);
-    }
+/// A no-op, kept so existing callers still build: pipeline runs are
+/// sequential unless a caller sets a [`pipeline_plan`] explicitly with
+/// `Sim::set_shard_plan`.
+pub fn apply_pipeline_plan(_sim: &mut Sim, _cluster: &Cluster, _driver: ProcessId, _copies: usize) {
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{
+        build_pipeline, guarantee_plan, run_guarantee_traced, GuaranteeRun, FIG7_SEED, FIG9_SEED,
+    };
+    use hpsock_net::{fault, with_netmodel, NetModel, TransportKind};
+    use hpsock_sim::SimTime;
+    use hpsock_vizserver::{query_mix, BlockedImage, ComputeModel, Plan, QueryDriver};
+
+    /// What two runs of one pipeline must agree on: every query result,
+    /// the trace digest, the end time and the dispatched event count.
+    type Outcome = (String, u64, SimTime, u64);
+
+    /// Build the figures' pipeline, partition it over `shards` workers
+    /// with [`pipeline_plan`] (none at 1) and run it.
+    fn pipeline_run(shards: usize, kind: TransportKind, plan: Plan, seed: u64) -> Outcome {
+        let (mut sim, cluster, driver) = build_pipeline(kind, ComputeModel::None, plan, seed);
+        let shard_plan = pipeline_plan(&cluster, driver, 3, shards);
+        assert_eq!(shard_plan.as_ref().map_or(1, |p| p.shards), shards);
+        if let Some(p) = shard_plan {
+            sim.set_shard_plan(p);
+        }
+        let end = sim.run();
+        let d: &QueryDriver = sim.process(driver).expect("driver persists");
+        let results = format!("{:?}", d.results);
+        (results, sim.trace_digest(), end, sim.events_dispatched())
+    }
+
+    /// Run `f` at 1, 2 and 4 shards and require the sharded runs to
+    /// replay the sequential one exactly; returns the sequential outcome.
+    fn assert_shard_count_invariant(f: impl Fn(usize) -> Outcome) -> Outcome {
+        let seq = f(1);
+        for shards in [2, 4] {
+            assert_eq!(f(shards), seq, "{shards} shards diverged from sequential");
+        }
+        seq
+    }
+
+    fn fig7_run() -> GuaranteeRun {
+        GuaranteeRun {
+            kind: TransportKind::SocketVia,
+            block_bytes: 65_536,
+            compute: ComputeModel::None,
+            target_ups: 2.0,
+            n_complete: 5,
+            n_partial: 3,
+            seed: FIG7_SEED,
+        }
+    }
+
+    fn fig9_plan() -> Plan {
+        let img = BlockedImage::paper_image(crate::fig9::IMAGE_BYTES / 8);
+        Plan::ClosedLoop(query_mix(&img, 0.5, 6))
+    }
+
+    #[test]
+    fn fig7_guarantee_run_is_shard_count_invariant() {
+        let run = fig7_run();
+        let seq = assert_shard_count_invariant(|shards| {
+            pipeline_run(shards, run.kind, guarantee_plan(&run), run.seed)
+        });
+        // The builder is the figure's own: its sequential run is fig7's.
+        let (_, cap) = run_guarantee_traced(&run, None);
+        assert_eq!((seq.1, seq.2), (cap.digest, cap.end));
+    }
+
+    #[test]
+    fn fig9_mixed_stream_is_shard_count_invariant() {
+        assert_shard_count_invariant(|shards| {
+            pipeline_run(shards, TransportKind::KTcp, fig9_plan(), FIG9_SEED)
+        });
+    }
+
+    #[test]
+    fn flow_model_fig7_and_fig9_are_shard_count_invariant() {
+        let run = fig7_run();
+        with_netmodel(NetModel::Flow, || {
+            assert_shard_count_invariant(|shards| {
+                pipeline_run(shards, run.kind, guarantee_plan(&run), run.seed)
+            });
+            assert_shard_count_invariant(|shards| {
+                pipeline_run(shards, TransportKind::KTcp, fig9_plan(), FIG9_SEED)
+            });
+        });
+    }
+
+    /// A seeded fault plan (1% drop on every link, with DataCutter
+    /// retries) replays the same faults at every shard count: fault fates
+    /// draw from per-connection streams, never from which worker ran.
+    #[test]
+    fn seeded_fault_run_is_shard_count_invariant() {
+        let run = fig7_run();
+        let fig7 = |shards| pipeline_run(shards, run.kind, guarantee_plan(&run), run.seed);
+        let faulted = fault::with_spec("drop=0.01,detect=100us,backoff=100us", || {
+            assert_shard_count_invariant(fig7)
+        });
+        assert_ne!(faulted.1, fig7(1).1, "the plan dropped frames");
+    }
 
     #[test]
     fn sequential_requests_build_no_plan() {

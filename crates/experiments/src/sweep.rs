@@ -8,20 +8,16 @@ use hpsock_sim::knob::{self, Knob};
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
-/// `HPSOCK_THREADS`: sweep worker threads. The default is the machine's
-/// available parallelism divided by the shard count — every sweep point
-/// spawns that many kernel worker threads of its own, so the product,
-/// not the sweep width, is what should match the core count. An explicit
-/// value is taken literally. Worker count never affects results, only
-/// wall time.
+/// `HPSOCK_THREADS`: sweep worker threads (default: the machine's
+/// available parallelism). Worker count never affects results, only wall
+/// time.
 pub static THREADS: Knob<usize> = Knob::new(
     "HPSOCK_THREADS",
     |raw| knob::parse_count("HPSOCK_THREADS", "unset it to use all cores", raw),
     || {
-        let cores = std::thread::available_parallelism()
+        std::thread::available_parallelism()
             .map(NonZeroUsize::get)
-            .unwrap_or(4);
-        (cores / hpsock_sim::shard::configured_shards()).max(1)
+            .unwrap_or(4)
     },
 );
 
@@ -234,7 +230,7 @@ mod tests {
     #[test]
     fn every_knob_override_propagates_to_pool_workers() {
         use hpsock_net::{fault, netmodel, FaultPlan, NetModel};
-        use hpsock_sim::{shard, telemetry};
+        use hpsock_sim::telemetry;
         use std::path::PathBuf;
         struct Case {
             scope: fn(&mut dyn FnMut()),
@@ -242,11 +238,6 @@ mod tests {
             want: &'static str,
         }
         let cases = [
-            Case {
-                scope: |f| shard::SHARDS.with(3, f),
-                read: || shard::SHARDS.get().to_string(),
-                want: "3",
-            },
             Case {
                 scope: |f| telemetry::TELEMETRY.with(Some("tel-sweep-scope".into()), f),
                 read: || format!("{:?}", telemetry::TELEMETRY.get()),

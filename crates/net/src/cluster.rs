@@ -448,23 +448,6 @@ impl Cluster {
         let node_to_shard = (0..n).map(|i| rack_to_shard[i / per_rack]).collect();
         self.shard_plan(shards, node_to_shard, vec![])
     }
-
-    /// Install the `HPSOCK_SHARDS`-selected even node split on `sim`
-    /// (clamped to the node count, with a warning when reduced). A no-op
-    /// when the variable is unset or `1`. Same caveat as
-    /// [`Cluster::even_shard_plan`]: call only on topologies whose
-    /// cross-node traffic is all connection-borne.
-    pub fn apply_env_shards(&self, sim: &mut Sim) {
-        let requested = hpsock_sim::shard::configured_shards();
-        if requested <= 1 {
-            return;
-        }
-        let n = self.nodes.len();
-        let shards = hpsock_sim::shard::clamp_shards(requested, n, &format!("a {n}-node cluster"));
-        if shards > 1 {
-            sim.set_shard_plan(self.even_shard_plan(shards));
-        }
-    }
 }
 
 /// Kernel-event weight of a connection's receive half and send half in
@@ -696,10 +679,11 @@ mod tests {
     }
 
     /// A node-partitioned sharded run of a streaming transfer reproduces
-    /// the sequential digest, byte counts and timings exactly.
+    /// the sequential digest, byte counts and timings exactly, over every
+    /// transport of the paper's 2-node Figure 4.
     #[test]
     fn sharded_cluster_run_matches_sequential() {
-        let run = |shards: usize| {
+        let run = |kind: TransportKind, shards: usize| {
             let mut sim = hpsock_sim::Sim::new(7);
             let cluster = Cluster::build(&mut sim, 2);
             let net = cluster.network();
@@ -719,7 +703,7 @@ mod tests {
             net.connect(
                 cluster.endpoint(NodeId(0), blaster),
                 cluster.endpoint(NodeId(1), sink),
-                TransportKind::SocketVia,
+                kind,
             );
             if shards > 1 {
                 sim.set_shard_plan(cluster.shard_plan(2, vec![0, 1], vec![]));
@@ -734,7 +718,9 @@ mod tests {
                 s.last_delivery.as_nanos(),
             )
         };
-        assert_eq!(run(2), run(1));
+        for kind in TransportKind::PAPER_SET {
+            assert_eq!(run(kind, 2), run(kind, 1), "{kind:?}");
+        }
     }
 
     /// A rack-partitioned sharded run (whole racks per shard) reproduces

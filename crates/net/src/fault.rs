@@ -8,9 +8,9 @@
 //! seeded stream: under the packet model the connection's own, keyed by
 //! (sim seed, connection id), and under the flow model the fluid core's.
 //! A faulted run is therefore digest-reproducible across invocations and
-//! across `HPSOCK_SHARDS` partitions (the streams are shard-invariant,
-//! and fault delays only ever *add* latency, preserving the
-//! conservative-window lookahead).
+//! across shard plans (the streams are shard-invariant, and fault delays
+//! only ever *add* latency, preserving the conservative-window
+//! lookahead).
 //!
 //! Plans come from the [`FAULTS`] knob: the strictly parsed
 //! `HPSOCK_FAULTS` environment variable (parse errors name the

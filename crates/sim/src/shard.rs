@@ -61,7 +61,6 @@
 
 use crate::event::EventQueue;
 use crate::kernel::{Core, Ctx, Message, Process, ProcessId, Sim};
-use crate::knob::{self, Knob};
 use crate::resource::ResourceId;
 use crate::time::SimTime;
 use crate::trace::{Bucket, TraceDigest};
@@ -88,42 +87,6 @@ pub struct ShardPlan {
     pub lookahead: Arc<Vec<Vec<u64>>>,
     /// Names the physical link behind `lookahead[a][b]` for error messages.
     pub describe_link: Arc<dyn Fn(usize, usize) -> String + Send + Sync>,
-}
-
-/// `HPSOCK_SHARDS`: worker threads inside each simulation (default 1,
-/// the sequential kernel).
-pub static SHARDS: Knob<usize> = Knob::new(
-    "HPSOCK_SHARDS",
-    |raw| knob::parse_count("HPSOCK_SHARDS", "unset it for the sequential kernel", raw),
-    || 1,
-);
-
-/// Run `f` with [`configured_shards`] returning `count` on this thread
-/// (see [`Knob::with`]).
-pub fn with_shard_count<T>(count: usize, f: impl FnOnce() -> T) -> T {
-    SHARDS.with(count, f)
-}
-
-/// The shard count: a [`with_shard_count`] scope, else `HPSOCK_SHARDS`,
-/// else 1.
-pub fn configured_shards() -> usize {
-    SHARDS.get()
-}
-
-/// Clamp a requested shard count to what a topology can use, warning on
-/// stderr when the request is reduced. `what` names the topology in the
-/// warning (e.g. "the 2-node microbenchmark cluster").
-pub fn clamp_shards(requested: usize, max: usize, what: &str) -> usize {
-    let max = max.max(1);
-    if requested > max {
-        eprintln!(
-            "warning: HPSOCK_SHARDS={requested} exceeds the {max} usable shard(s) of {what}; \
-             clamping to {max}"
-        );
-        max
-    } else {
-        requested
-    }
 }
 
 /// How many rounds between digest deposits (and worker-0 cutoff merges).
@@ -804,47 +767,6 @@ fn merge_held(sink: &mut Sink, cutoff: u64) {
 mod tests {
     use super::*;
     use crate::time::Dur;
-
-    #[test]
-    fn shard_count_parsing_is_strict() {
-        assert_eq!(SHARDS.resolve("1"), Ok(1));
-        assert_eq!(SHARDS.resolve(" 4 "), Ok(4));
-        assert_eq!(
-            SHARDS.resolve("0"),
-            Err("HPSOCK_SHARDS must be >= 1, got 0 (unset it for the sequential kernel)".into())
-        );
-        assert_eq!(
-            SHARDS.resolve("-2"),
-            Err("HPSOCK_SHARDS must be a positive integer, got \"-2\"".into())
-        );
-        assert_eq!(
-            SHARDS.resolve("both"),
-            Err("HPSOCK_SHARDS must be a positive integer, got \"both\"".into())
-        );
-        assert_eq!(
-            SHARDS.resolve(""),
-            Err("HPSOCK_SHARDS must be a positive integer, got \"\"".into())
-        );
-    }
-
-    #[test]
-    fn with_shard_count_overrides_and_restores() {
-        // Nesting and unwind restore are the knob's (`knob::tests`); this
-        // checks the public pair reads and writes the same knob.
-        assert_eq!(with_shard_count(3, configured_shards), 3);
-        assert_eq!(with_shard_count(2, || SHARDS.get()), 2);
-        assert_eq!(SHARDS.with(4, configured_shards), 4);
-    }
-
-    #[test]
-    fn shard_count_clamps_to_topology_capacity() {
-        assert_eq!(clamp_shards(4, 2, "a 2-node cluster"), 2);
-        assert_eq!(clamp_shards(2, 2, "a 2-node cluster"), 2);
-        assert_eq!(clamp_shards(1, 7, "the pipeline"), 1);
-        // A degenerate topology (no usable split) still yields a runnable
-        // count of one rather than zero.
-        assert_eq!(clamp_shards(3, 0, "an empty cluster"), 1);
-    }
 
     #[test]
     fn reach_closure_covers_multi_hop_chains_and_cycles() {

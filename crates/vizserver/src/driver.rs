@@ -37,7 +37,7 @@ pub struct RunCapture {
     /// Server count per resource, same indexing.
     pub servers: Vec<usize>,
     /// The run's event-trace digest — the determinism tests' witness that
-    /// two runs (e.g. sequential vs `HPSOCK_SHARDS=n`) dispatched the
+    /// two runs (e.g. sequential vs under a shard plan) dispatched the
     /// same events in the same order.
     pub digest: u64,
 }

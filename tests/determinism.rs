@@ -227,79 +227,114 @@ fn microbench_results_are_deterministic() {
     assert_eq!(bw1.to_bits(), bw2.to_bits());
 }
 
-// ---------------------------------------------------------------------
-// Sharded-kernel determinism: `HPSOCK_SHARDS=2` and `=4` must produce
-// trace digests and rendered tables byte-identical to the sequential
-// run for the figure smoke configurations. Any divergence in event
-// order, float accumulation order, or RNG stream shows up here.
-// The count is injected with `with_shard_count` — a scoped thread-local
-// override of `HPSOCK_SHARDS` — never `std::env::set_var`, which is
-// undefined behaviour on glibc while sibling tests on other threads call
-// `getenv`, and which would leak the setting to concurrent tests.
-
-/// Run `f` once per shard count in `counts`, returning the outputs in
-/// order.
-fn per_shard_count<T>(counts: &[usize], mut f: impl FnMut() -> T) -> Vec<T> {
-    counts
-        .iter()
-        .map(|&n| hpsock_sim::shard::with_shard_count(n, &mut f))
-        .collect()
-}
-
+/// The fig4 micro-benchmarks run a sequential 2-node cluster. Its
+/// ping-pong, rebuilt here on the public API with the node split installed
+/// as an explicit plan, replays the sequential run on 2 shards for every
+/// fig4 transport, and the sequential run reproduces the fig4 latency
+/// table's value bit for bit. (The streaming half is
+/// `cluster::tests::sharded_cluster_run_matches_sequential`.)
 #[test]
 fn fig4_tables_are_shard_count_invariant() {
-    use hpsock_experiments::fig4;
-    // The micro-benchmarks run 2-node sims, so 4 requested shards also
-    // exercise the clamp path (down to 2) on the way.
-    let runs = per_shard_count(&[1, 2, 4], || {
-        format!(
-            "{}\n{}",
-            fig4::latency_table(4),
-            fig4::bandwidth_table(1 << 20)
-        )
-    });
-    assert_eq!(runs[0], runs[1], "2 shards must render identical tables");
-    assert_eq!(runs[0], runs[2], "4 shards must render identical tables");
-}
+    use hpsock_net::{ConnId, Delivery, Network, NodeId};
+    use hpsock_sim::{Ctx, Message, Process, SimTime};
+    use socketvia::microbench;
 
-#[test]
-fn fig7_guarantee_run_is_shard_count_invariant() {
-    use hpsock_experiments::runner::{run_guarantee_traced, GuaranteeRun, FIG7_SEED};
-    let run = GuaranteeRun {
-        kind: TransportKind::SocketVia,
-        block_bytes: 65_536,
-        compute: ComputeModel::None,
-        target_ups: 2.0,
-        n_complete: 5,
-        n_partial: 3,
-        seed: FIG7_SEED,
-    };
-    let runs = per_shard_count(&[1, 2, 4], || {
-        let (result, cap) = run_guarantee_traced(&run, None);
-        (format!("{result:?}"), cap.digest, cap.end)
-    });
-    assert_eq!(runs[0], runs[1], "2 shards: digest and result identical");
-    assert_eq!(runs[0], runs[2], "4 shards: digest and result identical");
-}
+    const WARMUP: u32 = 4;
+    struct Pinger {
+        net: Network,
+        bytes: u64,
+        remaining: u32,
+        warmup: u32,
+        rtt_us_sum: f64,
+        rtt_count: u32,
+        sent_at: SimTime,
+    }
+    impl Process for Pinger {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.sent_at = ctx.now();
+            self.net.send(ctx, ConnId(0), self.bytes, Message::new(()));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let d = msg
+                .downcast::<Delivery>()
+                .expect("pinger expects deliveries");
+            self.net.consumed(ctx, d.conn, d.msg_id);
+            let rtt = ctx.now().since(self.sent_at).as_micros_f64();
+            if self.warmup > 0 {
+                self.warmup -= 1;
+            } else {
+                self.rtt_us_sum += rtt;
+                self.rtt_count += 1;
+            }
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                self.sent_at = ctx.now();
+                self.net.send(ctx, ConnId(0), self.bytes, Message::new(()));
+            }
+        }
+    }
+    struct Ponger {
+        net: Network,
+    }
+    impl Process for Ponger {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+            let d = msg
+                .downcast::<Delivery>()
+                .expect("ponger expects deliveries");
+            self.net.consumed(ctx, d.conn, d.msg_id);
+            self.net.send(ctx, ConnId(1), d.bytes, Message::new(()));
+        }
+    }
 
-#[test]
-fn fig9_mixed_stream_is_shard_count_invariant() {
-    use hpsock_experiments::fig9;
-    use hpsock_experiments::runner::FIG9_SEED;
-    let runs = per_shard_count(&[1, 2, 4], || {
-        let (ms, cap) = fig9::mean_response_probed(
-            TransportKind::KTcp,
-            ComputeModel::None,
-            8,
-            0.5,
-            6,
-            FIG9_SEED,
-            |_| None,
+    let (bytes, iters) = (4_096, 6);
+    let run = |provider: &Provider, shards: usize| {
+        // `microbench::oneway_us`'s seed, so the sequential run is its run.
+        let mut sim = Sim::new(0xBEEF);
+        let cluster = Cluster::build(&mut sim, 2);
+        let net = cluster.network();
+        let pinger = sim.add_process(Box::new(Pinger {
+            net: net.clone(),
+            bytes,
+            remaining: iters + WARMUP - 1,
+            warmup: WARMUP,
+            rtt_us_sum: 0.0,
+            rtt_count: 0,
+            sent_at: SimTime::ZERO,
+        }));
+        let ponger = sim.add_process(Box::new(Ponger { net: net.clone() }));
+        provider.duplex(
+            &net,
+            cluster.endpoint(NodeId(0), pinger),
+            cluster.endpoint(NodeId(1), ponger),
         );
-        (ms.to_bits(), cap.digest, cap.end)
-    });
-    assert_eq!(runs[0], runs[1], "2 shards: digest and response identical");
-    assert_eq!(runs[0], runs[2], "4 shards: digest and response identical");
+        if shards > 1 {
+            sim.set_shard_plan(cluster.shard_plan(shards, vec![0, 1], vec![]));
+        }
+        let end = sim.run();
+        let p: &Pinger = sim.process(pinger).unwrap();
+        assert_eq!(p.rtt_count, iters, "all measured iterations completed");
+        let oneway_us = p.rtt_us_sum / (2.0 * p.rtt_count as f64);
+        (
+            oneway_us.to_bits(),
+            end.as_nanos(),
+            sim.trace_digest(),
+            sim.events_dispatched(),
+        )
+    };
+    for kind in TransportKind::PAPER_SET {
+        let provider = Provider::new(kind);
+        let seq = run(&provider, 1);
+        assert_eq!(
+            seq.0,
+            microbench::oneway_us(&provider, bytes, iters).to_bits(),
+            "{kind:?}: the rebuilt ping-pong is the fig4 latency run"
+        );
+        assert_eq!(
+            run(&provider, 2),
+            seq,
+            "{kind:?}: 2 shards replay sequential"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -307,7 +342,11 @@ fn fig9_mixed_stream_is_shard_count_invariant() {
 // wire events with fluid fair-share completions, but the digest contract
 // is unchanged — same seed, same trace, and sharded execution replays
 // the sequential run bit for bit. The model is injected with
-// `with_netmodel` (scoped thread-local, like `with_shard_count`).
+// `with_netmodel` (a scoped thread-local override), never
+// `std::env::set_var`, which is undefined behaviour on glibc while
+// sibling tests on other threads call `getenv`. The figure pipeline's
+// shard-count invariance is tested next to its partition
+// (`sharding::tests`), through the builder the figures run.
 
 /// The big rack topology under the fluid model is reproducible and
 /// shard-count invariant, on both the default SocketVIA workload and the
@@ -328,46 +367,21 @@ fn flow_model_big_topology_is_shard_count_invariant() {
     });
 }
 
-/// The fig9 mixed query stream under the fluid model: digest and
-/// measured response are shard-count invariant, like the packet run.
-#[test]
-fn flow_model_fig9_is_shard_count_invariant() {
-    use hpsock_experiments::fig9;
-    use hpsock_experiments::runner::FIG9_SEED;
-    use hpsock_net::{with_netmodel, NetModel};
-    let runs = with_netmodel(NetModel::Flow, || {
-        per_shard_count(&[1, 2, 4], || {
-            let (ms, cap) = fig9::mean_response_probed(
-                TransportKind::KTcp,
-                ComputeModel::None,
-                8,
-                0.5,
-                6,
-                FIG9_SEED,
-                |_| None,
-            );
-            (ms.to_bits(), cap.digest, cap.end)
-        })
-    });
-    assert_eq!(runs[0], runs[1], "2 shards: fluid digest identical");
-    assert_eq!(runs[0], runs[2], "4 shards: fluid digest identical");
-}
-
 // ---------------------------------------------------------------------
 // Telemetry neutrality: `HPSOCK_TELEMETRY` measures wall-clock behaviour
 // but must never touch simulated behaviour — digests, dispatch counts
 // and rendered tables are byte-identical with telemetry on and off, for
 // sequential and sharded runs alike. The directory is injected with
-// `with_telemetry_dir` (scoped thread-local, like `with_shard_count`).
+// `with_telemetry_dir` (scoped thread-local, like `with_netmodel`).
 
 // ---------------------------------------------------------------------
 // Fault-layer neutrality and reproducibility: installing the
 // `net::fault` layer without an active plan must leave every figure
 // byte-identical (the fault hooks sit on the delivery path of every
 // transport), and an *active* seeded plan must itself be deterministic —
-// same digest across invocations and across shard counts, because fault
-// decisions draw from the sim's seeded RNG at the faulting endpoint,
-// never from ambient entropy.
+// same digest across invocations, because fault decisions draw from
+// seeded per-connection streams, never from ambient entropy. (Across
+// shard counts: `sharding::tests::seeded_fault_run_is_shard_count_invariant`.)
 
 /// An inactive fault plan (empty spec and an explicit `None` override)
 /// renders fig4 tables and the fig7 guarantee digest byte-identical to
@@ -411,10 +425,9 @@ fn inactive_fault_plan_is_digest_and_table_neutral() {
 
 /// A seeded fault run (1% drop on every link) is reproducible: the same
 /// seed yields the same trace digest and recovery counters on every
-/// invocation, and sharded execution (`HPSOCK_SHARDS=2`) replays the
-/// exact same faults as the sequential run.
+/// invocation.
 #[test]
-fn seeded_fault_run_is_reproducible_and_shard_count_invariant() {
+fn seeded_fault_run_is_reproducible() {
     use hpsock_experiments::fig_faults;
     use hpsock_experiments::runner::FIG_FAULTS_SEED;
 
@@ -425,9 +438,6 @@ fn seeded_fault_run_is_reproducible_and_shard_count_invariant() {
     };
     let first = observe();
     assert_eq!(first, observe(), "same seed, same faults, same recovery");
-    let sharded = per_shard_count(&[1, 2], observe);
-    assert_eq!(first, sharded[0], "shard scope (1) left the run unchanged");
-    assert_eq!(first, sharded[1], "2 shards replayed the same faults");
     assert!(
         first.contains("digest"),
         "outcome debug form carries the trace digest: {first}"
@@ -436,8 +446,8 @@ fn seeded_fault_run_is_reproducible_and_shard_count_invariant() {
 
 #[test]
 fn telemetry_is_digest_and_table_neutral() {
-    use hpsock_experiments::fig4;
     use hpsock_experiments::runner::{run_guarantee_traced, GuaranteeRun, FIG7_SEED};
+    use hpsock_experiments::{bigtopo, fig4};
     use hpsock_sim::telemetry::with_telemetry_dir;
 
     let dir = std::env::temp_dir().join(format!("hpsock_det_tel_{}", std::process::id()));
@@ -453,15 +463,14 @@ fn telemetry_is_digest_and_table_neutral() {
         seed: FIG7_SEED,
     };
     let observe = || {
-        per_shard_count(&[1, 2], || {
-            let (result, cap) = run_guarantee_traced(&run, None);
-            let tables = format!(
-                "{}\n{}",
-                fig4::latency_table(3),
-                fig4::bandwidth_table(1 << 18)
-            );
-            (format!("{result:?}"), cap.digest, cap.end, tables)
-        })
+        let (result, cap) = run_guarantee_traced(&run, None);
+        let tables = format!(
+            "{}\n{}",
+            fig4::latency_table(3),
+            fig4::bandwidth_table(1 << 18)
+        );
+        let sharded = bigtopo::run_big(2, 3);
+        (format!("{result:?}"), cap.digest, cap.end, tables, sharded)
     };
     let bare = observe();
     let telemetered = with_telemetry_dir(Some(&dir), observe);
@@ -470,7 +479,8 @@ fn telemetry_is_digest_and_table_neutral() {
         "telemetry changed a digest or a rendered table"
     );
 
-    // The sharded leg of the telemetered pass wrote real output files.
+    // The sharded `run_big` leg of the telemetered pass wrote real
+    // output files.
     for file in ["shard_rounds.csv", "run_report.json", "shard_lanes.json"] {
         let meta = std::fs::metadata(dir.join(file))
             .unwrap_or_else(|e| panic!("{file} missing under HPSOCK_TELEMETRY: {e}"));
