@@ -224,7 +224,12 @@ impl Cluster {
                 // flows cross `0 → dst` after the minimum delivery
                 // residual, and fault notices cross `0 → src` after the
                 // loss-detection latency. No packet-era data/ack edges
-                // exist.
+                // exist. Under an active fault plan any connection may
+                // carry a notice, so the bound does not ask which ones do.
+                let notice = reg
+                    .faults
+                    .as_ref()
+                    .map(|p| p.recovery.detect.as_nanos().max(1));
                 for (ci, c) in reg.conns.iter().enumerate() {
                     let (sa, sb) = (node_to_shard[c.src.node.0], node_to_shard[c.dst.node.0]);
                     let d_tx = crate::fluid::tx_hop(&c.costs).as_nanos();
@@ -241,21 +246,10 @@ impl Cluster {
                             c.dst.node.0
                         );
                     }
-                    if sa != 0 {
-                        if let Some(f) = reg
-                            .faults
-                            .as_ref()
-                            .and_then(|p| p.compile(c.src.node.0, c.dst.node.0))
-                        {
-                            let det = f.detect.as_nanos().max(1);
-                            if det < lookahead[0][sa] {
-                                lookahead[0][sa] = det;
-                                link_name[0][sa] = format!(
-                                    "fluid core -> conn{ci} node{} (fault notice)",
-                                    c.src.node.0
-                                );
-                            }
-                        }
+                    if let Some(det) = notice.filter(|&d| sa != 0 && d < lookahead[0][sa]) {
+                        lookahead[0][sa] = det;
+                        link_name[0][sa] =
+                            format!("fluid core -> conn{ci} node{} (fault notice)", c.src.node.0);
                     }
                 }
             } else {

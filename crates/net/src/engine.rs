@@ -44,6 +44,15 @@
 //! the cut instant its `RxCut` drops every message whose frames fell
 //! short, since the rest of them will never arrive.
 //!
+//! Every submitted message gets exactly one outcome on both net models,
+//! by one crash rule: a message whose bytes all reached the destination
+//! before its connection's cut is delivered, and any other message on a
+//! cut connection fails with `PeerDead`. Under the flow model the fluid
+//! core decides which flows drained in time. Each outcome is built in one
+//! place: `RxConn::deliver` builds every [`Delivery`] and `TxConn::fail`
+//! every [`StreamError`]; the two models differ only in how they dispatch
+//! them.
+//!
 //! Engine state is owned per node by a [`NodeCore`] process: the core of a
 //! connection's source node owns the send side (flow-control window, send
 //! queue, stall accounting) and the destination node's core owns the
@@ -197,19 +206,14 @@ pub struct StreamError {
     pub kind: StreamErrorKind,
 }
 
-/// Commands applications send to the engine.
-pub enum NetCmd {
-    /// Transmit `payload` (`bytes` simulated bytes) on `conn`.
-    Send {
-        /// Connection to send on.
-        conn: ConnId,
-        /// Engine message id pre-assigned by [`Network::send`].
-        msg_id: u64,
-        /// Simulated payload size.
-        bytes: u64,
-        /// Opaque payload delivered to the peer.
-        payload: Message,
-    },
+/// A send from [`Network::send`] to the core owning the connection's
+/// send half: transmit `payload` (`bytes` simulated bytes) on `conn` as
+/// message `msg_id`, which [`Network::send`] pre-assigned.
+struct NetCmd {
+    conn: ConnId,
+    msg_id: u64,
+    bytes: u64,
+    payload: Message,
 }
 
 /// Engine-internal frame/stage events. Frame length rides in the event so
@@ -262,6 +266,7 @@ struct RxFirst {
     conn: ConnId,
     msg: u64,
     flen: u32,
+    frames: u32,
     meta: MsgMeta,
 }
 
@@ -298,18 +303,20 @@ struct PendingMsg {
     extra: Dur,
 }
 
-/// Per-message metadata, held by the send half until frame 0 is put on
-/// its way to the receiver inside [`RxFirst`].
-struct MsgMeta {
-    bytes: u64,
-    frames: u32,
-    sent_at: SimTime,
-    payload: Message,
+/// What a message's [`Delivery`] carries besides its ids. The send half
+/// holds it until frame 0 is put on its way to the receiver inside
+/// [`RxFirst`]; under the flow model it rides in [`FluidEv::Deliver`].
+pub(crate) struct MsgMeta {
+    pub(crate) bytes: u64,
+    pub(crate) sent_at: SimTime,
+    pub(crate) payload: Message,
 }
 
 /// Receive-side reassembly state for one in-flight message.
 struct RxMsgState {
     meta: MsgMeta,
+    /// Frames the message was cut into.
+    frames: u32,
     /// Frames that reached the receiving host, counted at arrival.
     frames_arrived: u32,
 }
@@ -365,6 +372,18 @@ impl TxConn {
             doomed: FxHashMap::default(),
         }
     }
+
+    /// Fail message `msg_id` of `bytes` with `kind`: the one place a
+    /// [`StreamError`] is built. It reaches the sending process now.
+    fn fail(&self, ctx: &mut Ctx<'_>, msg_id: u64, bytes: u64, kind: StreamErrorKind) {
+        let error = StreamError {
+            conn: self.conn,
+            msg_id,
+            bytes,
+            kind,
+        };
+        ctx.send(self.src_pid, Message::new(error));
+    }
 }
 
 /// Receive half of a connection, owned by the destination node's core.
@@ -374,18 +393,20 @@ struct RxConn {
     costs: Arc<PathCosts>,
     msgs: FxHashMap<u64, RxMsgState>,
     stats: ConnStats,
-    /// When this half stops receiving, if the fault plan crashes an
-    /// endpoint. Under the packet model it is the connection's cut (a
-    /// crash of either end, as compiled for the send half): `pump`
+    /// The connection's cut, if the fault plan crashes an endpoint: the
+    /// earlier crash of either end, as compiled for the send half. `pump`
     /// schedules no frame arrival at or after it, and [`Ev::RxCut`] drops
-    /// the messages that fell short there. Under the flow model it is the
-    /// destination's own crash: deliveries reaching the node afterwards are
-    /// dropped.
+    /// the messages that fell short there; a message whose frames all
+    /// arrived before it is delivered. The flow model schedules no
+    /// `RxCut`: the fluid core fails every flow that has not drained by
+    /// the cut.
     cut_at: Option<SimTime>,
+    /// The connection's consumption ledger, shared with [`Route::ledger`].
+    ledger: Arc<Ledger>,
 }
 
 impl RxConn {
-    fn new(conn: ConnId, spec: &ConnSpec, cut_at: Option<SimTime>) -> Self {
+    fn new(conn: ConnId, spec: &ConnSpec, cut_at: Option<SimTime>, ledger: Arc<Ledger>) -> Self {
         RxConn {
             conn,
             dst: spec.dst,
@@ -393,7 +414,43 @@ impl RxConn {
             msgs: FxHashMap::default(),
             stats: ConnStats::default(),
             cut_at,
+            ledger,
         }
+    }
+
+    /// Deliver message `msg` to the destination process: the one place a
+    /// [`Delivery`] is built. The message enters the consumption ledger
+    /// and the delivered counts, and the `net.conn<N>.mbps` gauge reads
+    /// them at the delivery instant. The packet model passes its node's
+    /// `host_rx`, which the per-message receive work is booked on; the
+    /// delivery lands at its completion. The flow model passes `None` and
+    /// delivers now.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, host_rx: Option<ResourceId>, msg: u64, meta: MsgMeta) {
+        let MsgMeta {
+            bytes,
+            sent_at,
+            payload,
+        } = meta;
+        self.ledger.deliver(msg);
+        self.stats.msgs_delivered += 1;
+        self.stats.bytes_delivered += bytes;
+        let delivery = Message::new(Delivery {
+            conn: self.conn,
+            msg_id: msg,
+            bytes,
+            sent_at,
+            payload,
+        });
+        let at = match host_rx {
+            Some(host_rx) => {
+                ctx.use_resource_for(host_rx, self.costs.per_msg_recv, self.dst.pid, delivery)
+            }
+            None => {
+                ctx.send(self.dst.pid, delivery);
+                ctx.now()
+            }
+        };
+        ctx.probe_emit(|_| mbps_gauge(self.conn, self.stats.bytes_delivered, at));
     }
 }
 
@@ -495,10 +552,10 @@ pub(crate) struct Route {
     /// synchronously without a lock; each connection has a single sending
     /// process, so the sequence stays deterministic under sharding.
     pub(crate) next_msg_id: Vec<AtomicU64>,
-    /// Consumption ledger per connection. Lives here (not in the receive
-    /// half) so [`Network::consumed`] can settle a consumption without an
-    /// event to the receive core.
-    pub(crate) ledger: Vec<Ledger>,
+    /// Consumption ledger per connection, shared with its receive half,
+    /// so [`Network::consumed`] can settle a consumption without an event
+    /// to the receive core.
+    pub(crate) ledger: Vec<Arc<Ledger>>,
     /// Core process of each node.
     pub(crate) core_of_node: Vec<ProcessId>,
     /// The single [`FluidCore`] process under [`NetModel::Flow`]; `None`
@@ -565,7 +622,7 @@ impl Network {
         let msg_id = route.next_msg_id[conn.0].fetch_add(1, Ordering::Relaxed);
         ctx.send(
             route.tx_core[conn.0],
-            Message::new(NetCmd::Send {
+            Message::new(NetCmd {
                 conn,
                 msg_id,
                 bytes,
@@ -665,19 +722,34 @@ impl Process for NetSwitch {
         let mut tx_slot = Vec::with_capacity(reg.conns.len());
         let mut rx_slot = Vec::with_capacity(reg.conns.len());
         let faults = reg.faults.as_deref();
+        let flow = reg.model == NetModel::Flow;
+        // Each connection's faults are compiled once, here. Under the flow
+        // model the fluid core draws every fate, so it takes them and the
+        // send halves keep none.
+        let mut fluid_faults = Vec::new();
+        let mut ledgers = Vec::with_capacity(reg.conns.len());
         for (ci, spec) in reg.conns.iter().enumerate() {
             let conn = ConnId(ci);
             let (src, dst) = (spec.src.node.0, spec.dst.node.0);
             let filters = faults.and_then(|p| p.compile(src, dst));
-            let rx_cut = match reg.model {
-                NetModel::Packet => filters.as_ref().and_then(|f| f.cut_at),
-                NetModel::Flow => faults.and_then(|p| p.crash_time(dst)),
+            let rx_cut = filters.as_ref().and_then(|f| f.cut_at);
+            let tx_faults = if flow {
+                fluid_faults.push(filters);
+                None
+            } else {
+                filters
             };
             let slot = |len: usize| u32::try_from(len).expect("under 2^32 halves per node");
             tx_slot.push(slot(tx[src].len()));
-            tx[src].push(TxConn::new(conn, spec, filters, ctx));
+            tx[src].push(TxConn::new(conn, spec, tx_faults, ctx));
+            // Only a packet-model window connection has a consumption
+            // update to send: credits are re-posted at frame arrival, and
+            // the flow model has no flow control.
+            let window = matches!(spec.costs.flow, FlowModel::Window { .. });
+            let ledger = Ledger::new((!flow && window).then_some(spec.costs.ack_latency));
+            ledgers.push(Arc::new(ledger));
             rx_slot.push(slot(rx[dst].len()));
-            rx[dst].push(RxConn::new(conn, spec, rx_cut));
+            rx[dst].push(RxConn::new(conn, spec, rx_cut, Arc::clone(&ledgers[ci])));
         }
         // Spawned cores start after every process added before the run, so
         // application pids (and with them RNG streams) are unaffected by
@@ -701,20 +773,12 @@ impl Process for NetSwitch {
         // RNG streams) are identical under either model. Its pid above
         // theirs also makes its events sort after theirs at one instant,
         // so a fluid wake at `t` sees every `Arrive` at `t`.
-        let fluid_core = (reg.model == NetModel::Flow).then(|| {
-            ctx.spawn(Box::new(FluidCore::new(
-                Arc::clone(&self.registry),
-                Arc::clone(&self.route),
-            )))
-        });
+        let fluid_core =
+            flow.then(|| ctx.spawn(Box::new(FluidCore::new(&reg, &core_of_node, fluid_faults))));
         debug_assert!(
             fluid_core.map_or(true, |f| core_of_node.iter().all(|c| c.0 < f.0)),
             "the fluid core must sort after every node core"
         );
-        // Only a packet-model window connection has a consumption update
-        // to send: credits are re-posted at frame arrival, and the flow
-        // model has no flow control.
-        let packet = reg.model == NetModel::Packet;
         let route = Route {
             tx_core: reg
                 .conns
@@ -729,14 +793,7 @@ impl Process for NetSwitch {
             tx_slot,
             rx_slot,
             next_msg_id: reg.conns.iter().map(|_| AtomicU64::new(0)).collect(),
-            ledger: reg
-                .conns
-                .iter()
-                .map(|s| {
-                    let window = matches!(s.costs.flow, FlowModel::Window { .. });
-                    Ledger::new((packet && window).then_some(s.costs.ack_latency))
-                })
-                .collect(),
+            ledger: ledgers,
             core_of_node,
             fluid_core,
         };
@@ -866,7 +923,7 @@ impl NodeCore {
             }
             c.flow.on_frame_sent(flen as u64);
             let first = head.next_frame == 0;
-            let (msg, bytes) = (head.msg, head.bytes);
+            let (msg, bytes, frames) = (head.msg, head.bytes, head.frames);
             head.next_frame += 1;
             let finished = head.next_frame == head.frames;
             let mut service = c.costs.per_frame_send
@@ -941,6 +998,7 @@ impl NodeCore {
                     conn,
                     msg,
                     flen,
+                    frames,
                     meta,
                 }),
                 None => Message::new(Ev::RxArrive { conn, msg, flen }),
@@ -950,7 +1008,7 @@ impl NodeCore {
     }
 
     fn on_send(&mut self, ctx: &mut Ctx<'_>, cmd: NetCmd) {
-        let NetCmd::Send {
+        let NetCmd {
             conn,
             msg_id,
             bytes,
@@ -961,16 +1019,7 @@ impl NodeCore {
         if c.dead {
             // The connection was cut before this send arrived:
             // fail it immediately instead of queueing forever.
-            let pid = c.src_pid;
-            ctx.send(
-                pid,
-                Message::new(StreamError {
-                    conn,
-                    msg_id,
-                    bytes,
-                    kind: StreamErrorKind::NotConnected,
-                }),
-            );
+            c.fail(ctx, msg_id, bytes, StreamErrorKind::NotConnected);
             return;
         }
         if fluid {
@@ -999,7 +1048,6 @@ impl NodeCore {
             msg_id,
             MsgMeta {
                 bytes,
-                frames,
                 sent_at: ctx.now(),
                 payload,
             },
@@ -1015,18 +1063,13 @@ impl NodeCore {
         self.pump(ctx, conn);
     }
 
-    /// The consumption ledger of `conn`.
-    fn ledger(&self, conn: ConnId) -> &Ledger {
-        &self.routes("ledger lookup", conn).ledger[conn.0]
-    }
-
     /// Frame arrival at the receiving host: count it, then claim the
     /// receive protocol engine for the per-frame service.
     fn on_rx_frame(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: u64, flen: u32) {
         let c = self.rx_mut(conn);
         let st = c.msgs.get_mut(&msg).expect("frame for unknown message");
         st.frames_arrived += 1;
-        let last = st.frames_arrived == st.meta.frames;
+        let last = st.frames_arrived == st.frames;
         // The frame lands in one eager buffer (credits model) or one
         // segment (window model): the sender never exceeds the payload.
         debug_assert!(
@@ -1055,12 +1098,14 @@ impl NodeCore {
             conn,
             msg,
             flen,
+            frames,
             meta,
         } = first;
         self.rx_mut(conn).msgs.insert(
             msg,
             RxMsgState {
                 meta,
+                frames,
                 frames_arrived: 0,
             },
         );
@@ -1098,39 +1143,14 @@ impl NodeCore {
                 let tx_core = self.tx_core(conn);
                 ctx.send_in(ack, tx_core, Message::new(reply));
                 if last {
-                    // Per-message receive work, then delivery at its
-                    // completion; the message counts as delivered (stats,
-                    // latency, bandwidth gauge) as of that instant.
-                    self.ledger(conn).deliver(msg);
+                    // A message whose frames all arrived is delivered,
+                    // even if its connection was cut since.
                     let c = self.rx_mut(conn);
-                    let MsgMeta {
-                        bytes,
-                        sent_at,
-                        payload,
-                        ..
-                    } = c
+                    let st = c
                         .msgs
                         .remove(&msg)
-                        .expect("a complete message outlives the cut")
-                        .meta;
-                    let delivery = Delivery {
-                        conn,
-                        msg_id: msg,
-                        bytes,
-                        sent_at,
-                        payload,
-                    };
-                    let done = ctx.use_resource_for(
-                        host_rx,
-                        c.costs.per_msg_recv,
-                        c.dst.pid,
-                        Message::new(delivery),
-                    );
-                    c.stats.msgs_delivered += 1;
-                    c.stats.bytes_delivered += bytes;
-                    // Cumulative achieved bandwidth of this connection so
-                    // far (bits delivered / virtual time), per delivery.
-                    ctx.probe_emit(|_| mbps_gauge(conn, c.stats.bytes_delivered, done));
+                        .expect("a complete message outlives the cut");
+                    c.deliver(ctx, Some(host_rx), msg, st.meta);
                 }
             }
             Ev::AckArrive { conn, frame_bytes } => {
@@ -1172,21 +1192,12 @@ impl NodeCore {
                     c.flow
                         .on_acked(frame_len(bytes, c.costs.frame_payload, 0) as u64);
                 }
-                let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.fault.lost".to_string(),
                     time: t,
                     delta: 1.0,
                 });
-                ctx.send(
-                    pid,
-                    Message::new(StreamError {
-                        conn,
-                        msg_id: msg,
-                        bytes,
-                        kind: StreamErrorKind::Lost,
-                    }),
-                );
+                c.fail(ctx, msg, bytes, StreamErrorKind::Lost);
                 self.pump(ctx, conn);
             }
             Ev::ConnCut { conn } => {
@@ -1207,22 +1218,13 @@ impl NodeCore {
                     failed.insert(p.msg, p.bytes);
                 }
                 failed.extend(c.doomed.drain());
-                let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.conn.cut".to_string(),
                     time: t,
                     delta: 1.0,
                 });
                 for (msg_id, bytes) in failed {
-                    ctx.send(
-                        pid,
-                        Message::new(StreamError {
-                            conn,
-                            msg_id,
-                            bytes,
-                            kind: StreamErrorKind::PeerDead,
-                        }),
-                    );
+                    c.fail(ctx, msg_id, bytes, StreamErrorKind::PeerDead);
                 }
             }
             Ev::RxCut { conn } => {
@@ -1231,7 +1233,7 @@ impl NodeCore {
                 // in host_rx service only sends its reply.
                 self.rx_mut(conn)
                     .msgs
-                    .retain(|_, st| st.frames_arrived == st.meta.frames);
+                    .retain(|_, st| st.frames_arrived == st.frames);
             }
         }
     }
@@ -1241,56 +1243,21 @@ impl NodeCore {
     /// as [`FluidEv::Failed`] at the source node's core.
     fn on_fluid(&mut self, ctx: &mut Ctx<'_>, ev: FluidEv) {
         match ev {
-            FluidEv::Deliver {
-                conn,
-                msg,
-                bytes,
-                sent_at,
-                payload,
-            } => {
-                if self.rx_mut(conn).cut_at.is_some_and(|t| ctx.now() >= t) {
-                    // This node fail-stopped while the delivery was in its
-                    // final hop: it falls on the floor, as arriving frames
-                    // do under the packet model.
-                    return;
-                }
-                self.ledger(conn).deliver(msg);
-                let c = self.rx_mut(conn);
-                c.stats.msgs_delivered += 1;
-                c.stats.bytes_delivered += bytes;
-                let delivered = c.stats.bytes_delivered;
-                ctx.probe_emit(|t| mbps_gauge(conn, delivered, t));
-                let delivery = Delivery {
-                    conn,
-                    msg_id: msg,
-                    bytes,
-                    sent_at,
-                    payload,
-                };
-                ctx.send(c.dst.pid, Message::new(delivery));
-            }
+            // The flow drained before its connection's cut, so it is
+            // delivered even if the destination has crashed since.
+            FluidEv::Deliver { conn, msg, meta } => self.rx_mut(conn).deliver(ctx, None, msg, meta),
             FluidEv::Failed {
                 conn,
                 msg,
                 bytes,
                 kind,
             } => {
-                let c = self.tx_mut(conn);
-                let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.fault.lost".to_string(),
                     time: t,
                     delta: 1.0,
                 });
-                ctx.send(
-                    pid,
-                    Message::new(StreamError {
-                        conn,
-                        msg_id: msg,
-                        bytes,
-                        kind,
-                    }),
-                );
+                self.tx_mut(conn).fail(ctx, msg, bytes, kind);
             }
             FluidEv::Arrive { .. } | FluidEv::Wake => {
                 panic!("fluid-core event routed to a node core")
@@ -1775,8 +1742,8 @@ mod tests {
         }
     }
 
-    /// Every submitted message gets exactly one outcome under the packet
-    /// model, a [`Delivery`] or a [`StreamError`]: never both, never two,
+    /// Every submitted message gets exactly one outcome on both net
+    /// models, a [`Delivery`] or a [`StreamError`]: never both, never two,
     /// never neither (DESIGN §12). Swept over both transports, drop-only,
     /// crash-only and drop + crash plans, a crash of either endpoint at
     /// instants that land before, inside and after the messages' frames,
@@ -1795,8 +1762,8 @@ mod tests {
                 }
             }
         }
-        let run = |seed: u64, kind: TransportKind, plan: &str| {
-            crate::netmodel::with_netmodel(NetModel::Packet, || {
+        let run = |model: NetModel, seed: u64, kind: TransportKind, plan: &str| {
+            crate::netmodel::with_netmodel(model, || {
                 crate::fault::with_spec(plan, || {
                     let mut sim = Sim::new(seed);
                     let cluster = Cluster::build(&mut sim, 2);
@@ -1817,27 +1784,64 @@ mod tests {
                 })
             })
         };
-        for seed in 0..4 {
-            for kind in [TransportKind::SocketVia, TransportKind::KTcp] {
-                for plan in &plans {
-                    let (log, partial) = run(seed, kind, plan);
-                    assert_eq!(
-                        partial, 0,
-                        "seed {seed} {kind:?} {plan:?}: partial messages left at the receiver"
-                    );
-                    let mut outcomes = vec![Vec::new(); COUNT as usize];
-                    for (_, msg, _, what) in log {
-                        outcomes[msg as usize].push(what);
-                    }
-                    for (msg, got) in outcomes.iter().enumerate() {
-                        assert_eq!(
-                            got.len(),
-                            1,
-                            "seed {seed} {kind:?} {plan:?}: message {msg} got {got:?}"
-                        );
+        for model in [NetModel::Packet, NetModel::Flow] {
+            for seed in 0..4 {
+                for kind in [TransportKind::SocketVia, TransportKind::KTcp] {
+                    for plan in &plans {
+                        let (log, partial) = run(model, seed, kind, plan);
+                        let case = format!("{model:?} seed {seed} {kind:?} {plan:?}");
+                        assert_eq!(partial, 0, "{case}: partial messages left at the receiver");
+                        let mut outcomes = vec![Vec::new(); COUNT as usize];
+                        for (_, msg, _, what) in log {
+                            outcomes[msg as usize].push(what);
+                        }
+                        for (msg, got) in outcomes.iter().enumerate() {
+                            assert_eq!(got.len(), 1, "{case}: message {msg} got {got:?}");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The crash rule, on both net models: a message whose bytes all
+    /// reached the destination before it crashed is delivered, at the
+    /// instant it would have been without the crash; a message still in
+    /// flight at the crash fails with `PeerDead`. The crash instants come
+    /// from an unfaulted run of the same 150,000 B message, sent at 0: one
+    /// nanosecond before its delivery (its bytes are all in) and half-way
+    /// to it (its bytes are still on the wire).
+    #[test]
+    fn a_message_that_arrived_before_the_crash_is_delivered() {
+        let run = |model: NetModel, plan: &str| {
+            crate::netmodel::with_netmodel(model, || {
+                crate::fault::with_spec(plan, || {
+                    let mut sim = Sim::new(1);
+                    let cluster = Cluster::build(&mut sim, 2);
+                    let net = cluster.network();
+                    let logger = Logger::new(&net, 1, 150_000, 1, Dur::ZERO);
+                    let log = Arc::clone(&logger.log);
+                    let pid = sim.add_process(Box::new(logger));
+                    net.connect(
+                        cluster.endpoint(NodeId(0), pid),
+                        cluster.endpoint(NodeId(1), pid),
+                        TransportKind::SocketVia,
+                    );
+                    sim.run();
+                    let log = std::mem::take(&mut *log.lock().unwrap());
+                    log
+                })
+            })
+        };
+        for model in [NetModel::Packet, NetModel::Flow] {
+            let clean = run(model, "");
+            let delivered = clean[0].2;
+            assert_eq!(clean, [(0, 0, delivered, "delivered".into())], "{model:?}");
+            let arrived = run(model, &format!("crash=1@{}ns,detect=10us", delivered - 1));
+            assert_eq!(arrived, clean, "{model:?}: crash after the bytes arrived");
+            let in_flight = run(model, &format!("crash=1@{}ns,detect=10us", delivered / 2));
+            assert_eq!(in_flight.len(), 1, "{model:?}: {in_flight:?}");
+            assert_eq!(in_flight[0].3, "PeerDead", "{model:?}: crash in flight");
         }
     }
 

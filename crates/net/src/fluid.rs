@@ -61,13 +61,13 @@
 //! sharding needs.
 
 use crate::cluster::Topology;
-use crate::engine::{ConnId, Registry, Route, StreamErrorKind};
+use crate::engine::{ConnId, MsgMeta, Registry, StreamErrorKind};
 use crate::fault::{ConnFaults, MsgFate};
 use crate::params::PathCosts;
 use hpsock_sim::{Ctx, Dur, Message, Process, ProcessId, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// cLAN wire drain rate in payload bytes per nanosecond (the 795 Mbps
 /// VIA peak from [`crate::params`]: 1 byte per 10.06 ns). Rack uplink
@@ -252,16 +252,15 @@ pub(crate) enum FluidEv {
     /// core sorts after every node core, so a wake at `t` runs after
     /// every `Arrive` at `t`.
     Wake,
-    /// A completed flow's payload arriving at the receive-side node core.
+    /// A completed flow's payload arriving at the receive-side node core,
+    /// which delivers it.
     Deliver {
         conn: ConnId,
         msg: u64,
-        bytes: u64,
-        sent_at: SimTime,
-        payload: Message,
+        meta: MsgMeta,
     },
     /// A fault verdict surfacing at the send-side node core after the
-    /// loss-detection latency; forwarded to the sender as a StreamError.
+    /// loss-detection latency; the core fails the message to its sender.
     Failed {
         conn: ConnId,
         msg: u64,
@@ -928,8 +927,6 @@ impl DueHeap {
 /// the net switch when the cluster was built under [`super::NetModel::Flow`];
 /// shard plans pin it to shard 0.
 pub struct FluidCore {
-    registry: Arc<Mutex<Registry>>,
-    route: Arc<OnceLock<Route>>,
     conns: Vec<FluidConn>,
     /// Link capacities: stage links at 1.0 (weights are ns/byte), fabric
     /// links in bytes/ns.
@@ -956,12 +953,62 @@ pub struct FluidCore {
 }
 
 impl FluidCore {
-    pub(crate) fn new(registry: Arc<Mutex<Registry>>, route: Arc<OnceLock<Route>>) -> FluidCore {
-        FluidCore {
-            registry,
-            route,
-            conns: Vec::new(),
-            caps: Vec::new(),
+    /// The fluid core of the connections in `reg`, whose halves live on
+    /// the node cores of `core_of_node`, each with the faults the net
+    /// switch compiled for it.
+    pub(crate) fn new(
+        reg: &Registry,
+        core_of_node: &[ProcessId],
+        faults: Vec<Option<ConnFaults>>,
+    ) -> FluidCore {
+        let topo = reg.topology;
+        let n = core_of_node.len();
+        let mut caps = vec![1.0; 3 * n];
+        if let Topology::Racks {
+            racks,
+            per_rack,
+            oversub,
+        } = topo
+        {
+            let up = per_rack as f64 * NODE_WIRE_BYTES_PER_NS / oversub;
+            for _ in 0..racks {
+                caps.push(up); // uplink
+                caps.push(up); // downlink
+            }
+        }
+        let conns = reg
+            .conns
+            .iter()
+            .zip(faults)
+            .map(|(spec, faults)| {
+                let (src, dst) = (spec.src.node.0, spec.dst.node.0);
+                let fabric = match topo {
+                    Topology::Racks { per_rack, .. } if topo.inter_rack(src, dst) => Some((
+                        3 * n + 2 * (src / per_rack),
+                        3 * n + 2 * (dst / per_rack) + 1,
+                    )),
+                    _ => None,
+                };
+                FluidConn {
+                    tx_core: core_of_node[src],
+                    rx_core: core_of_node[dst],
+                    stage_links: [3 * src, 3 * src + 1, 3 * dst + 2],
+                    fabric,
+                    min_drx: min_delivery(&spec.costs),
+                    cut_at: faults.as_ref().and_then(|f| f.cut_at),
+                    detect: faults
+                        .as_ref()
+                        .map_or(Dur::nanos(1), |f| Dur::nanos(f.detect.as_nanos().max(1))),
+                    faults,
+                    costs: Arc::clone(&spec.costs),
+                    queue: VecDeque::new(),
+                    active: None,
+                }
+            })
+            .collect();
+        let mut core = FluidCore {
+            conns,
+            caps,
             graph: Sharing::default(),
             due: DueHeap::default(),
             wakes: VecDeque::new(),
@@ -970,7 +1017,9 @@ impl FluidCore {
             work: FluidWork::default(),
             #[cfg(test)]
             solved: Vec::new(),
-        }
+        };
+        core.size_tables();
+        core
     }
 
     /// The work done so far.
@@ -1299,9 +1348,11 @@ impl FluidCore {
                 Message::new(FluidEv::Deliver {
                     conn: ConnId(conn),
                     msg: f.msg,
-                    bytes: f.bytes,
-                    sent_at: f.sent_at,
-                    payload,
+                    meta: MsgMeta {
+                        bytes: f.bytes,
+                        sent_at: f.sent_at,
+                        payload,
+                    },
                 }),
             );
         }
@@ -1313,63 +1364,6 @@ impl FluidCore {
 impl Process for FluidCore {
     fn name(&self) -> String {
         "net-fluid".to_string()
-    }
-
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        let reg = self.registry.lock().expect("registry lock");
-        assert!(reg.sealed, "fluid core started before the switch");
-        let route = self
-            .route
-            .get()
-            .expect("fluid core starts after the switch installed routes");
-        let topo = reg.topology;
-        let n = route.core_of_node.len();
-        self.caps = vec![1.0; 3 * n];
-        if let Topology::Racks {
-            racks,
-            per_rack,
-            oversub,
-        } = topo
-        {
-            let up = per_rack as f64 * NODE_WIRE_BYTES_PER_NS / oversub;
-            for _ in 0..racks {
-                self.caps.push(up); // uplink
-                self.caps.push(up); // downlink
-            }
-        }
-        self.conns = reg
-            .conns
-            .iter()
-            .enumerate()
-            .map(|(ci, spec)| {
-                let (src, dst) = (spec.src.node.0, spec.dst.node.0);
-                let faults = reg.faults.as_ref().and_then(|p| p.compile(src, dst));
-                let fabric = match topo {
-                    Topology::Racks { per_rack, .. } if topo.inter_rack(src, dst) => Some((
-                        3 * n + 2 * (src / per_rack),
-                        3 * n + 2 * (dst / per_rack) + 1,
-                    )),
-                    _ => None,
-                };
-                FluidConn {
-                    tx_core: route.tx_core[ci],
-                    rx_core: route.rx_core[ci],
-                    stage_links: [3 * src, 3 * src + 1, 3 * dst + 2],
-                    fabric,
-                    min_drx: min_delivery(&spec.costs),
-                    cut_at: faults.as_ref().and_then(|f| f.cut_at),
-                    detect: faults
-                        .as_ref()
-                        .map_or(Dur::nanos(1), |f| Dur::nanos(f.detect.as_nanos().max(1))),
-                    faults,
-                    costs: Arc::clone(&spec.costs),
-                    queue: VecDeque::new(),
-                    active: None,
-                }
-            })
-            .collect();
-        drop(reg);
-        self.size_tables();
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -1573,10 +1567,10 @@ mod tests {
 
     /// A fluid core with no kernel around it: `nodes` nodes in racks of
     /// `per_rack` behind fabric links of capacity `up`, and one kernel-TCP
-    /// connection per `(src, dst)` pair, wired as `on_start` wires them.
+    /// connection per `(src, dst)` pair, wired as `FluidCore::new` wires them.
     fn bare_core(nodes: usize, per_rack: usize, up: f64, pairs: &[(usize, usize)]) -> FluidCore {
         use crate::params::{PathCosts, TransportKind};
-        let mut core = FluidCore::new(Arc::default(), Arc::default());
+        let mut core = FluidCore::new(&Registry::default(), &[], Vec::new());
         core.caps = vec![1.0; 3 * nodes];
         core.caps.resize(3 * nodes + 2 * (nodes / per_rack), up);
         let costs = Arc::new(PathCosts::for_kind(TransportKind::KTcp));

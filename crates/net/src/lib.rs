@@ -28,7 +28,7 @@ pub mod params;
 
 pub use cluster::{configured_oversub, parse_oversub, Cluster, NodeSpec, Topology, INTER_RACK_HOP};
 pub use engine::{
-    ConnId, ConnStats, Delivery, Endpoint, NetCmd, NetError, NetSwitch, Network, NodeCore, NodeId,
+    ConnId, ConnStats, Delivery, Endpoint, NetError, NetSwitch, Network, NodeCore, NodeId,
     NodeResources, StreamError, StreamErrorKind,
 };
 pub use fault::{FaultPlan, LinkFilter, LinkFilterKind, LinkScope, RecoveryCfg};

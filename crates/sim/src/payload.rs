@@ -12,9 +12,9 @@
 //! * larger values up to [`SLOT_BYTES`] bytes (alignment ≤ 16) go into a
 //!   **pooled slot** recycled through a thread-local free list, so steady
 //!   state costs no allocator calls either. Every engine value that
-//!   carries an application `Message` lands here — `NetCmd` (56 B), the
-//!   frame-0 arrival `RxFirst`, `Delivery` — as does the DataCutter
-//!   `ComputeDone`;
+//!   carries an application `Message` lands here — the net engine's
+//!   private send command `NetCmd` (56 B), the frame-0 arrival `RxFirst`,
+//!   `Delivery` — as does the DataCutter `ComputeDone`;
 //! * anything bigger falls back to a plain `Box`, preserving generality.
 //!
 //! The layout is two words beyond the inline buffer-less minimum: a
