@@ -204,7 +204,7 @@ fn bench_transport_messages(c: &mut Criterion) {
 /// amortize two barriers); on a single-core runner the sharded variants
 /// are expected to trail the sequential one.
 fn bench_sharded_cluster(c: &mut Criterion) {
-    use hpsock_net::{Cluster, ConnId, Delivery, NodeId, TransportKind};
+    use hpsock_net::{Cluster, ConnId, Drain, NodeId, TransportKind};
     use socketvia::Provider;
 
     const NODES: usize = 16;
@@ -224,17 +224,6 @@ fn bench_sharded_cluster(c: &mut Criterion) {
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
-    }
-    struct Drain {
-        net: hpsock_net::Network,
-    }
-    impl Process for Drain {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-            let d = msg
-                .downcast::<Delivery>()
-                .expect("drain expects deliveries");
-            self.net.consumed(ctx, d.conn, d.msg_id);
-        }
     }
 
     let run = |shards: usize| {
@@ -434,7 +423,7 @@ fn bench_flow_rack_4096(c: &mut Criterion) {
 /// path that keeping components between wakes does not speed up.
 fn bench_flow_flat_split(c: &mut Criterion) {
     use hpsock_net::{
-        with_netmodel, Cluster, ConnId, Delivery, FluidCore, FluidWork, NetModel, Network, NodeId,
+        with_netmodel, Cluster, ConnId, Drain, FluidCore, FluidWork, NetModel, Network, NodeId,
         TransportKind,
     };
 
@@ -461,15 +450,6 @@ fn bench_flow_flat_split(c: &mut Criterion) {
             }
         }
     }
-    struct Sink {
-        net: Network,
-    }
-    impl Process for Sink {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-            let d = msg.downcast::<Delivery>().expect("sink expects deliveries");
-            self.net.consumed(ctx, d.conn, d.msg_id);
-        }
-    }
 
     let run = || -> (u64, FluidWork) {
         with_netmodel(NetModel::Flow, || {
@@ -493,7 +473,7 @@ fn bench_flow_flat_split(c: &mut Criterion) {
                     interval,
                     remaining,
                 }));
-                let rx = sim.add_process(Box::new(Sink { net: net.clone() }));
+                let rx = sim.add_process(Box::new(Drain { net: net.clone() }));
                 net.connect(
                     cluster.endpoint(src, tx),
                     cluster.endpoint(dst, rx),

@@ -9,7 +9,7 @@
 
 use crate::provider::Provider;
 use hpsock_net::{fault, Cluster, ConnId, Delivery, NodeId, StreamError, StreamErrorKind};
-use hpsock_sim::{Ctx, Message, Probe, Process, Sim, SimTime};
+use hpsock_sim::{Ctx, Message, Probe, Process, RunCapture, Sim, SimTime};
 
 /// One point of the latency series (Figure 4a).
 #[derive(Debug, Clone, Copy)]
@@ -215,12 +215,11 @@ impl Process for StreamSink {
 
 /// Achieved bandwidth in Mbps streaming `count` messages of `bytes` each.
 pub fn streaming_mbps(provider: &Provider, bytes: u64, count: u32) -> f64 {
-    streaming_mbps_probed(provider, bytes, count, |_| None).0
+    streaming_mbps_probed(provider, bytes, count, None).0
 }
 
-/// [`streaming_mbps`] with the probe bus attached after the cluster
-/// exists (the factory receives the resource-name table), additionally
-/// returning the run's end time — the horizon needed to read
+/// [`streaming_mbps`] with `probe` attached, additionally returning the
+/// run's [`RunCapture`], whose end time is the horizon needed to read
 /// time-weighted gauge means such as the net engine's per-connection
 /// `net.conn<N>.mbps` bandwidth gauge. Probes are observational only, so
 /// the measured bandwidth is identical to the unprobed run.
@@ -228,8 +227,8 @@ pub fn streaming_mbps_probed(
     provider: &Provider,
     bytes: u64,
     count: u32,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
-) -> (f64, SimTime) {
+    probe: Option<Box<dyn Probe>>,
+) -> (f64, RunCapture) {
     let mut sim = Sim::new(0xF00D);
     let cluster = Cluster::build(&mut sim, 2);
     let net = cluster.network();
@@ -251,10 +250,7 @@ pub fn streaming_mbps_probed(
         cluster.endpoint(NodeId(0), sender),
         cluster.endpoint(NodeId(1), sink),
     );
-    if let Some(p) = make_probe(&sim.resource_names()) {
-        sim.attach_probe(p);
-    }
-    let end = sim.run();
+    let cap = RunCapture::run(&mut sim, probe);
     let s: &StreamSink = sim.process(sink).expect("sink persists");
     if fault::configured_plan().is_none() {
         // Exact conservation holds only on a clean fabric: a fault plan
@@ -265,7 +261,7 @@ pub fn streaming_mbps_probed(
     }
     (
         8.0 * s.bytes as f64 / s.last.as_nanos().max(1) as f64 * 1_000.0,
-        end,
+        cap,
     )
 }
 

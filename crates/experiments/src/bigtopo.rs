@@ -21,7 +21,7 @@
 //! fluid model spends a handful of events per flow regardless of size —
 //! the workload where the fast path must show its ≥10× event reduction.
 
-use hpsock_net::{Cluster, ConnId, Delivery, NodeId, TransportKind};
+use hpsock_net::{Cluster, ConnId, Drain, NodeId, TransportKind};
 use hpsock_sim::{Ctx, Message, Process, ShardPlan, Sim, SimTime};
 
 /// Racks in the big topology.
@@ -52,22 +52,6 @@ impl Process for Burst {
         }
     }
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
-}
-
-/// Consumes every delivery immediately, returning credits.
-struct Drain {
-    net: hpsock_net::Network,
-}
-impl Process for Drain {
-    fn name(&self) -> String {
-        "bigtopo-drain".to_string()
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        let d = msg
-            .downcast::<Delivery>()
-            .expect("drain expects deliveries");
-        self.net.consumed(ctx, d.conn, d.msg_id);
-    }
 }
 
 /// Run the big topology with `msgs_per_conn` messages on each of the

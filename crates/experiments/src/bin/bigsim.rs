@@ -2,7 +2,9 @@
 //!
 //! `--shards=N` runs it on `N` kernel worker threads under the rack
 //! partition (default 1, the sequential kernel; `N` must lie in
-//! `1..=bigtopo::RACKS`, anything else exits with status 2).
+//! `1..=bigtopo::RACKS`, anything else exits with status 2, as does
+//! `N > 1` under `HPSOCK_NETMODEL=flow`, whose clusters take no shard
+//! plan).
 //! `--quick` / `HPSOCK_QUICK=1` shrinks the message count for smoke runs.
 //! `--transport=tcp` switches the streams to kernel TCP at the 32 KiB
 //! gate message size (`--transport=socketvia` is the default workload);
@@ -15,7 +17,7 @@
 //! between `HPSOCK_NETMODEL=packet` and `flow` on the TCP workload.
 
 use hpsock_experiments::bigtopo;
-use hpsock_net::{configured_netmodel, TransportKind};
+use hpsock_net::{configured_netmodel, NetModel, TransportKind};
 
 /// Parse the value of `--shards=`: a worker count in `1..=RACKS`.
 fn parse_shards(raw: &str) -> Result<usize, String> {
@@ -52,6 +54,12 @@ fn main() {
                 None => usage(&format!("unknown argument {other:?}")),
             },
         }
+    }
+    if shards > 1 && configured_netmodel() == NetModel::Flow {
+        usage(
+            "--shards above 1 needs the packet model: under HPSOCK_NETMODEL=flow \
+             every flow runs on the one fluid core",
+        );
     }
     let bytes = match transport {
         TransportKind::SocketVia => bigtopo::BYTES,

@@ -16,9 +16,9 @@
 //! moves most of the per-byte cost off the host.
 
 use crate::replicate;
-use crate::runner::{run_guarantee_probed, GuaranteeRun, RunCapture};
+use crate::runner::{run_guarantee_traced, GuaranteeRun};
 use crate::table::Table;
-use hpsock_sim::{Probe, ProbeEvent, Recorder, StreamingTraceWriter, Tee};
+use hpsock_sim::{Probe, ProbeEvent, Recorder, RunCapture};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -237,61 +237,34 @@ pub(crate) fn slug(label: &str) -> String {
         .join("_")
 }
 
-/// The probe-factory argument of a probed run: builds the probe once
-/// the simulation topology exists (it receives the resource-name table,
-/// as in [`run_guarantee_probed`][crate::runner::run_guarantee_probed]).
-pub type ProbeFactory<'a> = dyn FnMut(&[String]) -> Option<Box<dyn Probe>> + 'a;
-
-/// Run `run` with the probe its [`ProbeFactory`] builds: a [`Recorder`]
-/// teed with a [`StreamingTraceWriter`] that streams the Chrome trace to
-/// `<figure>_<series>.trace.json` under `dir` during the run, so export
-/// memory stays bounded by the recorder's analysis events, not the trace
-/// text. Falls back to the recorder alone, with a warning, when the file
-/// cannot be created. Returns `run`'s result and the recorder.
-pub(crate) fn trace_to_file<R>(
+/// Write the Chrome trace `rec` recorded of a finished run to
+/// `<figure>_<series>.trace.json` under `dir`, one resource track per
+/// name in the run's [`RunCapture`]. A file that cannot be written
+/// degrades to a warning.
+pub(crate) fn trace_to_file(
     dir: &Path,
     figure: &str,
     label: &str,
-    run: impl FnOnce(&mut ProbeFactory<'_>) -> R,
-) -> (R, Recorder) {
-    let rec = Recorder::new();
+    rec: &Recorder,
+    cap: &RunCapture,
+) {
     let path = dir.join(format!("{figure}_{}.trace.json", slug(label)));
-    let mut writer = None;
-    let out = run(&mut |names: &[String]| -> Option<Box<dyn Probe>> {
-        Some(match StreamingTraceWriter::create(&path, names) {
-            Ok(w) => {
-                let probe = w.probe();
-                writer = Some(w);
-                Box::new(Tee(rec.probe(), probe))
-            }
-            Err(e) => {
-                eprintln!("warning: could not create {}: {e}", path.display());
-                rec.probe()
-            }
-        })
-    });
-    if let Some(w) = writer {
-        match w.finish() {
-            Ok(_) => println!(
-                "  -> {} ({} probe events, streamed)",
-                path.display(),
-                rec.len()
-            ),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
+    let written = std::fs::File::create(&path)
+        .and_then(|f| rec.write_chrome_trace(std::io::BufWriter::new(f), &cap.resource_names));
+    match written {
+        Ok(_) => println!("  -> {} ({} probe events)", path.display(), rec.len()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-    (out, rec)
 }
 
 /// Re-run each labelled `(label, series)` through `run` with the probe
-/// bus recording; `run` is handed the series, a replicate seed and a
-/// [`ProbeFactory`], and returns its [`RunCapture`]. Under `dir`, write
+/// bus recording; `run` is handed the series, a replicate seed and the
+/// probe to attach, and returns its [`RunCapture`]. Under `dir`, write
 /// per series a Chrome trace JSON (`<figure>_<series>.trace.json`,
-/// openable in Perfetto / `chrome://tracing`) and a collapsed-stack
-/// flamegraph (`<figure>_<series>.folded`, consumable by inferno's
-/// `flamegraph.pl`-compatible tooling or speedscope), plus the combined
-/// `<figure>_breakdown.csv` time attribution.
-/// The trace JSON streams to disk through [`trace_to_file`].
+/// openable in Perfetto / `chrome://tracing`, see `trace_to_file`) and
+/// a collapsed-stack flamegraph (`<figure>_<series>.folded`, consumable
+/// by inferno's `flamegraph.pl`-compatible tooling or speedscope), plus
+/// the combined `<figure>_breakdown.csv` time attribution.
 ///
 /// With `HPSOCK_SEEDS=n > 1` each series re-runs once per replicate seed
 /// (derived from `base_seed`, see [`crate::replicate`]): the Chrome
@@ -304,27 +277,28 @@ pub fn export_run_traces<S>(
     title: &str,
     base_seed: u64,
     series: &[(&str, S)],
-    run: impl Fn(&S, u64, &mut ProbeFactory<'_>) -> RunCapture,
+    run: impl Fn(&S, u64, Option<Box<dyn Probe>>) -> RunCapture,
 ) {
     let n_seeds = replicate::seed_count();
     let seeds = replicate::seed_batch(base_seed, n_seeds);
     let mut rows = Vec::with_capacity(series.len());
     for (label, s) in series {
         let mut reps = Vec::with_capacity(seeds.len());
-        // Replicate 0 (the base seed) streams the Chrome trace to disk
-        // and folds the span flamegraph; the extra replicates only feed
-        // the averaged breakdown.
-        let (cap, rec) = trace_to_file(dir, figure, label, |mk| run(s, seeds[0], mk));
-        let stacks = rec.folded_spans();
-        let folded = dir.join(format!("{figure}_{}.folded", slug(label)));
-        match hpsock_sim::write_folded(&folded, &stacks) {
-            Ok(()) => println!("  -> {} ({} stacks)", folded.display(), stacks.len()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", folded.display()),
-        }
-        reps.push(compute(&rec, &cap, label));
-        for &seed in &seeds[1..] {
+        for (i, &seed) in seeds.iter().enumerate() {
             let rec = Recorder::new();
-            let cap = run(s, seed, &mut |_: &[String]| Some(rec.probe()));
+            let cap = run(s, seed, Some(rec.probe()));
+            // Replicate 0 (the base seed) writes the Chrome trace and
+            // folds the span flamegraph; the extra replicates only feed
+            // the averaged breakdown.
+            if i == 0 {
+                trace_to_file(dir, figure, label, &rec, &cap);
+                let stacks = rec.folded_spans();
+                let folded = dir.join(format!("{figure}_{}.folded", slug(label)));
+                match hpsock_sim::write_folded(&folded, &stacks) {
+                    Ok(()) => println!("  -> {} ({} stacks)", folded.display(), stacks.len()),
+                    Err(e) => eprintln!("warning: could not write {}: {e}", folded.display()),
+                }
+            }
             reps.push(compute(&rec, &cap, label));
         }
         rows.push(average(label, &reps));
@@ -345,19 +319,18 @@ pub fn export_guarantee_traces(
     base_seed: u64,
     runs: &[(&str, GuaranteeRun)],
 ) {
-    export_run_traces(dir, figure, title, base_seed, runs, |run, seed, mk| {
+    export_run_traces(dir, figure, title, base_seed, runs, |run, seed, probe| {
         let run = GuaranteeRun {
             seed,
             ..run.clone()
         };
-        run_guarantee_probed(&run, mk).1
+        run_guarantee_traced(&run, probe).1
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_guarantee_traced;
     use proptest::prelude::*;
 
     #[test]

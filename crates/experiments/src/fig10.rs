@@ -4,11 +4,11 @@
 
 use crate::breakdown;
 use crate::replicate::{self, Layout, Series};
-use crate::runner::{RunCapture, FIG10_SEED};
+use crate::runner::FIG10_SEED;
 use crate::sweep::parallel_map_seeded;
 use crate::table::{fmt_opt, Table};
 use hpsock_net::TransportKind;
-use hpsock_sim::{Dur, Probe, SimTime};
+use hpsock_sim::{Dur, Probe, RunCapture, SimTime};
 use hpsock_vizserver::{rr_reaction_time_probed, LbSetup};
 use std::path::Path;
 
@@ -19,19 +19,18 @@ pub fn factors() -> Vec<f64> {
 
 /// Reaction time (µs) for one transport at one factor.
 pub fn reaction_us(kind: TransportKind, factor: f64, seed: u64) -> Option<f64> {
-    reaction_probed(kind, factor, seed, |_| None).0
+    reaction_probed(kind, factor, seed, None).0
 }
 
-/// [`reaction_us`] with the probe bus attached once the LB cluster
-/// exists (the factory receives the resource-name table), additionally
-/// returning the run's [`RunCapture`] for the breakdown/export layer.
+/// [`reaction_us`] with `probe` attached, additionally returning the
+/// run's [`RunCapture`] for the breakdown/export layer.
 /// Probes are observational only, so the measured reaction time is
 /// identical to the unprobed run (pinned by the determinism tests).
 pub fn reaction_probed(
     kind: TransportKind,
     factor: f64,
     seed: u64,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+    probe: Option<Box<dyn Probe>>,
 ) -> (Option<f64>, RunCapture) {
     let setup = LbSetup::paper(kind);
     // One node turns slow a third of the way through a workload long
@@ -39,8 +38,7 @@ pub fn reaction_probed(
     let emit_ns = (setup.ns_per_byte * setup.block_bytes as f64) as u64;
     let blocks = 3 * 100u32; // ~100 emissions before and after the switch
     let slow_at = SimTime::ZERO + Dur::nanos(emit_ns * 100);
-    let (reaction, cap) =
-        rr_reaction_time_probed(&setup, factor, slow_at, blocks, seed, make_probe);
+    let (reaction, cap) = rr_reaction_time_probed(&setup, factor, slow_at, blocks, seed, |_| probe);
     (reaction.map(|d| d.as_micros_f64()), cap)
 }
 
@@ -58,7 +56,7 @@ pub fn export_traces(dir: &Path) {
             ("TCP", TransportKind::KTcp),
             ("SocketVIA", TransportKind::SocketVia),
         ],
-        |&kind, seed, mk| reaction_probed(kind, 4.0, seed, mk).1,
+        |&kind, seed, probe| reaction_probed(kind, 4.0, seed, probe).1,
     );
 }
 

@@ -5,11 +5,11 @@
 
 use crate::breakdown;
 use crate::replicate::{self, Layout, Series};
-use crate::runner::{RunCapture, FIG11_SEED};
+use crate::runner::FIG11_SEED;
 use crate::sweep::parallel_map_seeded;
 use crate::table::Table;
 use hpsock_net::TransportKind;
-use hpsock_sim::Probe;
+use hpsock_sim::{Probe, RunCapture};
 use hpsock_vizserver::{dd_execution_time_probed, LbSetup};
 use std::path::Path;
 
@@ -27,12 +27,11 @@ pub const WORKLOAD_BYTES: u64 = 2 * 1024 * 1024;
 
 /// Execution time (µs) for one point.
 pub fn exec_us(kind: TransportKind, prob: f64, factor: f64, seed: u64) -> f64 {
-    exec_probed(kind, prob, factor, seed, |_| None).0
+    exec_probed(kind, prob, factor, seed, None).0
 }
 
-/// [`exec_us`] with the probe bus attached once the LB cluster exists
-/// (the factory receives the resource-name table), additionally
-/// returning the run's [`RunCapture`] for the breakdown/export layer.
+/// [`exec_us`] with `probe` attached, additionally returning the run's
+/// [`RunCapture`] for the breakdown/export layer.
 /// Probes are observational only, so the measured execution time is
 /// identical to the unprobed run (pinned by the determinism tests).
 pub fn exec_probed(
@@ -40,11 +39,11 @@ pub fn exec_probed(
     prob: f64,
     factor: f64,
     seed: u64,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+    probe: Option<Box<dyn Probe>>,
 ) -> (f64, RunCapture) {
     let setup = LbSetup::paper(kind);
     let blocks = (WORKLOAD_BYTES / setup.block_bytes) as u32;
-    let (dur, cap) = dd_execution_time_probed(&setup, prob, factor, blocks, seed, make_probe);
+    let (dur, cap) = dd_execution_time_probed(&setup, prob, factor, blocks, seed, |_| probe);
     (dur.as_micros_f64(), cap)
 }
 
@@ -62,7 +61,7 @@ pub fn export_traces(dir: &Path) {
             ("TCP", TransportKind::KTcp),
             ("SocketVIA", TransportKind::SocketVia),
         ],
-        |&kind, seed, mk| exec_probed(kind, 0.5, 4.0, seed, mk).1,
+        |&kind, seed, probe| exec_probed(kind, 0.5, 4.0, seed, probe).1,
     );
 }
 

@@ -5,6 +5,7 @@
 use crate::breakdown::trace_to_file;
 use crate::table::Table;
 use hpsock_net::TransportKind;
+use hpsock_sim::Recorder;
 use socketvia::curves::{crossover, PerfCurve};
 use socketvia::{bandwidth_series, latency_series, streaming_mbps_probed, Provider};
 use std::path::Path;
@@ -154,9 +155,10 @@ pub fn export_traces(dir: &Path, quick: bool) {
         ],
     );
     for &kind in TransportKind::PAPER_SET.iter() {
-        let ((mbps, end), rec) = trace_to_file(dir, "fig4", kind.label(), |mk| {
-            streaming_mbps_probed(&Provider::new(kind), MSG_BYTES, count, mk)
-        });
+        let rec = Recorder::new();
+        let (mbps, cap) =
+            streaming_mbps_probed(&Provider::new(kind), MSG_BYTES, count, Some(rec.probe()));
+        trace_to_file(dir, "fig4", kind.label(), &rec, &cap);
         rec.with_metrics(|m| {
             let mut names: Vec<&str> = m
                 .gauge_names()
@@ -168,7 +170,7 @@ pub fn export_traces(dir: &Path, quick: bool) {
                     kind.label().to_string(),
                     name.to_string(),
                     format!("{:.1}", m.gauge_current(name)),
-                    format!("{:.1}", m.gauge_mean(name, end)),
+                    format!("{:.1}", m.gauge_mean(name, cap.end)),
                     format!("{mbps:.1}"),
                 ]);
             }

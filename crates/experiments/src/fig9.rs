@@ -6,11 +6,11 @@
 
 use crate::breakdown;
 use crate::replicate::{self, Layout, Series};
-use crate::runner::{run_pipeline, RunCapture, FIG9_SEED};
+use crate::runner::{run_pipeline, FIG9_SEED};
 use crate::sweep::parallel_map_seeded;
 use crate::table::Table;
 use hpsock_net::TransportKind;
-use hpsock_sim::Probe;
+use hpsock_sim::{Probe, RunCapture};
 use hpsock_vizserver::{BlockedImage, ComputeModel, Plan};
 use std::path::Path;
 
@@ -38,12 +38,11 @@ pub fn mean_response_ms(
     n: u32,
     seed: u64,
 ) -> f64 {
-    mean_response_probed(kind, compute, partitions, fraction, n, seed, |_| None).0
+    mean_response_probed(kind, compute, partitions, fraction, n, seed, None).0
 }
 
-/// [`mean_response_ms`] with the probe bus attached once the pipeline
-/// exists (the factory receives the resource-name table), additionally
-/// returning the run's [`RunCapture`] for the breakdown/export layer.
+/// [`mean_response_ms`] with `probe` attached, additionally returning
+/// the run's [`RunCapture`] for the breakdown/export layer.
 /// Probes are observational only, so the measured response time is
 /// identical to the unprobed run (pinned by the determinism tests).
 pub fn mean_response_probed(
@@ -53,11 +52,11 @@ pub fn mean_response_probed(
     fraction: f64,
     n: u32,
     seed: u64,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+    probe: Option<Box<dyn Probe>>,
 ) -> (f64, RunCapture) {
     let img = BlockedImage::paper_image(IMAGE_BYTES / partitions);
     let plan = Plan::ClosedLoop(query_mix(&img, fraction, n));
-    run_pipeline(kind, compute, plan, seed, make_probe, |d| {
+    run_pipeline(kind, compute, plan, seed, probe, |d| {
         assert_eq!(d.results.len(), n as usize, "closed loop drained");
         d.mean_latency_all_us().expect("results present") / 1_000.0
     })
@@ -75,7 +74,7 @@ pub fn export_traces(dir: &Path, quick: bool) {
         "Figure 9 time breakdown at fraction 0.5, 64 partitions, no computation (us of server-time)",
         FIG9_SEED,
         &[("TCP", TransportKind::KTcp), ("SocketVIA", TransportKind::SocketVia)],
-        |&kind, seed, mk| mean_response_probed(kind, ComputeModel::None, 64, 0.5, n, seed, mk).1,
+        |&kind, seed, probe| mean_response_probed(kind, ComputeModel::None, 64, 0.5, n, seed, probe).1,
     );
 }
 

@@ -26,7 +26,8 @@ use crate::fig7;
 use crate::fig9;
 use crate::table::Table;
 use hpsock_net::{
-    configured_oversub, with_netmodel, Cluster, ConnId, Delivery, NetModel, NodeId, TransportKind,
+    configured_oversub, with_netmodel, Cluster, ConnId, Delivery, Drain, NetModel, NodeId,
+    TransportKind,
 };
 use hpsock_sim::{Ctx, Dur, Message, Process, Sim};
 use hpsock_vizserver::ComputeModel;
@@ -247,20 +248,6 @@ impl Process for OpenLoopClient {
     }
 }
 
-/// Consumes every delivery immediately.
-struct Sink {
-    net: hpsock_net::Network,
-}
-impl Process for Sink {
-    fn name(&self) -> String {
-        "scale-sink".to_string()
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-        let d = msg.downcast::<Delivery>().expect("sink expects deliveries");
-        self.net.consumed(ctx, d.conn, d.msg_id);
-    }
-}
-
 /// One scale-sweep measurement.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
@@ -307,7 +294,7 @@ pub fn run_scale_point(
                     conn: ConnId(conn),
                     remaining: msgs,
                 }));
-                let rx = sim.add_process(Box::new(Sink { net: net.clone() }));
+                let rx = sim.add_process(Box::new(Drain { net: net.clone() }));
                 net.connect(
                     cluster.endpoint(NodeId(node), tx),
                     cluster.endpoint(NodeId(senders + node), rx),

@@ -3,17 +3,12 @@
 //! interleaved partial-update probes.
 
 use hpsock_net::{Cluster, TransportKind};
-use hpsock_sim::{Dur, Probe, ProcessId, Sim, SimTime};
+use hpsock_sim::{Dur, Probe, ProcessId, RunCapture, Sim, SimTime};
 use hpsock_vizserver::{
     complete_update, partial_update, BlockedImage, ComputeModel, PipelineCfg, Plan, QueryDesc,
     QueryDriver, QueryKind, VizPipeline,
 };
 use socketvia::Provider;
-
-/// What a probed run exposes about the simulation it ran — defined next
-/// to the drivers in `hpsock_vizserver` (every `*_probed` driver returns
-/// one), re-exported here for the breakdown/export layer.
-pub use hpsock_vizserver::RunCapture;
 
 /// Base RNG seeds of the figure experiments, hoisted here so no driver
 /// re-hardcodes a magic number. Values are the historical per-figure
@@ -87,27 +82,16 @@ pub fn run_guarantee(run: &GuaranteeRun) -> GuaranteeResult {
     run_guarantee_traced(run, None).0
 }
 
-/// [`run_guarantee`] with an optional probe attached before the run.
-/// Probes are observational only, so the measured result is identical to
-/// the unprobed run (pinned by the determinism tests).
+/// [`run_guarantee`] with an optional probe attached before the run,
+/// additionally returning the run's [`RunCapture`]. Probes are
+/// observational only, so the measured result is identical to the
+/// unprobed run (pinned by the determinism tests).
 pub fn run_guarantee_traced(
     run: &GuaranteeRun,
     probe: Option<Box<dyn Probe>>,
 ) -> (GuaranteeResult, RunCapture) {
-    run_guarantee_probed(run, |_| probe)
-}
-
-/// [`run_guarantee_traced`] where the probe is built *after* the cluster
-/// topology exists: the factory receives the resource names (indexed by
-/// `ResourceId`), which streaming trace sinks need up-front for their
-/// track tables. Resources are all registered before the first event
-/// fires, so attaching at this point observes the entire run.
-pub fn run_guarantee_probed(
-    run: &GuaranteeRun,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
-) -> (GuaranteeResult, RunCapture) {
     let plan = guarantee_plan(run);
-    run_pipeline(run.kind, run.compute, plan, run.seed, make_probe, |d| {
+    run_pipeline(run.kind, run.compute, plan, run.seed, probe, |d| {
         let achieved = d.achieved_rate(QueryKind::Complete);
         GuaranteeResult {
             partial_us: d.mean_latency_us(QueryKind::Partial),
@@ -150,7 +134,7 @@ pub fn run_saturation_ups(
         .map(|i| (SimTime::ZERO + Dur::micros(i as u64), complete_update(&img)))
         .collect();
     let plan = Plan::OpenLoop(items);
-    let (rate, _) = run_pipeline(kind, compute, plan, seed, no_probe, |d| {
+    let (rate, _) = run_pipeline(kind, compute, plan, seed, None, |d| {
         assert_eq!(d.outstanding(), 0, "saturation run drained");
         d.achieved_rate(QueryKind::Complete).unwrap_or(0.0)
     });
@@ -170,15 +154,10 @@ pub fn isolated_partial_us(
     let img = BlockedImage::paper_image(block_bytes);
     let queries: Vec<QueryDesc> = (0..n).map(|_| partial_update(&img, 1)).collect();
     let plan = Plan::ClosedLoop(queries);
-    let (us, _) = run_pipeline(kind, compute, plan, seed, no_probe, |d| {
+    let (us, _) = run_pipeline(kind, compute, plan, seed, None, |d| {
         d.mean_latency_us(QueryKind::Partial)
     });
     us.expect("partial queries completed")
-}
-
-/// The probe factory of an unprobed run.
-fn no_probe(_: &[String]) -> Option<Box<dyn Probe>> {
-    None
 }
 
 /// The one Figure 5 pipeline every experiment here shares, built and not
@@ -202,18 +181,18 @@ pub(crate) fn build_pipeline(
     (sim, cluster, driver_pid)
 }
 
-/// Run the [`build_pipeline`] pipeline with the factory's probe attached
-/// (see [`RunCapture::run`]) and hand the finished driver to `read`.
+/// Run the [`build_pipeline`] pipeline with `probe` attached (see
+/// [`RunCapture::run`]) and hand the finished driver to `read`.
 pub(crate) fn run_pipeline<R>(
     kind: TransportKind,
     compute: ComputeModel,
     plan: Plan,
     seed: u64,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
+    probe: Option<Box<dyn Probe>>,
     read: impl FnOnce(&QueryDriver) -> R,
 ) -> (R, RunCapture) {
     let (mut sim, _cluster, driver_pid) = build_pipeline(kind, compute, plan, seed);
-    let cap = RunCapture::run(&mut sim, make_probe);
+    let cap = RunCapture::run(&mut sim, probe);
     (read(sim.process(driver_pid).expect("driver persists")), cap)
 }
 

@@ -75,7 +75,7 @@ mod tests {
     use crate::runner::{
         build_pipeline, guarantee_plan, run_guarantee_traced, GuaranteeRun, FIG7_SEED, FIG9_SEED,
     };
-    use hpsock_net::{fault, with_netmodel, NetModel, TransportKind};
+    use hpsock_net::{fault, TransportKind};
     use hpsock_sim::SimTime;
     use hpsock_vizserver::{query_mix, BlockedImage, ComputeModel, Plan, QueryDriver};
 
@@ -140,19 +140,6 @@ mod tests {
     fn fig9_mixed_stream_is_shard_count_invariant() {
         assert_shard_count_invariant(|shards| {
             pipeline_run(shards, TransportKind::KTcp, fig9_plan(), FIG9_SEED)
-        });
-    }
-
-    #[test]
-    fn flow_model_fig7_and_fig9_are_shard_count_invariant() {
-        let run = fig7_run();
-        with_netmodel(NetModel::Flow, || {
-            assert_shard_count_invariant(|shards| {
-                pipeline_run(shards, run.kind, guarantee_plan(&run), run.seed)
-            });
-            assert_shard_count_invariant(|shards| {
-                pipeline_run(shards, TransportKind::KTcp, fig9_plan(), FIG9_SEED)
-            });
         });
     }
 

@@ -200,6 +200,11 @@ impl Cluster {
         node_to_shard: Vec<usize>,
         pins: Vec<(ProcessId, usize)>,
     ) -> ShardPlan {
+        assert!(
+            self.net.registry.lock().expect("registry lock").model != NetModel::Flow,
+            "a flow-model cluster takes no shard plan: every flow runs on the one \
+             fluid core, so shards would add barrier rounds and no parallel work"
+        );
         assert!(shards >= 1, "a shard plan needs at least one shard");
         assert_eq!(
             node_to_shard.len(),
@@ -217,65 +222,28 @@ impl Cluster {
         let mut link_name = vec![vec![String::new(); shards]; shards];
         {
             let reg = self.net.registry.lock().expect("registry lock");
-            if reg.model == NetModel::Flow {
-                // Under the fluid model all cross-node traffic flows
-                // through the fluid core, which the plan pins to shard 0:
-                // submissions cross `src → 0` after switch+prop, delivered
-                // flows cross `0 → dst` after the minimum delivery
-                // residual, and fault notices cross `0 → src` after the
-                // loss-detection latency. No packet-era data/ack edges
-                // exist. Under an active fault plan any connection may
-                // carry a notice, so the bound does not ask which ones do.
-                let notice = reg
-                    .faults
-                    .as_ref()
-                    .map(|p| p.recovery.detect.as_nanos().max(1));
-                for (ci, c) in reg.conns.iter().enumerate() {
-                    let (sa, sb) = (node_to_shard[c.src.node.0], node_to_shard[c.dst.node.0]);
-                    let d_tx = crate::fluid::tx_hop(&c.costs).as_nanos();
-                    if sa != 0 && d_tx < lookahead[sa][0] {
-                        lookahead[sa][0] = d_tx;
-                        link_name[sa][0] =
-                            format!("conn{ci} node{} -> fluid core (flow arrival)", c.src.node.0);
-                    }
-                    let drx = crate::fluid::min_delivery(&c.costs).as_nanos();
-                    if sb != 0 && drx < lookahead[0][sb] {
-                        lookahead[0][sb] = drx;
-                        link_name[0][sb] = format!(
-                            "fluid core -> conn{ci} node{} (flow delivery)",
-                            c.dst.node.0
-                        );
-                    }
-                    if let Some(det) = notice.filter(|&d| sa != 0 && d < lookahead[0][sa]) {
-                        lookahead[0][sa] = det;
-                        link_name[0][sa] =
-                            format!("fluid core -> conn{ci} node{} (fault notice)", c.src.node.0);
-                    }
+            for (ci, c) in reg.conns.iter().enumerate() {
+                let (sa, sb) = (node_to_shard[c.src.node.0], node_to_shard[c.dst.node.0]);
+                if sa == sb {
+                    continue;
                 }
-            } else {
-                for (ci, c) in reg.conns.iter().enumerate() {
-                    let (sa, sb) = (node_to_shard[c.src.node.0], node_to_shard[c.dst.node.0]);
-                    if sa == sb {
-                        continue;
-                    }
-                    // Data path: frames src -> dst after switch + propagation.
-                    let data = c.costs.switch_latency.as_nanos() + c.costs.prop_delay.as_nanos();
-                    if data < lookahead[sa][sb] {
-                        lookahead[sa][sb] = data;
-                        link_name[sa][sb] = format!(
-                            "conn{ci} node{} -> node{} (data path)",
-                            c.src.node.0, c.dst.node.0
-                        );
-                    }
-                    // Ack/credit path: dst -> src after the ack latency.
-                    let ack = c.costs.ack_latency.as_nanos();
-                    if ack < lookahead[sb][sa] {
-                        lookahead[sb][sa] = ack;
-                        link_name[sb][sa] = format!(
-                            "conn{ci} node{} -> node{} (ack path)",
-                            c.src.node.0, c.dst.node.0
-                        );
-                    }
+                // Data path: frames src -> dst after switch + propagation.
+                let data = c.costs.switch_latency.as_nanos() + c.costs.prop_delay.as_nanos();
+                if data < lookahead[sa][sb] {
+                    lookahead[sa][sb] = data;
+                    link_name[sa][sb] = format!(
+                        "conn{ci} node{} -> node{} (data path)",
+                        c.src.node.0, c.dst.node.0
+                    );
+                }
+                // Ack/credit path: dst -> src after the ack latency.
+                let ack = c.costs.ack_latency.as_nanos();
+                if ack < lookahead[sb][sa] {
+                    lookahead[sb][sa] = ack;
+                    link_name[sb][sa] = format!(
+                        "conn{ci} node{} -> node{} (ack path)",
+                        c.src.node.0, c.dst.node.0
+                    );
                 }
             }
         }
@@ -303,9 +271,6 @@ impl Cluster {
                     .route
                     .get()
                     .expect("shard plan resolved before the simulation started");
-                if route.fluid_core == Some(pid) {
-                    return 0; // the fluid core is always pinned to shard 0
-                }
                 for (node, &core) in route.core_of_node.iter().enumerate() {
                     if core == pid {
                         return resolve_nodes[node];
@@ -1020,57 +985,23 @@ mod tests {
         });
     }
 
-    /// A sharded fluid run reproduces the sequential digest, byte counts
-    /// and timings exactly: all flow state lives on the pinned fluid core
-    /// and every edge touching it has positive lookahead.
+    /// A flow-model cluster refuses a shard plan, naming the reason:
+    /// every flow runs on the one fluid core, so shards add only rounds.
     #[test]
-    fn flow_model_sharded_run_matches_sequential() {
-        let run = |shards: usize| {
-            crate::netmodel::with_netmodel(NetModel::Flow, || {
-                let mut sim = hpsock_sim::Sim::new(7);
-                let cluster = Cluster::build(&mut sim, 2);
-                let net = cluster.network();
-                let sink = sim.add_process(Box::new(Sink {
-                    net: net.clone(),
-                    sender: None,
-                    oneway_us: vec![],
-                    last_delivery: SimTime::ZERO,
-                    delivered: 0,
-                }));
-                let blaster = sim.add_process(Box::new(BurstBlaster {
-                    net: net.clone(),
-                    conn: ConnId(0),
-                    bytes: 16_384,
-                    count: 50,
-                }));
-                net.connect(
-                    cluster.endpoint(NodeId(0), blaster),
-                    cluster.endpoint(NodeId(1), sink),
-                    TransportKind::SocketVia,
-                );
-                if shards > 1 {
-                    sim.set_shard_plan(cluster.shard_plan(2, vec![0, 1], vec![]));
-                }
-                let end = sim.run();
-                let s: &Sink = sim.process(sink).unwrap();
-                (
-                    end.as_nanos(),
-                    sim.trace_digest(),
-                    sim.events_dispatched(),
-                    s.delivered,
-                    s.last_delivery.as_nanos(),
-                )
-            })
-        };
-        assert_eq!(run(2), run(1));
+    #[should_panic(expected = "one fluid core")]
+    fn flow_model_refuses_shard_plans() {
+        crate::netmodel::with_netmodel(NetModel::Flow, || {
+            let mut sim = hpsock_sim::Sim::new(7);
+            Cluster::build(&mut sim, 2).shard_plan(2, vec![0, 1], vec![]);
+        });
     }
 
     /// `HPSOCK_FAULTS` composes with the fluid model: fates are drawn at
     /// flow granularity on the fluid core's own RNG stream, reproducibly
-    /// across repeats and shard partitions, and drops actually lose data.
+    /// across repeats, and drops actually lose data.
     #[test]
     fn flow_model_composes_with_faults() {
-        let run = |shards: usize| {
+        let run = || {
             crate::netmodel::with_netmodel(NetModel::Flow, || {
                 fault::with_spec("drop=0.05,delay=0.2:30us", || {
                     let mut sim = hpsock_sim::Sim::new(11);
@@ -1095,9 +1026,6 @@ mod tests {
                         cluster.endpoint(NodeId(1), sink),
                         TransportKind::SocketVia,
                     );
-                    if shards > 1 {
-                        sim.set_shard_plan(cluster.shard_plan(2, vec![0, 1], vec![]));
-                    }
                     let end = sim.run();
                     let s: &Sink = sim.process(sink).unwrap();
                     (
@@ -1109,9 +1037,8 @@ mod tests {
                 })
             })
         };
-        let seq = run(1);
-        assert_eq!(run(1), seq, "repeat invocation reproduces the digest");
-        assert_eq!(run(2), seq, "2-shard partition reproduces the digest");
+        let seq = run();
+        assert_eq!(run(), seq, "repeat invocation reproduces the digest");
         let delivered = seq.3;
         assert!(delivered > 0, "some flows survive a 5% drop rate");
         assert!(

@@ -670,6 +670,25 @@ impl Network {
     }
 }
 
+/// An application process that consumes every [`Delivery`] the moment it
+/// arrives: the receiving end of a stream whose data nobody reads.
+pub struct Drain {
+    /// The network its connections run on.
+    pub net: Network,
+}
+
+impl Process for Drain {
+    fn name(&self) -> String {
+        "drain".to_string()
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        let d = msg
+            .downcast::<Delivery>()
+            .expect("a drain receives only deliveries");
+        self.net.consumed(ctx, d.conn, d.msg_id);
+    }
+}
+
 /// Placeholder process that seals the registry and spawns the per-node
 /// cores when the simulation starts. Construct via [`NetSwitch::install`].
 pub struct NetSwitch {
@@ -1351,20 +1370,6 @@ mod tests {
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Message) {}
-    }
-
-    /// Consumes every delivery.
-    struct Drain {
-        net: Network,
-    }
-    impl Process for Drain {
-        fn name(&self) -> String {
-            "drain".to_string()
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-            let d = msg.downcast::<Delivery>().expect("deliveries only");
-            self.net.consumed(ctx, d.conn, d.msg_id);
-        }
     }
 
     /// One 1,024 B message from node 0 to a [`Drain`] on node 1 under the

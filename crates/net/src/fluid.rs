@@ -50,15 +50,15 @@
 //! queueing order — see `DESIGN.md` §13 for the documented tolerance and
 //! when *not* to use it.
 //!
-//! ## Determinism and sharding
+//! ## Determinism
 //!
-//! All flow state lives in a single [`FluidCore`] process pinned to
-//! shard 0, so state changes happen in canonical event order and digests
-//! are shard-invariant. Every edge touching the core has positive delay
-//! (`switch+prop` inbound, the minimum delivery residual outbound, the
-//! fault-detection latency for failure notifications), preserving the
-//! engine's no-zero-delay-across-nodes property that conservative
-//! sharding needs.
+//! All flow state lives in a single [`FluidCore`] process, so state
+//! changes happen in canonical event order. Every edge touching the core
+//! has positive delay (`switch+prop` inbound, the minimum delivery
+//! residual outbound, the fault-detection latency for failure
+//! notifications). Because every flow runs on that one process, a
+//! sharded run could only add barrier rounds: `Cluster::shard_plan`
+//! refuses flow-model clusters.
 
 use crate::cluster::Topology;
 use crate::engine::{ConnId, MsgMeta, Registry, StreamErrorKind};
@@ -270,16 +270,15 @@ pub(crate) enum FluidEv {
 }
 
 /// The switch+propagation hop a message pays before reaching the fluid
-/// core — the positive cross-shard lookahead of every `tx core → fluid`
-/// edge.
+/// core.
 pub(crate) fn tx_hop(costs: &PathCosts) -> Dur {
     costs.switch_latency + costs.prop_delay
 }
 
 /// Lower bound of the fluid `core → rx core` delivery residual for a
-/// connection, used both as the shard-plan lookahead and as a runtime
-/// clamp (the size-dependent residual is not provably monotone). Always
-/// at least 1 ns so the sharded kernel keeps a positive edge.
+/// connection, applied as a clamp on every delivery (the size-dependent
+/// residual is not provably monotone). Always at least 1 ns, so a
+/// delivery never lands at the instant its flow completes.
 pub(crate) fn min_delivery(costs: &PathCosts) -> Dur {
     Dur::nanos(delivery_residual_ns(costs, 1).max(1))
 }
@@ -924,8 +923,7 @@ impl DueHeap {
 }
 
 /// The single process owning all flow state (see module docs). Spawned by
-/// the net switch when the cluster was built under [`super::NetModel::Flow`];
-/// shard plans pin it to shard 0.
+/// the net switch when the cluster was built under [`super::NetModel::Flow`].
 pub struct FluidCore {
     conns: Vec<FluidConn>,
     /// Link capacities: stage links at 1.0 (weights are ns/byte), fabric
@@ -1067,7 +1065,7 @@ impl FluidCore {
     }
 
     /// Delivery residual for a completed flow, clamped to the connection's
-    /// shard-plan lower bound.
+    /// [`min_delivery`] lower bound.
     fn delivery_delay(&self, conn: usize, bytes: u64) -> Dur {
         let c = &self.conns[conn];
         Dur::nanos(delivery_residual_ns(&c.costs, bytes).max(c.min_drx.as_nanos()))
@@ -1258,8 +1256,7 @@ impl FluidCore {
     ) {
         let c = &mut self.conns[conn];
         // Fate is drawn once per message, in arrival order, from this
-        // core's own deterministic RNG stream — shard-invariant because
-        // the core is a single pinned process.
+        // core's own deterministic RNG stream.
         let fate = match &c.faults {
             Some(f) => f.fate(ctx.now(), ctx.rng()),
             None => MsgFate::Deliver { extra: Dur::ZERO },

@@ -302,7 +302,7 @@ impl Sim {
     }
 
     /// Names of all registered resources, indexed by `ResourceId`; the
-    /// track table expected by [`crate::probe::Recorder::chrome_trace_json`].
+    /// track table expected by [`crate::probe::Recorder::write_chrome_trace`].
     pub fn resource_names(&self) -> Vec<String> {
         self.core
             .resources

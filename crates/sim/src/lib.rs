@@ -77,8 +77,8 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use kernel::{Ctx, Message, Process, ProcessId, Sim};
 pub use payload::Payload;
 pub use probe::{
-    fold_spans, write_folded, MetricRegistry, Probe, ProbeEvent, Recorder, StreamingTraceWriter,
-    Tee,
+    fold_spans, write_folded, MetricRegistry, Probe, ProbeEvent, Recorder, RunCapture,
+    StreamingTraceWriter,
 };
 pub use resource::{Resource, ResourceId};
 pub use shard::ShardPlan;

@@ -13,14 +13,20 @@
 //! is identical with and without a probe attached (this is pinned by the
 //! determinism test-suite).
 //!
+//! [`RunCapture::run`] is the one attach point: it attaches a probe (or
+//! none), runs a [`Sim`] and snapshots the resource table that names a
+//! trace's tracks.
+//!
 //! [`Recorder`] is the batteries-included sink: it buffers events, folds
-//! gauges into a [`MetricRegistry`], and exports Chrome
-//! trace-event JSON openable in Perfetto / `chrome://tracing`, with one
-//! track per simulated resource plus one per named span track. The span
-//! tracks also fold into flamegraph collapsed stacks ([`fold_spans`],
-//! written as `.folded` files by [`write_folded`]).
+//! gauges into a [`MetricRegistry`], and after the run writes Chrome
+//! trace-event JSON openable in Perfetto / `chrome://tracing`
+//! ([`Recorder::write_chrome_trace`]), with one track per simulated
+//! resource plus one per named span track. The span tracks also fold
+//! into flamegraph collapsed stacks ([`fold_spans`], written as
+//! `.folded` files by [`write_folded`]). [`StreamingTraceWriter`] writes
+//! the same JSON while the run goes, for sinks that must not buffer.
 
-use crate::kernel::ProcessId;
+use crate::kernel::{ProcessId, Sim};
 use crate::resource::ResourceId;
 use crate::stats::TimeWeighted;
 use crate::time::{Dur, SimTime};
@@ -110,6 +116,49 @@ pub enum ProbeEvent {
 pub trait Probe: Send {
     /// Receive one event.
     fn record(&mut self, ev: ProbeEvent);
+}
+
+/// What a run exposes about the simulation it ran, for trace export and
+/// time-breakdown reports: the run's extent plus the identity (name,
+/// server count) of every resource, indexed by `ResourceId` like the
+/// probe bus's events.
+///
+/// Every probed driver returns one alongside its measurement, so the
+/// export layer can name trace tracks and attribute server-time without
+/// re-deriving the topology.
+#[derive(Debug, Clone)]
+pub struct RunCapture {
+    /// Final virtual time.
+    pub end: SimTime,
+    /// Resource names indexed by `ResourceId` (the Chrome-trace track
+    /// table).
+    pub resource_names: Vec<String>,
+    /// Server count per resource, same indexing.
+    pub servers: Vec<usize>,
+    /// The run's event-trace digest — the determinism tests' witness that
+    /// two runs (e.g. sequential vs under a shard plan) dispatched the
+    /// same events in the same order.
+    pub digest: u64,
+}
+
+impl RunCapture {
+    /// Attach `probe` (if any), run `sim` to completion and snapshot it.
+    pub fn run(sim: &mut Sim, probe: Option<Box<dyn Probe>>) -> RunCapture {
+        if let Some(p) = probe {
+            sim.attach_probe(p);
+        }
+        let end = sim.run();
+        let resource_names = sim.resource_names();
+        let servers = (0..resource_names.len())
+            .map(|i| sim.resource(ResourceId(i)).servers())
+            .collect();
+        RunCapture {
+            end,
+            resource_names,
+            servers,
+            digest: sim.trace_digest(),
+        }
+    }
 }
 
 /// Named gauges, keyed deterministically: each gauge is a
@@ -225,15 +274,19 @@ impl Recorder {
         self.with_events(fold_spans)
     }
 
-    /// Export buffered events as Chrome trace-event JSON (the format
-    /// Perfetto and `chrome://tracing` open directly).
+    /// Write the buffered events into `w` as Chrome trace-event JSON (the
+    /// format Perfetto and `chrome://tracing` open directly), with one
+    /// resource track per entry of `resource_names`, and return `w` — or
+    /// the first I/O error.
     ///
-    /// Convenience wrapper feeding the buffered events through a
-    /// [`StreamingTraceWriter`] over an in-memory buffer; for long runs
-    /// prefer attaching a `StreamingTraceWriter` directly so events go to
-    /// disk as they happen instead of accumulating here.
-    pub fn chrome_trace_json(&self, resource_names: &[String]) -> String {
-        let writer = StreamingTraceWriter::new(Vec::new(), resource_names);
+    /// The events replay through a [`StreamingTraceWriter`], so the output
+    /// is byte-identical to that writer attached live to the same run.
+    pub fn write_chrome_trace<W: std::io::Write + Send + 'static>(
+        &self,
+        w: W,
+        resource_names: &[String],
+    ) -> std::io::Result<W> {
+        let writer = StreamingTraceWriter::new(w, resource_names);
         {
             let mut p = writer.probe();
             self.with_events(|events| {
@@ -242,8 +295,7 @@ impl Recorder {
                 }
             });
         }
-        let bytes = writer.finish().expect("in-memory trace write cannot fail");
-        String::from_utf8(bytes).expect("trace JSON is UTF-8")
+        writer.finish()
     }
 }
 
@@ -256,7 +308,8 @@ impl Recorder {
 /// `File` in a `BufWriter` (or use [`StreamingTraceWriter::create`]) to
 /// batch the small per-event writes.
 ///
-/// Layout matches [`Recorder::chrome_trace_json`]: tid 0 carries counters
+/// [`Recorder::write_chrome_trace`] replays a finished run through this
+/// writer, so both give the same layout: tid 0 carries counters
 /// and gauges, tids `1..=n` the resource tracks (named up-front from
 /// `resource_names`), and stall/span tracks are assigned — with their
 /// `thread_name` metadata emitted inline — the first time each appears.
@@ -542,17 +595,6 @@ impl StreamingTraceWriter<std::io::BufWriter<std::fs::File>> {
     }
 }
 
-/// Fan a probe stream out to two sinks (e.g. a [`Recorder`] for analysis
-/// plus a [`StreamingTraceWriter`] for on-disk export in one run).
-pub struct Tee(pub Box<dyn Probe>, pub Box<dyn Probe>);
-
-impl Probe for Tee {
-    fn record(&mut self, ev: ProbeEvent) {
-        self.0.record(ev.clone());
-        self.1.record(ev);
-    }
-}
-
 struct RecorderProbe {
     inner: Arc<Mutex<RecorderInner>>,
 }
@@ -688,6 +730,11 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    fn trace_json(rec: &Recorder, names: &[String]) -> String {
+        let bytes = rec.write_chrome_trace(Vec::new(), names).unwrap();
+        String::from_utf8(bytes).unwrap()
+    }
+
     #[test]
     fn json_escape_passes_plain_text() {
         assert_eq!(json_escape("host_tx[0]"), "host_tx[0]");
@@ -748,9 +795,9 @@ mod tests {
     }
 
     /// The streaming writer, fed the same events, produces the same JSON
-    /// as the Recorder convenience export (which now delegates to it) —
-    /// and writes incrementally: the header and early events are already
-    /// in the sink before the trace is finished.
+    /// as the Recorder's post-run export — and writes incrementally: the
+    /// header and early events are already in the sink before the trace
+    /// is finished.
     #[test]
     fn streaming_writer_matches_recorder_export() {
         let events = [
@@ -801,7 +848,7 @@ mod tests {
             "events flow to the sink before finish"
         );
         let json = String::from_utf8(stream.finish().unwrap()).unwrap();
-        assert_eq!(json, rec.chrome_trace_json(&names));
+        assert_eq!(json, trace_json(&rec, &names));
         assert!(json.contains("\"value\":5"), "counter totals accumulate");
         assert!(json.contains("nic · stall"));
     }
@@ -917,27 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_to_both_sinks() {
-        let a = Recorder::new();
-        let b = Recorder::new();
-        let mut tee = Tee(a.probe(), b.probe());
-        tee.record(ProbeEvent::Dispatch {
-            time: t(1),
-            target: ProcessId(0),
-        });
-        tee.record(ProbeEvent::Gauge {
-            name: "g".into(),
-            time: t(2),
-            value: 1.0,
-        });
-        for rec in [&a, &b] {
-            assert_eq!(rec.dispatches(), 1);
-            assert_eq!(rec.len(), 1);
-            assert_eq!(rec.with_metrics(|m| m.gauge_current("g")), 1.0);
-        }
-    }
-
-    #[test]
     fn chrome_trace_has_named_tracks_and_balanced_events() {
         let rec = Recorder::new();
         let mut p = rec.probe();
@@ -965,7 +991,7 @@ mod tests {
             time: t(900),
             id: 1,
         });
-        let json = rec.chrome_trace_json(&["host_tx[0]".to_string()]);
+        let json = trace_json(&rec, &["host_tx[0]".to_string()]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with('}'));
         assert!(json.contains("\"thread_name\""));

@@ -13,59 +13,8 @@
 
 use crate::pipeline::{QueryDesc, QueryKind, UowDone};
 use hpsock_datacutter::UowStartMsg;
-use hpsock_sim::{
-    Ctx, Dur, FxHashMap, Message, Probe, ProbeEvent, Process, ProcessId, ResourceId, Sim, SimTime,
-};
+use hpsock_sim::{Ctx, Dur, FxHashMap, Message, ProbeEvent, Process, ProcessId, Sim, SimTime};
 use std::sync::{Arc, Mutex};
-
-/// What a probed run exposes about the simulation it ran, for trace
-/// export and time-breakdown reports: the run's extent plus the identity
-/// (name, server count) of every resource, indexed by `ResourceId` like
-/// the probe bus's events.
-///
-/// Every `*_probed` driver (the guarantee runner, the query-mix driver,
-/// the [`crate::hetero`] load balancers) returns one of these alongside
-/// its measurement, so the experiments layer can attribute server-time
-/// without re-deriving the topology.
-#[derive(Debug, Clone)]
-pub struct RunCapture {
-    /// Final virtual time.
-    pub end: SimTime,
-    /// Resource names indexed by `ResourceId` (the Chrome-trace track
-    /// table).
-    pub resource_names: Vec<String>,
-    /// Server count per resource, same indexing.
-    pub servers: Vec<usize>,
-    /// The run's event-trace digest — the determinism tests' witness that
-    /// two runs (e.g. sequential vs under a shard plan) dispatched the
-    /// same events in the same order.
-    pub digest: u64,
-}
-
-impl RunCapture {
-    /// Attach the probe `make_probe` builds from the resource names (all
-    /// registered before the first event fires, so the probe observes the
-    /// whole run), run `sim` to completion and snapshot it.
-    pub fn run(
-        sim: &mut Sim,
-        make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
-    ) -> RunCapture {
-        if let Some(p) = make_probe(&sim.resource_names()) {
-            sim.attach_probe(p);
-        }
-        let end = sim.run();
-        let resource_names = sim.resource_names();
-        let servers = (0..resource_names.len())
-            .map(|i| sim.resource(ResourceId(i)).servers())
-            .collect();
-        RunCapture {
-            end,
-            resource_names,
-            servers,
-            digest: sim.trace_digest(),
-        }
-    }
-}
 
 /// One completed query.
 #[derive(Debug, Clone, Copy)]

@@ -5,14 +5,13 @@
 //! slower. Communication cost is held constant while computation varies,
 //! exactly as the paper idealizes.
 
-use crate::driver::RunCapture;
 use crate::pipeline::QueryDesc;
 use hpsock_datacutter::{
     Action, DataBuffer, FilterCtx, FilterHandle, FilterLogic, FilterStats, GroupBuilder, Instance,
     Policy, SpeedModel,
 };
 use hpsock_net::{Cluster, NodeId, TransportKind};
-use hpsock_sim::{Dur, FxHashSet, Probe, Sim, SimTime};
+use hpsock_sim::{Dur, FxHashSet, Probe, RunCapture, Sim, SimTime};
 use socketvia::Provider;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -188,9 +187,8 @@ pub fn rr_reaction_time(
     rr_reaction_time_probed(setup, factor, slow_at, blocks, seed, |_| None).0
 }
 
-/// [`rr_reaction_time`] with the probe bus attached after the cluster
-/// exists (the factory receives the resource-name table, as in the
-/// guarantee runner's `run_guarantee_probed`), returning the run's
+/// [`rr_reaction_time`] with the probe `make_probe` builds from the
+/// cluster's resource-name table attached, returning the run's
 /// [`RunCapture`] for trace export and time-breakdown reports. Probes are
 /// observational only, so the measurement is identical to the unprobed
 /// run (pinned by the determinism tests).
@@ -211,7 +209,8 @@ pub fn rr_reaction_time_probed(
     }];
     let policy = Policy::RoundRobinAcked;
     let (inst, lb, _) = build_lb(&mut sim, setup, policy, &speeds, blocks, None, true);
-    let cap = RunCapture::run(&mut sim, make_probe);
+    let probe = make_probe(&sim.resource_names());
+    let cap = RunCapture::run(&mut sim, probe);
     let lb_proc = inst.copy(&sim, lb, 0);
     let reaction = lb_proc
         .done_log
@@ -235,9 +234,9 @@ pub fn dd_execution_time(
     dd_execution_time_probed(setup, slow_prob, factor, blocks, seed, |_| None).0
 }
 
-/// [`dd_execution_time`] with the probe bus attached after the cluster
-/// exists, returning the run's [`RunCapture`] (see
-/// [`rr_reaction_time_probed`]).
+/// [`dd_execution_time`] with the probe `make_probe` builds from the
+/// cluster's resource-name table attached, returning the run's
+/// [`RunCapture`] (see [`rr_reaction_time_probed`]).
 pub fn dd_execution_time_probed(
     setup: &LbSetup,
     slow_prob: f64,
@@ -247,8 +246,10 @@ pub fn dd_execution_time_probed(
     make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
 ) -> (Dur, RunCapture) {
     let speeds = random_slow(setup, slow_prob, factor);
-    let policy = Policy::demand_driven();
-    lb_run_probed(setup, policy, &speeds, blocks, seed, make_probe)
+    let (mut sim, ..) = lb_sim(setup, Policy::demand_driven(), &speeds, blocks, seed);
+    let probe = make_probe(&sim.resource_names());
+    let cap = RunCapture::run(&mut sim, probe);
+    (cap.end.since(SimTime::ZERO), cap)
 }
 
 /// [`dd_execution_time`] with an explicit demand-driven window depth
@@ -291,7 +292,8 @@ pub fn lb_execution_time(
     blocks: u32,
     seed: u64,
 ) -> Dur {
-    lb_run_probed(setup, policy, speeds, blocks, seed, |_| None).0
+    let (mut sim, ..) = lb_sim(setup, policy, speeds, blocks, seed);
+    sim.run().since(SimTime::ZERO)
 }
 
 /// Every worker runs `factor`× slower on each block with probability
@@ -304,35 +306,19 @@ fn random_slow(setup: &LbSetup, slow_prob: f64, factor: f64) -> Vec<SpeedModel> 
     vec![slow; setup.workers]
 }
 
-/// [`lb_execution_time`] with the probe bus attached after the cluster
-/// exists, returning the run's [`RunCapture`].
-fn lb_run_probed(
+/// One execution-time run, built and not yet run, with its balancer so
+/// the balancer's state can be read back after the run.
+fn lb_sim(
     setup: &LbSetup,
     policy: Policy,
     speeds: &[SpeedModel],
     blocks: u32,
     seed: u64,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
-) -> (Dur, RunCapture) {
-    let (.., cap) = lb_run(setup, policy, speeds, blocks, seed, make_probe);
-    (cap.end.since(SimTime::ZERO), cap)
-}
-
-/// One execution-time run, returned finished with its balancer so the
-/// balancer's state can be read back.
-fn lb_run(
-    setup: &LbSetup,
-    policy: Policy,
-    speeds: &[SpeedModel],
-    blocks: u32,
-    seed: u64,
-    make_probe: impl FnOnce(&[String]) -> Option<Box<dyn Probe>>,
-) -> (Sim, Instance, FilterHandle, RunCapture) {
+) -> (Sim, Instance, FilterHandle) {
     assert_eq!(speeds.len(), setup.workers, "one speed model per worker");
     let mut sim = Sim::new(seed);
     let (inst, lb, _) = build_lb(&mut sim, setup, policy, speeds, blocks, None, false);
-    let cap = RunCapture::run(&mut sim, make_probe);
-    (sim, inst, lb, cap)
+    (sim, inst, lb)
 }
 
 /// Recovery/availability outcome of one fault-injected load-balancing run
@@ -512,7 +498,8 @@ mod tests {
     fn only_the_reaction_run_keeps_ack_logs() {
         let sv = LbSetup::paper(TransportKind::SocketVia);
         let speeds = random_slow(&sv, 0.3, 4.0);
-        let (sim, inst, lb, _) = lb_run(&sv, Policy::demand_driven(), &speeds, 200, 5, |_| None);
+        let (mut sim, inst, lb) = lb_sim(&sv, Policy::demand_driven(), &speeds, 200, 5);
+        sim.run();
         let balancer = inst.copy(&sim, lb, 0);
         assert!(balancer.stats.buffers_out > 0, "the balancer sent buffers");
         assert!(balancer.ack_log.is_empty() && balancer.done_log.is_empty());
@@ -520,6 +507,42 @@ mod tests {
         // means the log was kept.
         let slow_at = SimTime::from_nanos(2_000_000);
         assert!(rr_reaction_time(&sv, 4.0, slow_at, 400, 7).is_some());
+    }
+
+    /// The post-run trace export rests on a premise this pins on real
+    /// traffic: a Recorder's buffer, written after the run against the
+    /// capture's resource table, is byte-identical to a trace streamed
+    /// live from the same run against the table at attach time.
+    #[test]
+    fn post_run_trace_matches_live_stream() {
+        use hpsock_sim::{Recorder, StreamingTraceWriter};
+        let sv = LbSetup::paper(TransportKind::SocketVia);
+        let slow_at = SimTime::from_nanos(2_000_000);
+        let mut live = None;
+        let (reaction, _) = rr_reaction_time_probed(&sv, 4.0, slow_at, 400, 7, |names| {
+            let writer = StreamingTraceWriter::new(Vec::new(), names);
+            let probe = writer.probe();
+            live = Some(writer);
+            Some(probe)
+        });
+        let live = live
+            .expect("factory ran")
+            .finish()
+            .expect("in-memory trace");
+        let rec = Recorder::new();
+        let (again, cap) =
+            rr_reaction_time_probed(&sv, 4.0, slow_at, 400, 7, |_| Some(rec.probe()));
+        assert_eq!(reaction, again, "same seed, same measurement");
+        let replay = rec
+            .write_chrome_trace(Vec::new(), &cap.resource_names)
+            .expect("in-memory trace");
+        assert!(rec.len() > 1_000, "the run recorded real traffic");
+        assert!(
+            live == replay,
+            "live trace ({} B) differs from the post-run export ({} B)",
+            live.len(),
+            replay.len()
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod pipeline;
 pub mod queries;
 
 pub use dataset::{declustered_share, BlockedImage, Rect};
-pub use driver::{Plan, QueryDriver, QueryResult, RunCapture, TargetSlot};
+pub use driver::{Plan, QueryDriver, QueryResult, TargetSlot};
 pub use guarantee::{block_size_for_partial_latency, block_size_for_update_rate, MIN_BLOCK};
 pub use hetero::{
     dd_execution_time, dd_execution_time_probed, faulted_lb_run, rr_execution_time,

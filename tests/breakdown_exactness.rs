@@ -37,7 +37,7 @@ fn fig9_breakdowns_sum_exactly() {
                     fraction,
                     3,
                     FIG9_SEED,
-                    |_| Some(rec.probe()),
+                    Some(rec.probe()),
                 );
                 let label = format!("fig9 {kind:?} parts={partitions} f={fraction}");
                 assert_exact(&compute(&rec, &cap, &label));
@@ -51,7 +51,7 @@ fn fig10_breakdowns_sum_exactly() {
     for kind in [TransportKind::SocketVia, TransportKind::KTcp] {
         for factor in [2.0, 8.0] {
             let rec = Recorder::new();
-            let (_, cap) = fig10::reaction_probed(kind, factor, FIG10_SEED, |_| Some(rec.probe()));
+            let (_, cap) = fig10::reaction_probed(kind, factor, FIG10_SEED, Some(rec.probe()));
             let label = format!("fig10 {kind:?} factor={factor}");
             assert_exact(&compute(&rec, &cap, &label));
         }
@@ -63,7 +63,7 @@ fn fig11_breakdowns_sum_exactly() {
     for kind in [TransportKind::SocketVia, TransportKind::KTcp] {
         for prob in [0.2, 0.8] {
             let rec = Recorder::new();
-            let (_, cap) = fig11::exec_probed(kind, prob, 4.0, FIG11_SEED, |_| Some(rec.probe()));
+            let (_, cap) = fig11::exec_probed(kind, prob, 4.0, FIG11_SEED, Some(rec.probe()));
             let label = format!("fig11 {kind:?} p={prob}");
             assert_exact(&compute(&rec, &cap, &label));
         }
